@@ -1,11 +1,13 @@
 #include "posix/alt_group.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -20,12 +22,37 @@ namespace {
 
 constexpr int kExitAbort = 42;    // guard failed, no synchronization
 constexpr int kExitTooLate = 43;  // lost the race for the commit token
+constexpr int kExitLost = 77;     // injected: result lost after the sync point
 
 // In-place fork() EAGAIN retries: transient pid exhaustion (a sibling
 // cohort mid-teardown, a fork storm elsewhere in the tree) usually clears
 // in milliseconds, and abandoning the whole cohort to the supervisor's
 // much slower backoff for it would be out of proportion.
 constexpr int kForkRetries = 3;
+
+// Poll bound while some live child has no pidfd: its exit can only be
+// found by wait4(WNOHANG), so the cohort wait must wake up to look.
+constexpr std::chrono::milliseconds kBlindPoll{10};
+
+/// SIGTERM -> SIGKILL grace for survivor elimination, from
+/// ALTX_KILL_GRACE_MS, read once per process (0 = straight SIGKILL).
+std::chrono::milliseconds kill_grace() {
+  static const std::chrono::milliseconds grace = [] {
+    const char* s = std::getenv("ALTX_KILL_GRACE_MS");
+    const long long ms = s != nullptr ? std::strtoll(s, nullptr, 0) : 0;
+    return std::chrono::milliseconds(std::max(0LL, ms));
+  }();
+  return grace;
+}
+
+/// Whether a frame's bytes are waiting in `fd` (not merely EOF).
+bool has_data(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  int r = 0;
+  while ((r = ::poll(&pfd, 1, 0)) < 0 && errno == EINTR) {
+  }
+  return r > 0 && (pfd.revents & POLLIN) != 0;
+}
 
 }  // namespace
 
@@ -58,18 +85,12 @@ AltGroup::AltGroup(AltGroupOptions options) : opts_(options) {
   if (opts_.governor == nullptr) {
     opts_.governor = SpeculationGovernor::global();
   }
-  if (opts_.kill_grace.count() < 0) {
-    const char* s = std::getenv("ALTX_KILL_GRACE_MS");
-    opts_.kill_grace = std::chrono::milliseconds(
-        s != nullptr ? std::strtoll(s, nullptr, 0) : 0);
-    if (opts_.kill_grace.count() < 0) opts_.kill_grace = {};
-  }
 }
 
 AltGroup::~AltGroup() {
   if (my_index_ != 0) return;  // children never own the group
   try {
-    kill_survivors();
+    kill_survivors(ChildFate::kEliminated);
     reap_all();
     release_remaining_tokens();
     finalize_accounting();
@@ -111,7 +132,6 @@ int AltGroup::alt_spawn(int n) {
   obs::prof_prewarm();  // stack bounds for the children's samplers
 
   token_ = Pipe::create(/*nonblocking_read=*/true);
-  result_ = Pipe::create();
   // Deposit the single commit token: the 0-1 semaphore of section 3.2.1.
   // ALTX_TEST_BREAK_AT_MOST_ONCE is a test-only sabotage knob for the
   // equivalence checker (src/check/): it deposits a second token, so two
@@ -122,6 +142,11 @@ int AltGroup::alt_spawn(int n) {
   if (std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr) {
     write_all(token_.write_end.get(), &token, 1);
   }
+  // Every result pipe exists before the first fork; each child keeps only
+  // its own write end, and the parent drops that end once the child is
+  // forked, so a child that dies without a frame leaves EOF behind.
+  slots_.resize(static_cast<std::size_t>(n));
+  for (Slot& slot : slots_) slot.result = Pipe::create();
 
   // The census arena: one MAP_SHARED slot per child, created before any
   // fork so every child inherits the same mapping. A child deposits its
@@ -139,15 +164,12 @@ int AltGroup::alt_spawn(int n) {
     census_ = static_cast<CensusSlot*>(arena);  // MAP_ANONYMOUS: zeroed
   }
 
-  // Cohort bookkeeping grows in lockstep with the forks so that a mid-loop
-  // failure can kill and reap exactly the children that exist.
-  children_.reserve(static_cast<std::size_t>(n));
-  reaped_.reserve(static_cast<std::size_t>(n));
-  killed_.reserve(static_cast<std::size_t>(n));
+  // status_ grows in lockstep with the forks so that a mid-loop failure
+  // can kill and reap exactly the children that exist.
   status_.reserve(static_cast<std::size_t>(n));
 
   auto abandon_cohort = [this] {
-    kill_survivors();
+    kill_survivors(ChildFate::kEliminated);
     reap_all();
     release_remaining_tokens();
   };
@@ -166,7 +188,9 @@ int AltGroup::alt_spawn(int n) {
       const int err = injected ? EAGAIN : errno;
       // EAGAIN is pid/memory exhaustion and is often transient (a sibling
       // cohort mid-teardown); retry in place, briefly and jittered, before
-      // abandoning the cohort to the supervisor's coarser backoff.
+      // abandoning the cohort to the supervisor's coarser backoff. The
+      // backoff is a cohort wait, so children of this group that exit
+      // meanwhile are reaped and give their pids back.
       if (err != EAGAIN || try_n >= kForkRetries) {
         abandon_cohort();
         throw SystemError(injected ? "fork (injected fault)" : "fork", err);
@@ -176,19 +200,23 @@ int AltGroup::alt_spawn(int n) {
               (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL) ^
               static_cast<std::uint64_t>(try_n))
               .uniform();
-      ::usleep(static_cast<useconds_t>(1'000 + u * 9'000));
+      const auto backoff = std::chrono::microseconds(
+          static_cast<long long>(1'000 + u * 9'000));
+      wait_cohort(Clock::now() + backoff);
       if (obs::enabled()) {
         obs::MetricsRegistry::global().counter("fork_eagain_retries").add();
       }
     }
+    Slot& slot = slots_[static_cast<std::size_t>(i) - 1];
     if (pid == 0) {
-      // Child: a COW copy of everything the parent had. The parent's open
-      // fork span is cancelled — only the parent emits its end.
+      // Child: a COW copy of everything the parent had. It keeps the write
+      // end of its own result pipe and closes every other cohort
+      // descriptor. The parent's open fork span is cancelled — only the
+      // parent emits its end.
       fork_phase.cancel();
       my_index_ = i;
-      children_.clear();
-      reaped_.clear();
-      killed_.clear();
+      out_ = std::move(slot.result.write_end);
+      slots_.clear();
       status_.clear();
       if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
       if (opts_.heap != nullptr) opts_.heap->begin_tracking();
@@ -200,6 +228,8 @@ int AltGroup::alt_spawn(int n) {
                                        static_cast<std::int16_t>(i));
       return i;
     }
+    slot.result.write_end.reset();
+    slot.pidfd = Fd(open_pidfd(pid));
     if (opts_.governor != nullptr) {
       const std::size_t j = static_cast<std::size_t>(i) - 1;
       opts_.governor->watch(
@@ -212,9 +242,6 @@ int AltGroup::alt_spawn(int n) {
                 static_cast<std::uint64_t>(pid), fork_ns);
       obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
     }
-    children_.push_back(pid);
-    reaped_.push_back(false);
-    killed_.push_back(false);
     ChildStatus st;
     st.pid = pid;
     st.spawn_ns = obs::now_ns();
@@ -223,52 +250,61 @@ int AltGroup::alt_spawn(int n) {
   return 0;
 }
 
-void AltGroup::child_commit(const Bytes& result) {
-  ALTX_REQUIRE(my_index_ != 0, "child_commit called in the parent");
-  // The guard held — recorded before the fault sync point, so the trace
-  // still explains a child that the injector kills on its way in.
-  obs::emit(obs::EventKind::kGuardResult, race_id_,
-            static_cast<std::int16_t>(my_index_), 1);
-  obs::phase_end(obs::Phase::kArmRun, race_id_,
-                 static_cast<std::int16_t>(my_index_), child_run_t0_);
+void AltGroup::child_commit(const Bytes& result) { child_sync(&result, true); }
+
+void AltGroup::child_deliver(const Bytes& result) {
+  child_sync(&result, false);
+}
+
+void AltGroup::child_abort() { child_sync(nullptr, false); }
+
+void AltGroup::child_sync(const Bytes* result, bool take_token) {
+  ALTX_REQUIRE(my_index_ != 0, "AltGroup: child sync called in the parent");
+  const auto me = static_cast<std::int16_t>(my_index_);
+  // The guard's outcome is recorded before the fault sync point, so the
+  // trace still explains a child that the injector kills on its way in.
+  obs::emit(obs::EventKind::kGuardResult, race_id_, me, result != nullptr);
+  obs::phase_end(obs::Phase::kArmRun, race_id_, me, child_run_t0_);
   child_run_t0_ = 0;
   publish_census();  // before the sync point: survives an injected SIGKILL
   bool drop = false;
   if (opts_.fault != nullptr) {
     // May crash / hang / stall right here — the instant before
-    // synchronization, the worst place a real fault can strike.
+    // synchronization, the worst place a real fault can strike. On the
+    // abort path kDropCommit degenerates to the abort.
     drop = opts_.fault->at_sync_point(fault_attempt_, my_index_) ==
            FaultKind::kDropCommit;
   }
-  // Try to take the token. First reader commits; everyone else is too late.
-  obs::emit(obs::EventKind::kCommitAttempt, race_id_,
-            static_cast<std::int16_t>(my_index_));
-  std::uint8_t token = 0;
-  const ssize_t got = ::read(token_.read_end.get(), &token, 1);
-  if (got != 1) {
-    obs::emit(obs::EventKind::kTooLate, race_id_,
-              static_cast<std::int16_t>(my_index_));
-    _exit(kExitTooLate);
+  if (result == nullptr) {
+    obs::emit(obs::EventKind::kGuardFail, race_id_, me);
+    _exit(kExitAbort);
   }
-  obs::emit(obs::EventKind::kCommitWon, race_id_,
-            static_cast<std::int16_t>(my_index_),
-            static_cast<std::uint64_t>(result.size()));
+  if (take_token) {
+    // Try to take the token. First reader commits; everyone else is too
+    // late.
+    obs::emit(obs::EventKind::kCommitAttempt, race_id_, me);
+    std::uint8_t token = 0;
+    if (::read(token_.read_end.get(), &token, 1) != 1) {
+      obs::emit(obs::EventKind::kTooLate, race_id_, me);
+      _exit(kExitTooLate);
+    }
+    obs::emit(obs::EventKind::kCommitWon, race_id_, me,
+              static_cast<std::uint64_t>(result->size()));
+  }
   if (drop) {
-    // Injected: the commit is lost between synchronizing and publishing.
-    // Nobody else can ever win (the token is gone) — the block must fail
-    // and the supervisor must notice. Exits with an unexpected status so
-    // the parent classifies this child as crashed.
-    _exit(77);
+    // Injected: the result is lost between synchronizing and publishing.
+    // With the token gone nobody else can win — the block must fail and
+    // the supervisor must notice. The unexpected exit status makes the
+    // parent classify this child as crashed.
+    _exit(kExitLost);
   }
 
   Bytes frame;
   ByteWriter w(frame);
-  w.u32(static_cast<std::uint32_t>(my_index_));
-  w.blob(result.data(), result.size());
+  w.blob(result->data(), result->size());
   if (opts_.heap != nullptr) {
     w.u8(1);
-    obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_,
-                          static_cast<std::int16_t>(my_index_));
+    obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_, me);
     const Bytes patch = opts_.heap->serialize_dirty();
     diff.end();
     w.blob(patch.data(), patch.size());
@@ -276,125 +312,110 @@ void AltGroup::child_commit(const Bytes& result) {
     w.u8(0);
   }
   {
-    obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_,
-                          static_cast<std::int16_t>(my_index_));
-    write_frame(result_.write_end.get(), frame);
+    obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_, me);
+    write_frame(out_.get(), frame);
   }
   _exit(0);
 }
 
-void AltGroup::child_abort() {
-  ALTX_REQUIRE(my_index_ != 0, "child_abort called in the parent");
-  obs::emit(obs::EventKind::kGuardResult, race_id_,
-            static_cast<std::int16_t>(my_index_), 0);
-  obs::phase_end(obs::Phase::kArmRun, race_id_,
-                 static_cast<std::int16_t>(my_index_), child_run_t0_);
-  child_run_t0_ = 0;
-  publish_census();  // before the sync point: survives an injected SIGKILL
-  if (opts_.fault != nullptr) {
-    // The abort path is a sync point too: a guard that fails can still
-    // crash or hang on its way out. kDropCommit degenerates to the abort.
-    (void)opts_.fault->at_sync_point(fault_attempt_, my_index_);
-  }
-  obs::emit(obs::EventKind::kGuardFail, race_id_,
-            static_cast<std::int16_t>(my_index_));
-  _exit(kExitAbort);
+std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
+  settle(timeout, /*collect_all=*/false);
+  return verdict_;
 }
 
-std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
+std::optional<std::vector<Bytes>> AltGroup::alt_wait_all(
+    std::chrono::milliseconds timeout) {
+  ALTX_REQUIRE(opts_.heap == nullptr,
+               "alt_wait_all: a collect-all group cannot absorb an AltHeap");
+  settle(timeout, /*collect_all=*/true);
+  if (verdict_kind_ != WaitVerdict::kWinner) return std::nullopt;
+  return results_;
+}
+
+void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
   ALTX_REQUIRE(my_index_ == 0, "alt_wait: only the parent waits");
   ALTX_REQUIRE(spawned_, "alt_wait before alt_spawn");
-  if (decided_) return verdict_;
+  if (decided_) return;
 
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t exited = 0;
+  const auto deadline = Clock::now() + timeout;
+  const std::size_t n = slots_.size();
+  if (collect_all) results_.resize(n);
 
-  // The parent's view of the arms racing: from here until the first result
-  // byte is readable (or the race is called off). The later phases —
+  // The parent's view of the arms running: from here until the winner's
+  // frame is readable (collect-all: until the verdict). The later phases —
   // result_pipe, absorb, eliminate, decide — each close before the next
   // opens, so the parent-side spans tile the race wall time.
   obs::ScopedPhase arm_phase(obs::Phase::kArmRun, race_id_);
-
-  auto try_read_result = [&]() -> bool {
-    if (!wait_readable(result_.read_end.get(), 0)) return false;
-    arm_phase.end();
-    std::optional<Bytes> frame;
-    {
-      obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_);
-      frame = read_frame(result_.read_end.get());
-    }
-    if (!frame.has_value()) return false;
-    ByteReader r(*frame);
-    AltWinner win;
-    win.index = static_cast<int>(r.u32());
-    win.result = r.blob();
-    if (r.u8() == 1) {
-      const Bytes patch = r.blob();
-      if (opts_.heap != nullptr) {
-        obs::ScopedPhase absorb(obs::Phase::kAbsorb, race_id_);
-        win.pages_absorbed = opts_.heap->apply_patch(patch);
-      }
-    }
-    verdict_ = std::move(win);
-    verdict_kind_ = WaitVerdict::kWinner;
-    return true;
-  };
-
+  bool called_off = false;  // the deadline passed and the survivors were killed
   while (true) {
-    if (try_read_result()) break;
-
-    // Reap opportunistically: detects the all-failed case and classifies
-    // self-deaths (a signal we did not send is a genuine crash).
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (reaped_[i]) continue;
-      int status = 0;
-      struct rusage ru {};
-      const pid_t r = wait4_eintr(children_[i], &status, WNOHANG, &ru);
-      if (r == children_[i]) {
-        record_exit(i, status, decode_rusage(ru));
-        ++exited;
+    std::size_t delivered = 0;
+    std::size_t lost = 0;  // reaped without leaving a frame
+    std::size_t first_ready = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      Slot& slot = slots_[i];
+      if (slot.ready && collect_all) {
+        results_[i] = ByteReader(take_frame(i)).blob();
       }
+      if (slot.ready && first_ready == n) first_ready = i;
+      if (slot.delivered) ++delivered;
+      if (reaped(i) && !slot.delivered && !slot.ready) ++lost;
     }
-    if (exited == children_.size()) {
-      // Everyone is gone; a commit may still sit in the pipe (the winner
-      // exits after writing).
-      if (!try_read_result()) verdict_kind_ = WaitVerdict::kAllFailed;
+    if (!collect_all && first_ready < n) {
+      arm_phase.end();
+      Bytes frame;
+      {
+        obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_);
+        frame = take_frame(first_ready);
+      }
+      ByteReader r(frame);
+      AltWinner win;
+      win.index = static_cast<int>(first_ready) + 1;
+      win.result = r.blob();
+      if (r.u8() == 1) {
+        const Bytes patch = r.blob();
+        if (opts_.heap != nullptr) {
+          obs::ScopedPhase absorb(obs::Phase::kAbsorb, race_id_);
+          win.pages_absorbed = opts_.heap->apply_patch(patch);
+        }
+      }
+      verdict_ = std::move(win);
+      verdict_kind_ = WaitVerdict::kWinner;
       break;
     }
-
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      // TIMEOUT: presume no alternative will succeed (section 3.2). A commit
-      // that raced in before the kill is still honoured — it won.
+    if (collect_all && delivered == n) {
+      verdict_kind_ = WaitVerdict::kWinner;
+      break;
+    }
+    if (called_off) {
+      verdict_kind_ = WaitVerdict::kTimeout;
+      break;
+    }
+    // A race fails once every child is lost; a collect-all at the first.
+    if (collect_all ? lost > 0 : lost == n) {
+      verdict_kind_ = WaitVerdict::kAllFailed;
+      break;
+    }
+    if (Clock::now() >= deadline) {
+      // TIMEOUT: presume no alternative will succeed (section 3.2). A frame
+      // that raced in before the kill is still honoured on the next pass.
       arm_phase.end();
       {
         obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
-        kill_survivors();
+        kill_survivors(ChildFate::kHung);
       }
-      if (!try_read_result()) verdict_kind_ = WaitVerdict::kTimeout;
-      break;
+      wait_cohort(Clock::now());
+      called_off = true;
+      continue;
     }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int slice = static_cast<int>(std::min<long long>(20, remaining.count() + 1));
-    wait_readable(result_.read_end.get(), std::max(1, slice));
+    wait_cohort(deadline);
   }
 
   decided_ = true;
   arm_phase.end();  // idempotent: already closed on the result/timeout paths
-  {
-    bool survivors = false;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!reaped_[i]) {
-        survivors = true;
-        break;
-      }
-    }
-    if (survivors) {
-      obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
-      kill_survivors();
-      if (opts_.elimination == Eliminate::kSynchronous) reap_all();
-    }
+  if (!all_reaped()) {
+    obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
+    kill_survivors(ChildFate::kEliminated);
+    if (opts_.elimination == Eliminate::kSynchronous) reap_all();
   }
   const std::uint64_t decide_t0 =
       obs::phase_begin(obs::Phase::kDecide, race_id_, 0);
@@ -407,16 +428,84 @@ std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
                                    : 0,
               verdict_.has_value() ? verdict_->pages_absorbed : 0);
     auto& metrics = obs::MetricsRegistry::global();
-    if (verdict_.has_value()) {
+    if (verdict_kind_ == WaitVerdict::kWinner) {
       metrics.histogram("commit_latency_ns").record(obs::now_ns() - start_ns_);
-      metrics.counter("pages_absorbed").add(verdict_->pages_absorbed);
+      if (verdict_.has_value()) {
+        metrics.counter("pages_absorbed").add(verdict_->pages_absorbed);
+      }
     } else if (verdict_kind_ == WaitVerdict::kTimeout) {
       metrics.counter("race_timeouts").add();
     } else {
       metrics.counter("race_all_failed").add();
     }
   }
-  return verdict_;
+}
+
+Bytes AltGroup::take_frame(std::size_t i) {
+  Slot& slot = slots_[i];
+  std::optional<Bytes> frame = read_frame(slot.result.read_end.get());
+  ALTX_REQUIRE(frame.has_value(), "AltGroup: result pipe ready but empty");
+  slot.result.read_end.reset();  // one frame per child
+  slot.ready = false;
+  slot.delivered = true;
+  return std::move(*frame);
+}
+
+void AltGroup::wait_cohort(Clock::time_point deadline) {
+  // One pollfd per open result pipe not yet known to hold a frame, and one
+  // per unreaped child's pidfd; `owner` maps each back to (child, is_pidfd).
+  std::vector<pollfd> fds;
+  std::vector<std::pair<std::size_t, bool>> owner;
+  bool blind = false;  // some live child has no pidfd
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (slot.result.read_end.valid() && !slot.ready) {
+      fds.push_back({slot.result.read_end.get(), POLLIN, 0});
+      owner.emplace_back(i, false);
+    }
+    if (reaped(i)) continue;
+    if (slot.pidfd.valid()) {
+      fds.push_back({slot.pidfd.get(), POLLIN, 0});
+      owner.emplace_back(i, true);
+    } else {
+      blind = true;
+    }
+  }
+  auto wait = std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                           Clock::now());
+  if (blind) wait = std::min(wait, kBlindPoll);
+  const int timeout_ms = static_cast<int>(std::clamp<long long>(
+      wait.count(), 0, std::numeric_limits<int>::max()));
+  const int r = ::poll(fds.data(), fds.size(), timeout_ms);
+  if (r < 0 && errno != EINTR) throw_errno("poll");
+  for (std::size_t k = 0; r > 0 && k < fds.size(); ++k) {
+    if (fds[k].revents == 0) continue;
+    const auto [i, is_pidfd] = owner[k];
+    Slot& slot = slots_[i];
+    if (is_pidfd) {
+      reap(i, WNOHANG);
+      // Readable but not reapable (SIGCHLD ignored, say): stop polling the
+      // pidfd, or it would spin, and find the exit the blind way.
+      if (!reaped(i)) slot.pidfd.reset();
+    } else if ((fds[k].revents & POLLIN) != 0) {
+      slot.ready = true;
+    } else {
+      slot.result.read_end.reset();  // EOF: the child left without a frame
+    }
+  }
+  if (blind) {
+    for (std::size_t i = 0; i < status_.size(); ++i) {
+      if (!reaped(i) && !slots_[i].pidfd.valid()) reap(i, WNOHANG);
+    }
+  }
+}
+
+void AltGroup::reap(std::size_t i, int flags) {
+  int status = 0;
+  struct rusage ru {};
+  if (wait4_eintr(status_[i].pid, &status, flags, &ru) == status_[i].pid) {
+    record_exit(i, status, decode_rusage(ru));
+  }
 }
 
 void AltGroup::finish() {
@@ -433,58 +522,44 @@ int AltGroup::count_fate(ChildFate fate) const {
   return n;
 }
 
-void AltGroup::kill_survivors() {
-  if (opts_.kill_grace.count() <= 0) {
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!reaped_[i]) {
-        ::kill(children_[i], SIGKILL);
-        killed_[i] = true;
-      }
+void AltGroup::kill_survivors(ChildFate fate) {
+  // Children that delivered are on their way out through _exit(0) and are
+  // only reaped; children already killed keep the fate of that first kill.
+  const std::chrono::milliseconds grace = kill_grace();
+  bool any = false;
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (reaped(i) || slot.delivered || slot.kill_fate != ChildFate::kRunning) {
+      continue;
     }
-    return;
+    ::kill(status_[i].pid, grace.count() > 0 ? SIGTERM : SIGKILL);
+    slot.kill_fate = fate;
+    any = true;
   }
+  if (!any || grace.count() <= 0) return;
   // Graceful elimination: SIGTERM first, so a loser with cleanup to do
   // (flush a log, drop a lock file) gets the grace window, then SIGKILL
   // whatever is still standing. Children reaped during the window keep the
   // normal fate pipeline — a SIGTERM death is still "we killed it".
-  bool any = false;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) {
-      ::kill(children_[i], SIGTERM);
-      killed_[i] = true;
-      any = true;
+  const auto deadline = Clock::now() + grace;
+  while (!all_reaped() && Clock::now() < deadline) wait_cohort(deadline);
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    if (!reaped(i) && slots_[i].kill_fate != ChildFate::kRunning) {
+      ::kill(status_[i].pid, SIGKILL);  // grace expired
     }
-  }
-  if (!any) return;
-  const auto deadline = std::chrono::steady_clock::now() + opts_.kill_grace;
-  while (std::chrono::steady_clock::now() < deadline) {
-    bool all_gone = true;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (reaped_[i]) continue;
-      int status = 0;
-      struct rusage ru {};
-      if (wait4_eintr(children_[i], &status, WNOHANG, &ru) == children_[i]) {
-        record_exit(i, status, decode_rusage(ru));
-      } else {
-        all_gone = false;
-      }
-    }
-    if (all_gone) return;
-    ::usleep(1'000);
-  }
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) ::kill(children_[i], SIGKILL);  // grace expired
   }
 }
 
+bool AltGroup::all_reaped() const {
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    if (!reaped(i)) return false;
+  }
+  return true;
+}
+
 void AltGroup::reap_all() {
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (reaped_[i]) continue;
-    int status = 0;
-    struct rusage ru {};
-    if (wait4_eintr(children_[i], &status, 0, &ru) == children_[i]) {
-      record_exit(i, status, decode_rusage(ru));
-    }
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    if (!reaped(i)) reap(i, 0);
   }
 }
 
@@ -496,8 +571,16 @@ void AltGroup::release_remaining_tokens() {
 
 void AltGroup::record_exit(std::size_t i, int status,
                            const ChildUsage& usage) {
-  reaped_[i] = true;
   ChildStatus& st = status_[i];
+  Slot& slot = slots_[i];
+  slot.pidfd.reset();
+  // The child is gone, so whatever it wrote is in the pipe in full: either
+  // a frame waits there or it never will.
+  if (slot.result.read_end.valid() && !slot.ready) {
+    slot.ready = has_data(slot.result.read_end.get());
+    if (!slot.ready) slot.result.read_end.reset();
+  }
+  const bool killed = slot.kill_fate != ChildFate::kRunning;
   st.usage = usage;
   st.reap_ns = obs::now_ns();
   std::optional<GovKillReason> gov_kill;
@@ -526,12 +609,11 @@ void AltGroup::record_exit(std::size_t i, int status,
     }
   } else if (info.signaled) {
     st.signal = info.signal;
-    if ((killed_[i] || gov_kill.has_value()) && verdict_.has_value() &&
-        static_cast<std::size_t>(verdict_->index) == i + 1) {
-      // A kill we (or the watchdog) sent caught the winner between writing
-      // its result and _exit(0). The answer was already accepted, so this
-      // is a commit — classifying it otherwise would bill the winner's CPU
-      // and pages as speculation waste.
+    if ((killed || gov_kill.has_value()) && (slot.delivered || slot.ready)) {
+      // A kill we (or the watchdog) sent caught a child between writing
+      // its result and _exit(0). The result stands, so this is a commit —
+      // classifying it otherwise would bill the winner's CPU and pages as
+      // speculation waste.
       st.fate = ChildFate::kCommitted;
     } else if (gov_kill.has_value()) {
       // The governor's watchdog killed it: over budget (wall / CPU), shed
@@ -541,13 +623,13 @@ void AltGroup::record_exit(std::size_t i, int status,
       st.fate = *gov_kill == GovKillReason::kPredicted
                     ? ChildFate::kPredictedLoser
                     : ChildFate::kOverBudget;
-    } else if (killed_[i]) {
-      // We sent the kill. Before a verdict it was a deadline kill (the
-      // child was hung past the TIMEOUT); after one, routine elimination.
-      // A child that died of its own SIGKILL in the race window between
-      // our poll and our kill is indistinguishable — attributed to us.
-      st.fate = verdict_.has_value() ? ChildFate::kEliminated
-                                     : ChildFate::kHung;
+    } else if (killed) {
+      // We sent the kill: at the deadline the child was hung past the
+      // TIMEOUT; otherwise it was routine elimination — after a winner, or
+      // after a collect-all sibling failed. A child that died of its own
+      // SIGKILL in the window between our poll and our kill is
+      // indistinguishable — attributed to us.
+      st.fate = slot.kill_fate;
     } else {
       st.fate = ChildFate::kCrashed;
     }
@@ -603,7 +685,7 @@ void AltGroup::publish_census() {
 SpeculationReport AltGroup::speculation_report() const {
   SpeculationReport rep;
   for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!reaped_[i]) continue;
+    if (!reaped(i)) continue;
     const ChildStatus& st = status_[i];
     rep.total_cpu_ns += st.usage.cpu_ns;
     ++rep.children_costed;
@@ -622,8 +704,8 @@ SpeculationReport AltGroup::speculation_report() const {
 
 void AltGroup::finalize_accounting() {
   if (accounted_ || !spawned_ || my_index_ != 0) return;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) return;  // ledger incomplete; try again at next reap
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    if (!reaped(i)) return;  // ledger incomplete; try again at next reap
   }
   accounted_ = true;
   if (!obs::enabled()) return;

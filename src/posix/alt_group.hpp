@@ -11,12 +11,29 @@
 //   alt_wait(t)   — in the parent: waits (bounded by the TIMEOUT) for the
 //                   first child to synchronize, absorbs its result (and, when
 //                   an AltHeap is attached, its dirty pages), then eliminates
-//                   the siblings. In a child: attempts the synchronization.
+//                   the siblings. It returns FAIL as soon as every child has
+//                   exited without synchronizing — it never sits out the
+//                   TIMEOUT once no child can win. In a child: attempts the
+//                   synchronization.
 //
 // At-most-once synchronization is a 0-1 semaphore built from a pipe: the
 // parent deposits a single token byte; the first child to read it commits;
 // later children find the pipe empty and are "too late" (section 3.2.1) —
 // they terminate themselves.
+//
+// The cohort wait: each child has a result pipe of its own and, in the
+// parent, a pidfd. One poll(2) set over those descriptors wakes the parent
+// when a result arrives or a child exits, and every wait the group does —
+// alt_wait, the deadline kill, the SIGTERM grace window, the fork-EAGAIN
+// backoff — is that one wait. Where pidfd_open is unavailable the poll
+// timeout is bounded and exits are found by wait4(WNOHANG) instead.
+//
+// Collect-all (section 5.2's AND-parallelism, posix::await_all): children
+// finish with child_deliver, which ships the result without taking the
+// commit token, and the parent calls alt_wait_all, which succeeds when every
+// child has delivered and fails at the first child that exits without
+// delivering. Admission, fault plans, fates, billing and tracing are the
+// same as for a race.
 //
 // Supervision: every child's fate is classified when it is reaped
 // (committed / aborted / too-late / crashed(signal) / hung / eliminated),
@@ -106,8 +123,10 @@ struct ChildStatus {
 enum class WaitVerdict : std::uint8_t {
   kUndecided,  // alt_wait has not (successfully) completed
   kWinner,     // a child committed; the AltWinner was returned
+               // (collect-all: every child delivered)
   kAllFailed,  // every child exited without committing (guards failed,
                // crashed, or lost their commit) before the deadline
+               // (collect-all: a child exited without delivering)
   kTimeout,    // the deadline passed with at least one child still live
 };
 
@@ -125,11 +144,6 @@ struct AltGroupOptions {
   /// env-configured process governor, itself nullptr when no ALTX_GOV_*
   /// knob is set, so ungoverned runs cost one null check.
   SpeculationGovernor* governor = nullptr;
-
-  /// SIGTERM → SIGKILL grace for survivor elimination. Negative (the
-  /// default) resolves from ALTX_KILL_GRACE_MS; 0 keeps the historical
-  /// straight-SIGKILL behavior.
-  std::chrono::milliseconds kill_grace{-1};
 
   /// Per-child predicted-kill deadlines (ns of elapsed wall), indexed by
   /// child number - 1, handed to the governor's watchdog at registration.
@@ -186,14 +200,31 @@ class AltGroup {
   /// first: the child may crash, hang, stall, or lose the commit here.
   [[noreturn]] void child_commit(const Bytes& result);
 
+  /// Child side, collect-all: delivers a result without taking the commit
+  /// token — every child's result is wanted. Never returns. A FaultInjector
+  /// sync point; an injected kDropCommit loses the result, which fails the
+  /// collect-all wait like any crash.
+  [[noreturn]] void child_deliver(const Bytes& result);
+
   /// Child side: the guard failed; abort without synchronizing. Never
   /// returns. Also a FaultInjector sync point.
   [[noreturn]] void child_abort();
 
   /// Parent side: waits for a winner. Returns std::nullopt when every child
-  /// aborted or the timeout expired (the FAIL arm); verdict() then says
-  /// which. Idempotent: a second call returns the same verdict.
+  /// exited without committing or the timeout expired (the FAIL arm);
+  /// verdict() then says which. Idempotent: a second call returns the same
+  /// verdict.
   std::optional<AltWinner> alt_wait(std::chrono::milliseconds timeout);
+
+  /// Parent side, collect-all: waits until every child has delivered and
+  /// returns their results in child order. Returns std::nullopt at the first
+  /// child that exits without delivering (kAllFailed — its surviving
+  /// siblings are eliminated) or when the timeout expires (kTimeout).
+  /// Idempotent. A collect-all group takes no AltHeap: absorbing one child's
+  /// pages before a sibling fails would make a failed block's effects
+  /// visible.
+  std::optional<std::vector<Bytes>> alt_wait_all(
+      std::chrono::milliseconds timeout);
 
   /// Reaps any remaining children (no-op when elimination was synchronous).
   void finish();
@@ -233,7 +264,34 @@ class AltGroup {
     std::atomic<std::uint32_t> ready;
   };
 
-  void kill_survivors();
+  /// Parent-side descriptors of one child, parallel to status_.
+  struct Slot {
+    Pipe result;  // child -> parent: payload + heap patch, one frame at most
+    Fd pidfd;     // readable once the child exits; invalid = poll blind
+    // What our kill means: kHung (deadline) or kEliminated; kRunning = not
+    // killed by us.
+    ChildFate kill_fate = ChildFate::kRunning;
+    bool ready = false;      // a frame is waiting in the result pipe
+    bool delivered = false;  // its frame was taken (winner / collect-all)
+  };
+
+  using Clock = std::chrono::steady_clock;
+
+  /// child_commit / child_deliver / child_abort (result == nullptr).
+  [[noreturn]] void child_sync(const Bytes* result, bool take_token);
+  /// alt_wait / alt_wait_all: wait for the verdict, eliminate, account.
+  void settle(std::chrono::milliseconds timeout, bool collect_all);
+  Bytes take_frame(std::size_t i);  // reads child i's one frame
+  /// The cohort's one wait: polls every open result pipe and every unreaped
+  /// child's pidfd until one is ready or `deadline` passes, marks frames
+  /// ready, and reaps every child that exited.
+  void wait_cohort(Clock::time_point deadline);
+  void reap(std::size_t i, int flags);
+  [[nodiscard]] bool reaped(std::size_t i) const {
+    return status_[i].fate != ChildFate::kRunning;
+  }
+  [[nodiscard]] bool all_reaped() const;
+  void kill_survivors(ChildFate fate);
   void reap_all();
   void release_remaining_tokens();  // admission tokens not yet returned
   void record_exit(std::size_t i, int status, const ChildUsage& usage);
@@ -241,15 +299,14 @@ class AltGroup {
   void finalize_accounting();    // parent side, once every child is reaped
 
   AltGroupOptions opts_;
-  std::vector<pid_t> children_;
-  std::vector<bool> reaped_;
-  std::vector<bool> killed_;  // we sent SIGKILL before it was reaped
-  std::vector<ChildStatus> status_;
+  std::vector<Slot> slots_;  // one per child to be forked
+  std::vector<ChildStatus> status_;  // one per child forked so far
   CensusSlot* census_ = nullptr;  // shared arena, one slot per child
   std::size_t census_slots_ = 0;
   bool accounted_ = false;  // kSpecReport emitted / metrics rolled up
   Pipe token_;   // 0-1 semaphore: one byte, first reader commits
-  Pipe result_;  // winner -> parent: index + payload + heap patch
+  Fd out_;       // child side: the write end of its own result pipe
+  std::vector<Bytes> results_;  // collect-all: delivered payloads
   int my_index_ = 0;  // 0 in parent
   std::uint64_t child_run_t0_ = 0;  // child side: arm_run span begin
   int tokens_held_ = 0;      // admission tokens taken for this cohort

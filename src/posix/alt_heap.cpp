@@ -10,42 +10,30 @@ namespace altx::posix {
 
 namespace {
 
-// Registry of live trackables so the (process-wide) SIGSEGV handler can
-// route a fault to the region that owns the address. Small and scanned
-// linearly; no locking needed — faults are handled on the faulting thread
-// and the backend is single-threaded by design (concurrency comes from
-// processes).
-std::vector<CowTrackable*> g_heaps;
+// Registry of live arenas so the (process-wide) SIGSEGV handler can route a
+// fault to the arena that owns the address. Small and scanned linearly; no
+// locking needed — faults are handled on the faulting thread and the
+// backend is single-threaded by design (concurrency comes from processes).
+std::vector<AltHeap*> g_heaps;
 struct sigaction g_prev_segv;
 bool g_handler_installed = false;
 
-}  // namespace
-
-void heap_segv_handler(int signo, void* info_v, void* ctx) {
-  auto* info = static_cast<siginfo_t*>(info_v);
-  void* addr = info->si_addr;
-  for (CowTrackable* h : g_heaps) {
-    if (h->handle_fault(addr)) return;
+void on_segv(int signo, siginfo_t* info, void* /*ctx*/) {
+  for (AltHeap* h : g_heaps) {
+    if (h->handle_fault(info->si_addr)) return;
   }
   // Not ours: restore the previous disposition and re-raise so genuine
   // crashes still crash.
   ::sigaction(SIGSEGV, &g_prev_segv, nullptr);
   ::raise(signo);
-  (void)ctx;
 }
-
-extern "C" void altx_segv_trampoline(int signo, siginfo_t* info, void* ctx) {
-  heap_segv_handler(signo, info, ctx);
-}
-
-namespace {
 
 void install_handler() {
   if (g_handler_installed) return;
   struct sigaction sa;
   std::memset(&sa, 0, sizeof sa);
   sa.sa_flags = SA_SIGINFO;
-  sa.sa_sigaction = &altx_segv_trampoline;
+  sa.sa_sigaction = &on_segv;
   sigemptyset(&sa.sa_mask);
   if (::sigaction(SIGSEGV, &sa, &g_prev_segv) != 0) throw_errno("sigaction");
   g_handler_installed = true;
@@ -53,38 +41,47 @@ void install_handler() {
 
 }  // namespace
 
-namespace detail {
-void install_handler_for_trackables() { install_handler(); }
-}  // namespace detail
+AltHeap::AltHeap(std::size_t pages) : AltHeap(pages, Fd{}) {}
 
-static void install_handler_public() { detail::install_handler_for_trackables(); }
-
-void register_trackable(CowTrackable* t) {
-  install_handler_public();
-  g_heaps.push_back(t);
-}
-
-void unregister_trackable(CowTrackable* t) { std::erase(g_heaps, t); }
-
-AltHeap::AltHeap(std::size_t pages) {
+AltHeap::AltHeap(std::size_t pages, Fd backing) : backing_(std::move(backing)) {
   ALTX_REQUIRE(pages >= 1, "AltHeap: need at least one page");
   page_size_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   pages_ = pages;
   bytes_ = pages * page_size_;
-  base_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (base_ == MAP_FAILED) throw_errno("mmap");
-  register_trackable(this);
+  map();
+  install_handler();
+  g_heaps.push_back(this);
 }
 
 AltHeap::~AltHeap() {
-  unregister_trackable(this);
+  std::erase(g_heaps, this);
   if (base_ != nullptr) ::munmap(base_, bytes_);
 }
 
-void AltHeap::begin_tracking() {
-  install_handler();
+void AltHeap::map() {
+  const int flags =
+      backing_.valid() ? MAP_PRIVATE : MAP_PRIVATE | MAP_ANONYMOUS;
+  base_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, flags,
+                 backing_.get(), 0);
+  if (base_ == MAP_FAILED) {
+    base_ = nullptr;
+    throw_errno("mmap");
+  }
+}
+
+void AltHeap::remap() {
+  ::munmap(base_, bytes_);
+  base_ = nullptr;
+  map();
   dirty_.clear();
+  tracking_ = false;
+}
+
+void AltHeap::begin_tracking() {
+  dirty_.clear();
+  // Every page can be dirtied at most once, so the handler's push_back
+  // below never has to allocate.
+  dirty_.reserve(pages_);
   if (::mprotect(base_, bytes_, PROT_READ) != 0) throw_errno("mprotect(READ)");
   tracking_ = true;
 }
@@ -102,8 +99,8 @@ bool AltHeap::handle_fault(void* addr) {
   auto b = reinterpret_cast<std::uintptr_t>(base_);
   if (a < b || a >= b + bytes_) return false;
   const std::size_t page = (a - b) / page_size_;
-  // Async-signal-safety: mprotect is a plain syscall; the dirty_ vector push
-  // is safe because the fault happens synchronously on this (only) thread.
+  // Async-signal-safety: mprotect is a plain syscall, and the push_back
+  // stays within the capacity begin_tracking reserved.
   if (::mprotect(static_cast<std::uint8_t*>(base_) + page * page_size_,
                  page_size_, PROT_READ | PROT_WRITE) != 0) {
     return false;  // fall through to crash — cannot continue
@@ -125,7 +122,8 @@ Bytes AltHeap::serialize_dirty() const {
   return out;
 }
 
-std::size_t AltHeap::apply_patch(const Bytes& patch) {
+std::size_t AltHeap::apply_patch(const Bytes& patch,
+                                 std::vector<std::uint32_t>* patched) {
   ByteReader r(patch);
   const std::uint64_t psz = r.u64();
   ALTX_REQUIRE(psz == page_size_, "AltHeap::apply_patch: page size mismatch");
@@ -138,6 +136,7 @@ std::size_t AltHeap::apply_patch(const Bytes& patch) {
                  "AltHeap::apply_patch: bad page payload");
     std::memcpy(static_cast<std::uint8_t*>(base_) + page * page_size_,
                 content.data(), page_size_);
+    if (patched != nullptr) patched->push_back(page);
   }
   return n;
 }

@@ -12,6 +12,9 @@
 // a pipe; the parent patches them into its own arena, which is the absorb
 // step ("atomically replacing its page pointer with that of the child") at
 // page granularity.
+//
+// The same tracking runs over a file: FileHeap (posix/file_heap.hpp) is an
+// AltHeap whose arena maps a file's descriptor instead of anonymous memory.
 #pragma once
 
 #include <cstddef>
@@ -20,25 +23,11 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "posix/fd.hpp"
 
 namespace altx::posix {
 
-/// Internal interface: anything that read-protects a region and wants the
-/// shared SIGSEGV handler to route faults to it (AltHeap, FileHeap).
-class CowTrackable {
- public:
-  virtual bool handle_fault(void* addr) = 0;
-
- protected:
-  ~CowTrackable() = default;
-};
-
-/// Registers/unregisters a trackable with the process-wide fault handler
-/// (installed lazily on first registration).
-void register_trackable(CowTrackable* t);
-void unregister_trackable(CowTrackable* t);
-
-class AltHeap : public CowTrackable {
+class AltHeap {
  public:
   /// Maps an arena of `pages` system pages. The arena starts writable in the
   /// parent (tracking off).
@@ -74,21 +63,41 @@ class AltHeap : public CowTrackable {
 
   /// Parent side: applies a winner's dirty pages to this arena.
   /// Returns the number of pages patched.
-  std::size_t apply_patch(const Bytes& patch);
+  std::size_t apply_patch(const Bytes& patch) {
+    return apply_patch(patch, nullptr);
+  }
 
   /// Stops tracking (unprotects everything); used by tests.
   void end_tracking();
 
-  bool handle_fault(void* addr) override;
+  /// The SIGSEGV handler's entry: true when `addr` is a first write to a
+  /// tracked page of this arena (now recorded and writable).
+  bool handle_fault(void* addr);
+
+ protected:
+  /// Maps `pages` pages of `backing` MAP_PRIVATE instead of anonymous
+  /// memory: reads come from the file, writes stay private (FileHeap).
+  AltHeap(std::size_t pages, Fd backing);
+
+  [[nodiscard]] int backing_fd() const noexcept { return backing_.get(); }
+
+  /// Drops every private page: maps the backing afresh, tracking off.
+  void remap();
+
+  /// apply_patch that also appends each patched page index to `patched`.
+  std::size_t apply_patch(const Bytes& patch,
+                          std::vector<std::uint32_t>* patched);
 
  private:
+  void map();
 
+  Fd backing_;  // invalid: anonymous arena
   void* base_ = nullptr;
   std::size_t bytes_ = 0;
   std::size_t page_size_ = 0;
   std::size_t pages_ = 0;
   bool tracking_ = false;
-  std::vector<std::uint32_t> dirty_;
+  std::vector<std::uint32_t> dirty_;  // reserved to pages_ while tracking
 };
 
 }  // namespace altx::posix

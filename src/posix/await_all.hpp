@@ -3,13 +3,17 @@
 // The paper's section 5.2 names two kinds of rule-level parallelism:
 // OR-parallelism (mutually exclusive alternatives — race()) and
 // AND-parallelism ("if goals A and B must be satisfied, we can pursue the
-// satisfaction of A and B in parallel"). await_all runs every task in its
-// own forked process and succeeds only when ALL of them produce a value;
-// one failure (nullopt, exception, crash, or timeout) fails the whole
-// conjunction and the surviving children are eliminated.
+// satisfaction of A and B in parallel"), and runs both on the same
+// spawn/wait machinery. So does this: await_all is a collect-all AltGroup.
+// Every task runs in its own forked process and delivers its value without
+// taking the commit token (every result is needed); the conjunction
+// succeeds only when ALL of them deliver. The first task to fail (nullopt,
+// exception, crash), in whatever order they finish, or the deadline fails
+// the whole conjunction and the surviving children are eliminated.
 //
-// Unlike race() there is no speculation to hide: every task's result is
-// needed, so no commit token is involved — just isolation and collection.
+// Being an AltGroup, it is admitted by the governor, billed by wait4 with a
+// fate per child, traced with phase spans, and retries injected fork
+// failures like any race.
 #pragma once
 
 #include <chrono>
@@ -18,7 +22,6 @@
 
 #include "obs/trace.hpp"
 #include "posix/race.hpp"
-#include "posix/reap.hpp"
 
 namespace altx::posix {
 
@@ -33,121 +36,36 @@ struct AwaitOptions {
 };
 
 /// Runs every task concurrently; returns all results (in task order) or
-/// nullopt if any task failed or the deadline passed.
+/// nullopt if any task failed or the deadline passed. Under a governor that
+/// denies admission, throws AdmissionTimeout like any AltGroup.
 template <RaceSerializable T>
 std::optional<std::vector<T>> await_all(const std::vector<AlternativeFn<T>>& tasks,
                                         const AwaitOptions& options = {}) {
   ALTX_REQUIRE(!tasks.empty(), "await_all: need at least one task");
-  const std::size_t n = tasks.size();
-
-  // One pipe per child: framed results cannot interleave.
-  std::vector<Pipe> pipes;
-  pipes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) pipes.push_back(Pipe::create());
-
-  const std::uint64_t attempt =
-      options.fault != nullptr ? options.fault->begin_attempt() : 0;
-  const std::uint32_t trace_id = obs::next_race_id();
-  obs::emit(obs::EventKind::kAwaitBegin, trace_id, 0,
-            static_cast<std::uint64_t>(n));
-
-  std::vector<pid_t> children(n, -1);
-  auto abandon_cohort = [&](std::size_t have) {
-    for (std::size_t k = 0; k < have; ++k) ::kill(children[k], SIGKILL);
-    for (std::size_t k = 0; k < have; ++k) {
-      int status = 0;
-      wait4_eintr(children[k], &status, 0);
+  AltGroupOptions go;
+  go.fault = options.fault;
+  AltGroup group(go);
+  const int who = group.alt_spawn(static_cast<int>(tasks.size()));
+  if (who > 0) {
+    std::optional<T> out;
+    try {
+      out = tasks[static_cast<std::size_t>(who) - 1]();
+    } catch (...) {
     }
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (options.fault != nullptr &&
-        options.fault->fork_fails(attempt, static_cast<int>(i) + 1)) {
-      abandon_cohort(i);
-      throw SystemError("fork(await_all) (injected fault)", EAGAIN);
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      const int err = errno;
-      abandon_cohort(i);
-      throw SystemError("fork(await_all)", err);
-    }
-    if (pid == 0) {
-      // Drop every inherited pipe end except our own write end, so a failed
-      // sibling's pipe reaches EOF as soon as its owner exits.
-      for (std::size_t k = 0; k < n; ++k) {
-        pipes[k].read_end.reset();
-        if (k != i) pipes[k].write_end.reset();
-      }
-      const auto task_index = static_cast<std::int16_t>(i + 1);
-      obs::emit(obs::EventKind::kGuardStart, trace_id, task_index);
-      try {
-        const std::optional<T> out = tasks[i]();
-        if (out.has_value()) {
-          bool drop = false;
-          if (options.fault != nullptr) {
-            drop = options.fault->at_sync_point(
-                       attempt, static_cast<int>(i) + 1) ==
-                   FaultKind::kDropCommit;
-          }
-          if (!drop) {
-            write_frame(pipes[i].write_end.get(), race_encode<T>(*out));
-            obs::emit(obs::EventKind::kAwaitTaskDone, trace_id, task_index, 1);
-            _exit(0);
-          }
-        }
-      } catch (...) {
-      }
-      obs::emit(obs::EventKind::kAwaitTaskDone, trace_id, task_index, 0);
-      _exit(41);  // failed: no frame written
-    }
-    children[i] = pid;
+    obs::emit(obs::EventKind::kAwaitTaskDone, group.race_id(),
+              static_cast<std::int16_t>(who), out.has_value() ? 1 : 0);
+    if (out.has_value()) group.child_deliver(race_encode<T>(*out));
+    group.child_abort();
   }
-
-  const auto deadline = std::chrono::steady_clock::now() + options.timeout;
-  std::vector<T> results(n);
-  std::vector<bool> got(n, false);
-  bool failed = false;
-
-  auto cleanup = [&](bool kill_all) {
-    if (kill_all) {
-      for (pid_t pid : children) ::kill(pid, SIGKILL);
-    }
-    for (pid_t pid : children) {
-      int status = 0;
-      wait4_eintr(pid, &status, 0);
-    }
-  };
-
-  // Collect in order; each wait is bounded by the global deadline. A child
-  // that exits without a frame yields EOF, which read_frame reports as
-  // nullopt -> failure.
-  for (std::size_t i = 0; i < n && !failed; ++i) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      failed = true;
-      break;
-    }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    // Close our copy of the write end so EOF is observable.
-    pipes[i].write_end.reset();
-    if (!wait_readable(pipes[i].read_end.get(),
-                       static_cast<int>(remaining.count()) + 1)) {
-      failed = true;
-      break;
-    }
-    const auto frame = read_frame(pipes[i].read_end.get());
-    if (!frame.has_value()) {
-      failed = true;
-      break;
-    }
-    results[i] = race_decode<T>(*frame);
-    got[i] = true;
-  }
-
-  cleanup(failed);
-  obs::emit(obs::EventKind::kAwaitDecided, trace_id, 0, failed ? 0 : 1);
-  if (failed) return std::nullopt;
+  obs::emit(obs::EventKind::kAwaitBegin, group.race_id(), 0,
+            static_cast<std::uint64_t>(tasks.size()));
+  const auto all = group.alt_wait_all(options.timeout);
+  obs::emit(obs::EventKind::kAwaitDecided, group.race_id(), 0,
+            all.has_value() ? 1 : 0);
+  if (!all.has_value()) return std::nullopt;
+  std::vector<T> results;
+  results.reserve(all->size());
+  for (const Bytes& b : *all) results.push_back(race_decode<T>(b));
   return results;
 }
 

@@ -11,9 +11,9 @@
 // Every decision is a pure function of (seed, attempt, child index), so a
 // fault plan replays byte-identically: the same seed produces the same fate
 // for the same child on the same attempt, across runs and across machines.
-// The attempt counter advances once per spawned group (AltGroup::alt_spawn /
-// await_all), which is what makes retries see fresh draws while staying
-// reproducible.
+// The attempt counter advances once per spawned group (AltGroup::alt_spawn,
+// which await_all runs on too), which is what makes retries see fresh draws
+// while staying reproducible.
 #pragma once
 
 #include <chrono>

@@ -1,116 +1,44 @@
 #include "posix/file_heap.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace altx::posix {
 
-FileHeap::FileHeap(const std::string& path, std::size_t pages) : path_(path) {
+namespace {
+
+/// Opens `path`, creating it and zero-extending it to `pages` pages.
+Fd open_backing(const std::string& path, std::size_t pages) {
   ALTX_REQUIRE(pages >= 1, "FileHeap: need at least one page");
-  page_size_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  pages_ = pages;
-  bytes_ = pages * page_size_;
-  fd_ = Fd(::open(path.c_str(), O_CREAT | O_RDWR, 0600));
-  if (!fd_.valid()) throw_errno("open(FileHeap)");
+  Fd fd(::open(path.c_str(), O_CREAT | O_RDWR, 0600));
+  if (!fd.valid()) throw_errno("open(FileHeap)");
+  const auto bytes = static_cast<off_t>(
+      pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
   struct stat st{};
-  if (::fstat(fd_.get(), &st) != 0) throw_errno("fstat(FileHeap)");
-  if (static_cast<std::size_t>(st.st_size) < bytes_) {
-    if (::ftruncate(fd_.get(), static_cast<off_t>(bytes_)) != 0) {
-      throw_errno("ftruncate(FileHeap)");
-    }
+  if (::fstat(fd.get(), &st) != 0) throw_errno("fstat(FileHeap)");
+  if (st.st_size < bytes && ::ftruncate(fd.get(), bytes) != 0) {
+    throw_errno("ftruncate(FileHeap)");
   }
-  map();
-  register_trackable(this);
+  return fd;
 }
 
-FileHeap::~FileHeap() {
-  unregister_trackable(this);
-  unmap();
-}
+}  // namespace
 
-void FileHeap::map() {
-  // MAP_PRIVATE over the file: reads come from the file, writes COW into
-  // anonymous pages — speculation never reaches the disk by itself.
-  base_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE,
-                 fd_.get(), 0);
-  if (base_ == MAP_FAILED) {
-    base_ = nullptr;
-    throw_errno("mmap(FileHeap)");
-  }
-}
-
-void FileHeap::unmap() {
-  if (base_ != nullptr) {
-    ::munmap(base_, bytes_);
-    base_ = nullptr;
-  }
-}
-
-void FileHeap::begin_tracking() {
-  dirty_.clear();
-  if (::mprotect(base_, bytes_, PROT_READ) != 0) throw_errno("mprotect(READ)");
-  tracking_ = true;
-}
-
-void FileHeap::end_tracking() {
-  if (::mprotect(base_, bytes_, PROT_READ | PROT_WRITE) != 0) {
-    throw_errno("mprotect(RW)");
-  }
-  tracking_ = false;
-}
-
-bool FileHeap::handle_fault(void* addr) {
-  if (!tracking_) return false;
-  auto a = reinterpret_cast<std::uintptr_t>(addr);
-  auto b = reinterpret_cast<std::uintptr_t>(base_);
-  if (a < b || a >= b + bytes_) return false;
-  const std::size_t page = (a - b) / page_size_;
-  if (::mprotect(static_cast<std::uint8_t*>(base_) + page * page_size_,
-                 page_size_, PROT_READ | PROT_WRITE) != 0) {
-    return false;
-  }
-  dirty_.push_back(static_cast<std::uint32_t>(page));
-  return true;
-}
-
-Bytes FileHeap::serialize_dirty() const {
-  Bytes out;
-  ByteWriter w(out);
-  w.u64(page_size_);
-  w.u64(dirty_.size());
-  for (std::uint32_t page : dirty_) {
-    w.u32(page);
-    w.blob(static_cast<const std::uint8_t*>(base_) + page * page_size_,
-           page_size_);
-  }
-  return out;
-}
+FileHeap::FileHeap(const std::string& path, std::size_t pages)
+    : AltHeap(pages, open_backing(path, pages)) {}
 
 std::size_t FileHeap::apply_patch(const Bytes& patch) {
-  ByteReader r(patch);
-  const std::uint64_t psz = r.u64();
-  ALTX_REQUIRE(psz == page_size_, "FileHeap::apply_patch: page size mismatch");
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t page = r.u32();
-    ALTX_REQUIRE(page < pages_, "FileHeap::apply_patch: page out of range");
-    const Bytes content = r.blob();
-    ALTX_REQUIRE(content.size() == page_size_,
-                 "FileHeap::apply_patch: bad page payload");
-    std::memcpy(static_cast<std::uint8_t*>(base_) + page * page_size_,
-                content.data(), page_size_);
-    note_pending(page);
-  }
+  std::vector<std::uint32_t> patched;
+  const std::size_t n = AltHeap::apply_patch(patch, &patched);
+  for (std::uint32_t page : patched) note_pending(page);
   return n;
 }
 
 void FileHeap::mark_dirty(std::uint32_t page) {
-  ALTX_REQUIRE(page < pages_, "FileHeap::mark_dirty: page out of range");
+  ALTX_REQUIRE(page < pages(), "FileHeap::mark_dirty: page out of range");
   note_pending(page);
 }
 
@@ -121,12 +49,13 @@ void FileHeap::note_pending(std::uint32_t page) {
 }
 
 std::size_t FileHeap::commit() {
+  const std::size_t psz = page_size();
   for (std::uint32_t page : pending_) {
-    const auto off = static_cast<off_t>(static_cast<std::size_t>(page) * page_size_);
-    const auto* src = static_cast<const std::uint8_t*>(base_) + off;
+    const auto off = static_cast<off_t>(static_cast<std::size_t>(page) * psz);
+    const auto* src = static_cast<const std::uint8_t*>(base()) + off;
     std::size_t done = 0;
-    while (done < page_size_) {
-      const ssize_t w = ::pwrite(fd_.get(), src + done, page_size_ - done,
+    while (done < psz) {
+      const ssize_t w = ::pwrite(backing_fd(), src + done, psz - done,
                                  off + static_cast<off_t>(done));
       if (w < 0) {
         if (errno == EINTR) continue;
@@ -135,18 +64,15 @@ std::size_t FileHeap::commit() {
       done += static_cast<std::size_t>(w);
     }
   }
-  if (::fsync(fd_.get()) != 0) throw_errno("fsync(FileHeap)");
+  if (::fsync(backing_fd()) != 0) throw_errno("fsync(FileHeap)");
   const std::size_t n = pending_.size();
   pending_.clear();
   return n;
 }
 
 void FileHeap::rollback() {
-  unmap();
-  map();
+  remap();
   pending_.clear();
-  dirty_.clear();
-  tracking_ = false;
 }
 
 }  // namespace altx::posix

@@ -8,6 +8,10 @@
 // and nothing touches the disk until the parent — after absorbing the
 // winner — explicitly commits, making the block a transaction on the file
 // (all of the winner's updates or none).
+//
+// The copy-on-write tracking is AltHeap's own: a FileHeap is an AltHeap
+// mapped over the file's descriptor, plus the transaction — the pending
+// list, commit() and rollback().
 #pragma once
 
 #include <cstddef>
@@ -17,36 +21,26 @@
 
 #include "common/bytes.hpp"
 #include "posix/alt_heap.hpp"
-#include "posix/fd.hpp"
 
 namespace altx::posix {
 
-class FileHeap : public CowTrackable {
+class FileHeap : private AltHeap {
  public:
   /// Opens (creating and zero-extending if needed) `path` and maps `pages`
   /// system pages of it copy-on-write.
   FileHeap(const std::string& path, std::size_t pages);
-  ~FileHeap();
 
-  FileHeap(const FileHeap&) = delete;
-  FileHeap& operator=(const FileHeap&) = delete;
+  using AltHeap::at;
+  using AltHeap::base;
+  using AltHeap::page_size;
+  using AltHeap::pages;
+  using AltHeap::size_bytes;
 
-  [[nodiscard]] void* base() const noexcept { return base_; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept { return bytes_; }
-  [[nodiscard]] std::size_t page_size() const noexcept { return page_size_; }
-  [[nodiscard]] std::size_t pages() const noexcept { return pages_; }
-
-  template <typename T>
-  [[nodiscard]] T* at(std::size_t byte_offset) const {
-    ALTX_REQUIRE(byte_offset + sizeof(T) <= bytes_, "FileHeap::at: out of range");
-    return reinterpret_cast<T*>(static_cast<std::uint8_t*>(base_) + byte_offset);
-  }
-
-  /// Child side: start recording dirty pages (same mprotect/SIGSEGV
-  /// descriptor table as AltHeap).
-  void begin_tracking();
-  void end_tracking();
-  [[nodiscard]] Bytes serialize_dirty() const;
+  /// Child side: the same mprotect/SIGSEGV descriptor table as AltHeap.
+  using AltHeap::begin_tracking;
+  using AltHeap::dirty_pages;
+  using AltHeap::end_tracking;
+  using AltHeap::serialize_dirty;
 
   /// Parent side: applies a winner's dirty pages to the in-memory view and
   /// records them for the next commit().
@@ -65,25 +59,9 @@ class FileHeap : public CowTrackable {
   /// pages automatically) so commit() persists it.
   void mark_dirty(std::uint32_t page);
 
-  [[nodiscard]] const std::vector<std::uint32_t>& dirty_pages() const {
-    return dirty_;
-  }
-
-  bool handle_fault(void* addr) override;
-
  private:
-  void map();
-  void unmap();
   void note_pending(std::uint32_t page);
 
-  std::string path_;
-  Fd fd_;
-  void* base_ = nullptr;
-  std::size_t bytes_ = 0;
-  std::size_t page_size_ = 0;
-  std::size_t pages_ = 0;
-  bool tracking_ = false;
-  std::vector<std::uint32_t> dirty_;    // child-side descriptor table
   std::vector<std::uint32_t> pending_;  // parent-side pages awaiting commit
 };
 

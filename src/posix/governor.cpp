@@ -5,7 +5,6 @@
 #include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
-#include <sys/syscall.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
@@ -38,16 +37,6 @@ double env_double(const char* name, double fallback) {
 std::chrono::milliseconds env_ms(const char* name, long long fallback) {
   return std::chrono::milliseconds(
       static_cast<long long>(env_u64(name, static_cast<std::uint64_t>(fallback))));
-}
-
-int open_pidfd(pid_t pid) {
-#ifdef SYS_pidfd_open
-  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
-  return fd >= 0 ? static_cast<int>(fd) : -1;
-#else
-  (void)pid;
-  return -1;
-#endif
 }
 
 /// "some avg10=12.34 ..." → 12.34; -1 when the stanza is absent.

@@ -125,10 +125,6 @@ struct RaceOptions {
   /// AltGroupOptions::governor.
   SpeculationGovernor* governor = nullptr;
 
-  /// SIGTERM → SIGKILL elimination grace; negative resolves from
-  /// ALTX_KILL_GRACE_MS (see AltGroupOptions::kill_grace).
-  std::chrono::milliseconds kill_grace{-1};
-
   /// Stable identity of this alternative block for the per-arm history
   /// store (obs/history.hpp): pass ALTX_SITE() (a file:line hash) or any
   /// nonzero id that is the same every run. When set and a history store is
@@ -212,7 +208,6 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   go.heap = options.heap;
   go.fault = options.fault;
   go.governor = options.governor;
-  go.kill_grace = options.kill_grace;
   if (plan.active) {
     go.pred_kill_ns.resize(
         static_cast<std::size_t>(n) *

@@ -1,15 +1,17 @@
-// The one reap path: wait4 with EINTR retry and rusage capture.
+// The one reap path: wait4 with EINTR retry and rusage capture, plus the
+// pidfd that tells a poll(2) set when a child is ready to be reaped.
 //
-// Every place that used to loop on waitpid (AltGroup's opportunistic poll,
-// its final reap, await_all's cohort teardown) goes through here, for two
-// reasons. First, dedup: the EINTR dance and the WIFEXITED/WIFSIGNALED
-// decoding were copied at each site. Second — the speculation-efficiency
-// ledger needs it — waitpid discards exactly the numbers the accounting
-// wants: wait4's rusage is the only way to learn how much CPU a SIGKILLed
-// loser burned, because the loser itself is no longer around to ask.
+// Every reap — AltGroup's cohort wait, its final reap, the governor's
+// watchdog — goes through here, for two reasons. First, dedup: the EINTR
+// dance and the WIFEXITED/WIFSIGNALED decoding are written once. Second —
+// the speculation-efficiency ledger needs it — waitpid discards exactly the
+// numbers the accounting wants: wait4's rusage is the only way to learn how
+// much CPU a SIGKILLed loser burned, because the loser itself is no longer
+// around to ask.
 #pragma once
 
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -52,6 +54,20 @@ inline pid_t wait4_eintr(pid_t pid, int* status, int flags,
     const pid_t r = ::wait4(pid, status, flags, usage);
     if (r >= 0 || errno != EINTR) return r;
   }
+}
+
+/// A pidfd for `pid`: a descriptor that turns readable once the process
+/// exits, so child exits can sit in the same poll(2) set as pipes and
+/// timers. -1 where pidfd_open is unavailable (kernel < 5.3, a seccomp
+/// filter); callers then fall back to a bounded poll plus wait4(WNOHANG).
+[[nodiscard]] inline int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
+  return fd >= 0 ? static_cast<int>(fd) : -1;
+#else
+  (void)pid;
+  return -1;
+#endif
 }
 
 /// Live CPU (user + system, ns) of a still-running child from

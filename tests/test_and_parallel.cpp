@@ -34,6 +34,18 @@ TEST(AwaitAll, OneFailureFailsTheConjunction) {
   EXPECT_FALSE(r.has_value());
 }
 
+TEST(AwaitAll, FastFailureBehindSlowTaskIsDetectedFirst) {
+  // The conjunction fails at the first task that fails, in whatever order
+  // the tasks finish — not when collection reaches it in task order.
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = posix::await_all<int>({
+      [] { ::usleep(500'000); return std::optional<int>(1); },
+      [] { return std::optional<int>(); },
+  });
+  EXPECT_FALSE(r.has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 250ms);
+}
+
 TEST(AwaitAll, CrashCountsAsFailure) {
   auto r = posix::await_all<int>({
       [] { return std::optional<int>(1); },

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "common/error.hpp"
 #include "posix/alt_group.hpp"
@@ -48,6 +50,26 @@ TEST(PosixRace, AllFailuresReturnNullopt) {
       [] { return std::optional<int>(); },
   });
   EXPECT_FALSE(r.has_value());
+}
+
+TEST(PosixRace, AllFailRaceReturnsAsSoonAsTheArmsExit) {
+  // Section 3.2: alt_wait returns FAIL as soon as it can tell no child will
+  // synchronize. Both guards fail at once, so the block costs a fork and a
+  // reap — not a poll slice.
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = race<int>({
+        [] { return std::optional<int>(); },
+        [] { return std::optional<int>(); },
+    });
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    EXPECT_FALSE(r.has_value());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+  EXPECT_LT(ms[10], 10.0);
 }
 
 TEST(PosixRace, ExceptionCountsAsFailedGuard) {

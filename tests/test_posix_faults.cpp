@@ -415,6 +415,49 @@ TEST(AltGroupFates, DeadlineKillReadsAsHungNotEliminated) {
   EXPECT_EQ(sweep_zombies(), 0);
 }
 
+TEST(AltGroupFates, CollectAllSurvivorsOfAFailureReadAsEliminated) {
+  {
+    // Child 1 fails at once; 2 and 3 are healthy but slow. The group fails
+    // at child 1 and kills 2 and 3 — routine elimination, not a deadline
+    // kill.
+    AltGroup g;
+    const int who = g.alt_spawn(3);
+    if (who == 1) g.child_abort();
+    if (who > 1) {
+      ::sleep(30);
+      g.child_deliver(Bytes{static_cast<std::uint8_t>(who)});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(g.alt_wait_all(10s).has_value());
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+    EXPECT_EQ(g.verdict(), WaitVerdict::kAllFailed);
+    const auto& st = g.child_statuses();
+    ASSERT_EQ(st.size(), 3u);
+    EXPECT_EQ(st[0].fate, ChildFate::kAborted);
+    EXPECT_EQ(st[1].fate, ChildFate::kEliminated);
+    EXPECT_EQ(st[2].fate, ChildFate::kEliminated);
+    EXPECT_EQ(sweep_zombies(), 0);
+  }
+  {
+    // Only a deadline kill reads as hung: child 2 is still running when the
+    // deadline passes, and child 1, which delivered, stays committed.
+    AltGroup g;
+    const int who = g.alt_spawn(2);
+    if (who == 1) g.child_deliver(Bytes{1});
+    if (who == 2) {
+      ::sleep(30);
+      g.child_deliver(Bytes{2});
+    }
+    EXPECT_FALSE(g.alt_wait_all(100ms).has_value());
+    EXPECT_EQ(g.verdict(), WaitVerdict::kTimeout);
+    const auto& st = g.child_statuses();
+    ASSERT_EQ(st.size(), 2u);
+    EXPECT_EQ(st[0].fate, ChildFate::kCommitted);
+    EXPECT_EQ(st[1].fate, ChildFate::kHung);
+    EXPECT_EQ(sweep_zombies(), 0);
+  }
+}
+
 TEST(AltGroupFates, AllGuardsFailedIsDistinguishedFromTimeout) {
   RaceReport report;
   RaceOptions opts;

@@ -11,6 +11,7 @@
 
 #include "constrained.hpp"
 #include "posix/alt_heap.hpp"
+#include "posix/await_all.hpp"
 #include "posix/race.hpp"
 
 namespace altx::posix {
@@ -131,16 +132,51 @@ TEST(PosixStress, LargeResultPayloadCrossesThePipe) {
 
 TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
-  // Warm up, then assert the fd count is stable across 40 races.
+  // Warm up, then assert the fd count is stable across 40 rounds of every
+  // block shape — winner, all-fail, timeout, asynchronous elimination, and
+  // await_all (won and failed) — so every per-child result pipe and pidfd
+  // is shown to close on every path.
   (void)race<int>({[] { return std::optional<int>(0); }});
   const int before = open_fd_count();
   ASSERT_GT(before, 0);
+  RaceOptions timeout;
+  timeout.timeout = 5ms;
+  RaceOptions async;
+  async.elimination = Eliminate::kAsynchronous;
   for (int i = 0; i < 40; ++i) {
     auto r = race<int>({
         [i] { return std::optional<int>(i); },
         [i] { ::usleep(2'000); return std::optional<int>(i + 100); },
     });
     ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(race<int>({
+                               [] { return std::optional<int>(); },
+                               [] { return std::optional<int>(); },
+                           })
+                     .has_value());
+    EXPECT_FALSE(race<int>({[] { ::sleep(10); return std::optional<int>(1); }},
+                           timeout)
+                     .has_value());
+    EXPECT_TRUE(race<int>(
+                    {
+                        [] { return std::optional<int>(1); },
+                        [] { ::sleep(10); return std::optional<int>(2); },
+                    },
+                    async)
+                    .has_value());
+    EXPECT_TRUE(await_all<int>({
+                                   [i] { return std::optional<int>(i); },
+                                   [i] { return std::optional<int>(i + 1); },
+                               })
+                    .has_value());
+    EXPECT_FALSE(await_all<int>({
+                                    [] {
+                                      ::sleep(10);
+                                      return std::optional<int>(1);
+                                    },
+                                    [] { return std::optional<int>(); },
+                                })
+                     .has_value());
   }
   EXPECT_EQ(open_fd_count(), before);
 }

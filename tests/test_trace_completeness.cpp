@@ -20,6 +20,7 @@
 #include "obs/phase.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "posix/await_all.hpp"
 #include "posix/fault.hpp"
 #include "posix/governor.hpp"
 #include "posix/predictor.hpp"
@@ -46,6 +47,15 @@ std::vector<AlternativeFn<int>> one_viable_alts() {
       [] { ::usleep(2'000); return std::optional<int>(); },
       [] { ::usleep(4'000); return std::optional<int>(7); },
       [] { ::usleep(6'000); return std::optional<int>(); },
+  };
+}
+
+/// The await_all counterpart: three tasks that all succeed when unfaulted.
+std::vector<AlternativeFn<int>> three_tasks() {
+  return {
+      [] { ::usleep(2'000); return std::optional<int>(1); },
+      [] { ::usleep(4'000); return std::optional<int>(2); },
+      [] { ::usleep(6'000); return std::optional<int>(3); },
   };
 }
 
@@ -177,6 +187,17 @@ TEST_F(TraceCompleteness, EveryFaultKindLeavesACompleteTrace) {
       const auto recs = obs::snapshot();
       assert_complete(recs);
       assert_agrees(recs, rep);
+      EXPECT_EQ(sweep_zombies(), 0);
+      // await_all is a collect-all AltGroup: the same story, one kChildFate
+      // per forked task, under the same fault plan.
+      obs::reset();
+      AwaitOptions await_opts;
+      await_opts.timeout = 300ms;
+      await_opts.fault = &inj;
+      (void)await_all<int>(three_tasks(), await_opts);
+      const auto await_recs = obs::snapshot();
+      assert_complete(await_recs);
+      EXPECT_EQ(TraceCensus(await_recs).forked.size(), 1u);  // it was traced
       EXPECT_EQ(sweep_zombies(), 0);
     }
   }
@@ -392,6 +413,13 @@ TEST_F(TraceCompleteness, PhaseSpansPairUnderEveryFaultKind) {
       opts.timeout = 300ms;
       opts.fault = &inj;
       (void)race<int>(one_viable_alts(), opts);
+      assert_phases_pair(obs::snapshot());
+      EXPECT_EQ(sweep_zombies(), 0);
+      obs::reset();
+      AwaitOptions await_opts;
+      await_opts.timeout = 300ms;
+      await_opts.fault = &inj;
+      (void)await_all<int>(three_tasks(), await_opts);
       assert_phases_pair(obs::snapshot());
       EXPECT_EQ(sweep_zombies(), 0);
     }
