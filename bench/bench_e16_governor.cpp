@@ -140,7 +140,6 @@ int main() {
       gc.serial_admit_wait = 200ms;
       gc.arm_wall_budget = 80ms;
       gc.kill_grace = 1ms;
-      gc.poll_interval = 2ms;
       SpeculationGovernor gov(gc);
       const Run r = run_row(threads, runaways, &gov);
       const int blocks = threads * kBlocksPerThread;

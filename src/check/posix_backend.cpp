@@ -293,7 +293,6 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
     // deadline or not, so its last-live-arm census is exact (ALTX_PRED=1
     // arms the same flag in production).
     gc.predict_watch = predicted;
-    gc.poll_interval = std::chrono::milliseconds(2);
     governor = std::make_unique<altx::posix::SpeculationGovernor>(gc);
   }
 

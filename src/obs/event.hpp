@@ -58,7 +58,7 @@ enum class EventKind : std::uint16_t {
   kGovAdmitWait = 20, // a: tokens requested, b: in flight, c: effective budget
   kGovAdmit = 21,     // a: tokens granted, b: in flight after, c: waited ns
   kGovDeny = 22,      // a: tokens requested, b: waited ns
-  kGovKill = 23,      // watchdog: a: pid, b: reason (0 wall, 1 cpu, 2 shed),
+  kGovKill = 23,      // governed wait: a: pid, b: reason (0 wall, 1 cpu, 2 shed),
                       //   c: stage (0 = SIGTERM, 1 = SIGKILL)
 
   // Hedging (posix::hedged).
@@ -106,7 +106,7 @@ enum class EventKind : std::uint16_t {
   kPredStage = 46,    // child side: a staged arm woke after its deferral
                       //   sleep; a: stage delay ns, b: the arm's own
                       //   predicted wall ns (0 = no history)
-  kPredKill = 47,     // watchdog: arm overran its historical kill quantile;
+  kPredKill = 47,     // governed wait: arm overran its historical kill quantile;
                       //   a: pid, b: predicted kill quantile ns,
                       //   c: stage (0 = SIGTERM, 1 = SIGKILL)
 

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <limits>
 
@@ -33,6 +34,34 @@ constexpr int kForkRetries = 3;
 // Poll bound while some live child has no pidfd: its exit can only be
 // found by wait4(WNOHANG), so the cohort wait must wake up to look.
 constexpr std::chrono::milliseconds kBlindPoll{10};
+
+/// How often a governed wait reads a live arm's CPU from /proc: a tenth of
+/// the budget, so an overrun is caught within 10 % of it, bounded so tiny
+/// budgets do not spin and huge ones are still looked at.
+std::chrono::nanoseconds cpu_check_every(std::chrono::milliseconds budget) {
+  return std::clamp<std::chrono::nanoseconds>(
+      budget / 10, std::chrono::milliseconds(1),
+      std::chrono::milliseconds(100));
+}
+
+/// On some hosts the first clone of a process stalls the caller for
+/// milliseconds (up to ~15 ms measured on a 4-CPU VM, against ~0.1 ms for
+/// every later fork), whether it forks a process or starts a thread. Arms
+/// are forked one after another, so in a process's first cohort that stall
+/// would hand arm 1 a head start of that much over its siblings. A
+/// throwaway vfork takes it instead, once per process.
+void absorb_first_clone() {
+  static std::atomic<pid_t> cloned_in{0};  // the process that already did
+  const pid_t self = ::getpid();
+  if (cloned_in.load(std::memory_order_relaxed) == self) return;
+  cloned_in.store(self, std::memory_order_relaxed);
+  const pid_t pid = ::vfork();
+  if (pid == 0) _exit(0);
+  if (pid > 0) {
+    int status = 0;
+    wait4_eintr(pid, &status, 0);
+  }
+}
 
 /// SIGTERM -> SIGKILL grace for survivor elimination, from
 /// ALTX_KILL_GRACE_MS, read once per process (0 = straight SIGKILL).
@@ -130,6 +159,7 @@ int AltGroup::alt_spawn(int n) {
   }
   obs::ScopedPhase fork_phase(obs::Phase::kFork, race_id_);
   obs::prof_prewarm();  // stack bounds for the children's samplers
+  absorb_first_clone();
 
   token_ = Pipe::create(/*nonblocking_read=*/true);
   // Deposit the single commit token: the 0-1 semaphore of section 3.2.1.
@@ -228,14 +258,9 @@ int AltGroup::alt_spawn(int n) {
                                        static_cast<std::int16_t>(i));
       return i;
     }
+    slot.spawned = Clock::now();
     slot.result.write_end.reset();
     slot.pidfd = Fd(open_pidfd(pid));
-    if (opts_.governor != nullptr) {
-      const std::size_t j = static_cast<std::size_t>(i) - 1;
-      opts_.governor->watch(
-          pid, race_id_, i,
-          j < opts_.pred_kill_ns.size() ? opts_.pred_kill_ns[j] : 0);
-    }
     if (obs::enabled()) {
       const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
       obs::emit(obs::EventKind::kFork, race_id_, static_cast<std::int16_t>(i),
@@ -452,6 +477,7 @@ Bytes AltGroup::take_frame(std::size_t i) {
 }
 
 void AltGroup::wait_cohort(Clock::time_point deadline) {
+  deadline = std::min(deadline, enforce_deadlines());
   // One pollfd per open result pipe not yet known to hold a frame, and one
   // per unreaped child's pidfd; `owner` maps each back to (child, is_pidfd).
   std::vector<pollfd> fds;
@@ -500,6 +526,123 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
   }
 }
 
+AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
+  const Clock::time_point now = Clock::now();
+  Clock::time_point next = kNever;
+  auto due = [&](Clock::time_point at) {
+    if (now >= at) return true;
+    next = std::min(next, at);
+    return false;
+  };
+  int live_arms = 0;
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (live(i)) ++live_arms;
+    if (reaped(i) || slot.term_deadline == kNever || !due(slot.term_deadline)) {
+      continue;
+    }
+    ::kill(status_[i].pid, SIGKILL);  // the SIGTERM's grace expired
+    slot.term_deadline = kNever;
+    if (slot.kill_fate == ChildFate::kOverBudget ||
+        slot.kill_fate == ChildFate::kPredictedLoser) {
+      opts_.governor->note_kill(slot.gov_reason, /*escalation=*/true);
+      emit_governed_kill(i, /*stage=*/1);
+    }
+  }
+  SpeculationGovernor* const gov = opts_.governor;
+  if (gov == nullptr || live_arms == 0) return next;
+
+  const GovernorConfig& cfg = gov->config();
+  auto kill_arm = [&](std::size_t i, GovKillReason reason) {
+    governed_kill(i, reason);
+    --live_arms;
+    next = std::min(next, slots_[i].term_deadline);
+  };
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    if (!live(i)) continue;
+    const Slot& slot = slots_[i];
+    if (cfg.arm_wall_budget.count() > 0 &&
+        due(slot.spawned + cfg.arm_wall_budget)) {
+      kill_arm(i, GovKillReason::kWall);
+      continue;
+    }
+    // Predicted early kill: this arm has overrun its own historical kill
+    // quantile. An arm with no history carries 0 and is never considered;
+    // the group's last live arm is always spared (liveness — a
+    // mispredicting model must degrade to sequential, never to wedged), and
+    // a deadline passed while it was the last stays unarmed.
+    const std::uint64_t pred =
+        i < opts_.pred_kill_ns.size() ? opts_.pred_kill_ns[i] : 0;
+    if (pred > 0 && live_arms >= 2 &&
+        due(slot.spawned + std::chrono::nanoseconds(pred))) {
+      kill_arm(i, GovKillReason::kPredicted);
+      continue;
+    }
+    if (cfg.arm_cpu_budget.count() > 0) {
+      const auto cpu = proc_cpu_ns(status_[i].pid);
+      if (cpu.has_value() &&
+          std::chrono::nanoseconds(*cpu) > cfg.arm_cpu_budget) {
+        kill_arm(i, GovKillReason::kCpu);
+        continue;
+      }
+      next = std::min(next, now + cpu_check_every(cfg.arm_cpu_budget));
+    }
+  }
+  // Pressure shedding, one arm per pressure_interval: the group's lowest-PI
+  // live arm (the highest index — alternatives are PI-ordered), never its
+  // last. Shedding a loser is indistinguishable from elimination, while
+  // starving the whole block would trade an outcome for memory.
+  if (live_arms >= 2 && due(next_shed_check_)) {
+    next_shed_check_ =
+        now + std::max(cfg.pressure_interval, std::chrono::milliseconds(1));
+    next = std::min(next, next_shed_check_);
+    if (gov->shedding()) {
+      for (std::size_t i = status_.size(); i-- > 0;) {
+        if (live(i)) {
+          kill_arm(i, GovKillReason::kShed);
+          break;
+        }
+      }
+    }
+  }
+  return next;
+}
+
+void AltGroup::kill_child(std::size_t i, ChildFate fate,
+                          std::chrono::milliseconds grace) {
+  Slot& slot = slots_[i];
+  slot.kill_fate = fate;
+  if (grace.count() > 0) {
+    ::kill(status_[i].pid, SIGTERM);
+    slot.term_deadline = Clock::now() + grace;
+  } else {
+    ::kill(status_[i].pid, SIGKILL);
+  }
+}
+
+void AltGroup::governed_kill(std::size_t i, GovKillReason reason) {
+  const std::chrono::milliseconds grace = opts_.governor->config().kill_grace;
+  kill_child(i,
+             reason == GovKillReason::kPredicted ? ChildFate::kPredictedLoser
+                                                 : ChildFate::kOverBudget,
+             grace);
+  slots_[i].gov_reason = reason;
+  opts_.governor->note_kill(reason, /*escalation=*/false);
+  emit_governed_kill(i, grace.count() > 0 ? 0 : 1);
+}
+
+void AltGroup::emit_governed_kill(std::size_t i, std::uint64_t stage) const {
+  // Predicted kills get their own event kind (the trace ties them back to
+  // the arm's history quantile); every other reason keeps kGovKill.
+  const bool predicted = slots_[i].gov_reason == GovKillReason::kPredicted;
+  obs::emit(predicted ? obs::EventKind::kPredKill : obs::EventKind::kGovKill,
+            race_id_, static_cast<std::int16_t>(i + 1),
+            static_cast<std::uint64_t>(status_[i].pid),
+            predicted ? opts_.pred_kill_ns[i]
+                      : static_cast<std::uint64_t>(slots_[i].gov_reason),
+            stage);
+}
+
 void AltGroup::reap(std::size_t i, int flags) {
   int status = 0;
   struct rusage ru {};
@@ -526,28 +669,25 @@ void AltGroup::kill_survivors(ChildFate fate) {
   // Children that delivered are on their way out through _exit(0) and are
   // only reaped; children already killed keep the fate of that first kill.
   const std::chrono::milliseconds grace = kill_grace();
-  bool any = false;
   for (std::size_t i = 0; i < status_.size(); ++i) {
-    Slot& slot = slots_[i];
-    if (reaped(i) || slot.delivered || slot.kill_fate != ChildFate::kRunning) {
-      continue;
+    const Slot& slot = slots_[i];
+    if (!reaped(i) && !slot.delivered &&
+        slot.kill_fate == ChildFate::kRunning) {
+      kill_child(i, fate, grace);
     }
-    ::kill(status_[i].pid, grace.count() > 0 ? SIGTERM : SIGKILL);
-    slot.kill_fate = fate;
-    any = true;
   }
-  if (!any || grace.count() <= 0) return;
   // Graceful elimination: SIGTERM first, so a loser with cleanup to do
-  // (flush a log, drop a lock file) gets the grace window, then SIGKILL
-  // whatever is still standing. Children reaped during the window keep the
-  // normal fate pipeline — a SIGTERM death is still "we killed it".
-  const auto deadline = Clock::now() + grace;
-  while (!all_reaped() && Clock::now() < deadline) wait_cohort(deadline);
-  for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!reaped(i) && slots_[i].kill_fate != ChildFate::kRunning) {
-      ::kill(status_[i].pid, SIGKILL);  // grace expired
+  // (flush a log, drop a lock file) gets the grace window, and the cohort
+  // wait SIGKILLs whatever still stands when its window ends — a governed
+  // kill's window included. Children reaped meanwhile keep the normal fate
+  // pipeline: a SIGTERM death is still "we killed it".
+  auto term_pending = [this] {
+    for (std::size_t i = 0; i < status_.size(); ++i) {
+      if (!reaped(i) && slots_[i].term_deadline != kNever) return true;
     }
-  }
+    return false;
+  };
+  while (term_pending()) wait_cohort(kNever);
 }
 
 bool AltGroup::all_reaped() const {
@@ -583,10 +723,7 @@ void AltGroup::record_exit(std::size_t i, int status,
   const bool killed = slot.kill_fate != ChildFate::kRunning;
   st.usage = usage;
   st.reap_ns = obs::now_ns();
-  std::optional<GovKillReason> gov_kill;
   if (opts_.governor != nullptr) {
-    opts_.governor->unwatch(st.pid);
-    gov_kill = opts_.governor->consume_kill(st.pid);
     if (tokens_released_ < tokens_held_) {
       // One token back per reaped child: a block winding down frees budget
       // for queued blocks before its own teardown completes.
@@ -609,26 +746,20 @@ void AltGroup::record_exit(std::size_t i, int status,
     }
   } else if (info.signaled) {
     st.signal = info.signal;
-    if ((killed || gov_kill.has_value()) && (slot.delivered || slot.ready)) {
-      // A kill we (or the watchdog) sent caught a child between writing
-      // its result and _exit(0). The result stands, so this is a commit —
-      // classifying it otherwise would bill the winner's CPU and pages as
-      // speculation waste.
+    if (killed && (slot.delivered || slot.ready)) {
+      // A kill we sent caught a child between writing its result and
+      // _exit(0). The result stands, so this is a commit — classifying it
+      // otherwise would bill the winner's CPU and pages as speculation
+      // waste.
       st.fate = ChildFate::kCommitted;
-    } else if (gov_kill.has_value()) {
-      // The governor's watchdog killed it: over budget (wall / CPU), shed
-      // under pressure, or past its own historical kill quantile. Distinct
-      // from kCrashed so the supervisor and the ledger can tell containment
-      // from failure.
-      st.fate = *gov_kill == GovKillReason::kPredicted
-                    ? ChildFate::kPredictedLoser
-                    : ChildFate::kOverBudget;
     } else if (killed) {
-      // We sent the kill: at the deadline the child was hung past the
-      // TIMEOUT; otherwise it was routine elimination — after a winner, or
-      // after a collect-all sibling failed. A child that died of its own
-      // SIGKILL in the window between our poll and our kill is
-      // indistinguishable — attributed to us.
+      // We sent the kill, and its fate says why: hung past the TIMEOUT;
+      // routine elimination — after a winner, or after a collect-all
+      // sibling failed; or, governed, over budget (wall / CPU), shed under
+      // pressure, or past its own historical kill quantile — containment,
+      // which the supervisor and the ledger tell apart from a crash. A
+      // child that died of its own SIGKILL in the window between our poll
+      // and our kill is indistinguishable — attributed to us.
       st.fate = slot.kill_fate;
     } else {
       st.fate = ChildFate::kCrashed;

@@ -28,6 +28,17 @@
 // backoff — is that one wait. Where pidfd_open is unavailable the poll
 // timeout is bounded and exits are found by wait4(WNOHANG) instead.
 //
+// The same wait enforces every per-child deadline, its poll timeout being
+// the earliest of them: the SIGKILL that ends a SIGTERM's grace window
+// and, in a governed group (posix/governor.hpp), the per-arm wall and CPU
+// budgets, the plan's predicted-kill deadlines (posix/predictor.hpp) and
+// pressure shedding. A kill records its fate in the child's slot, so the
+// reaper classifies from one source; the live-arm count the predicted and
+// pressure kills spare the last of is this group's own. There is no other
+// thread or process involved, so a block run inside a forked arm is held
+// to its budgets exactly like one run in the process that built the
+// governor.
+//
 // Collect-all (section 5.2's AND-parallelism, posix::await_all): children
 // finish with child_deliver, which ships the result without taking the
 // commit token, and the parent calls alt_wait_all, which succeeds when every
@@ -85,10 +96,10 @@ enum class ChildFate : std::uint8_t {
                 // includes a commit lost between token and result delivery
   kHung,        // still live at the deadline; killed by the parent
   kEliminated,  // healthy loser killed by the parent after a winner emerged
-  kOverBudget,  // killed by the governor's watchdog: wall/CPU budget blown
-                // or shed under memory pressure — contained, not crashed
-  kPredictedLoser,  // killed by the watchdog's prediction rule: elapsed wall
-                    // overran the arm's own historical kill quantile
+  kOverBudget,  // killed by a governed wait: wall/CPU budget blown or shed
+                // under memory pressure — contained, not crashed
+  kPredictedLoser,  // killed by a governed wait's prediction rule: elapsed
+                    // wall overran the arm's own historical kill quantile
                     // (ALTX_PRED_KILL_Q) while a sibling was still live
 };
 
@@ -133,20 +144,22 @@ enum class WaitVerdict : std::uint8_t {
 const char* to_string(WaitVerdict verdict);
 
 class SpeculationGovernor;
+enum class GovKillReason : std::uint8_t;
 
 struct AltGroupOptions {
   Eliminate elimination = Eliminate::kSynchronous;
   AltHeap* heap = nullptr;        // optional shared-state arena to absorb
   FaultInjector* fault = nullptr; // optional seeded fault plan
 
-  /// Resource governor consulted at spawn (admission + watchdog + child
-  /// rlimits). nullptr resolves to SpeculationGovernor::global() — the
-  /// env-configured process governor, itself nullptr when no ALTX_GOV_*
-  /// knob is set, so ungoverned runs cost one null check.
+  /// Resource governor: admission and child rlimits at spawn, per-arm
+  /// budgets and pressure shedding in the cohort wait. nullptr resolves to
+  /// SpeculationGovernor::global() — the env-configured process governor,
+  /// itself nullptr when no ALTX_GOV_* knob is set, so ungoverned runs cost
+  /// one null check.
   SpeculationGovernor* governor = nullptr;
 
   /// Per-child predicted-kill deadlines (ns of elapsed wall), indexed by
-  /// child number - 1, handed to the governor's watchdog at registration.
+  /// child number - 1, enforced by the cohort wait of a governed group.
   /// 0 (or an empty vector) = this child has no history and is never
   /// predicted-killed. Filled by race<T>() from the SpeculationPlanner.
   std::vector<std::uint64_t> pred_kill_ns;
@@ -264,33 +277,54 @@ class AltGroup {
     std::atomic<std::uint32_t> ready;
   };
 
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::time_point kNever = Clock::time_point::max();
+
   /// Parent-side descriptors of one child, parallel to status_.
   struct Slot {
     Pipe result;  // child -> parent: payload + heap patch, one frame at most
     Fd pidfd;     // readable once the child exits; invalid = poll blind
-    // What our kill means: kHung (deadline) or kEliminated; kRunning = not
-    // killed by us.
+    Clock::time_point spawned;  // fork returned; budgets count from here
+    // What our kill means: kHung (deadline), kEliminated, or — governed —
+    // kOverBudget / kPredictedLoser for `gov_reason`; kRunning = not killed
+    // by us.
     ChildFate kill_fate = ChildFate::kRunning;
+    GovKillReason gov_reason{};
+    Clock::time_point term_deadline = kNever;  // SIGTERM sent; SIGKILL due
     bool ready = false;      // a frame is waiting in the result pipe
     bool delivered = false;  // its frame was taken (winner / collect-all)
   };
-
-  using Clock = std::chrono::steady_clock;
 
   /// child_commit / child_deliver / child_abort (result == nullptr).
   [[noreturn]] void child_sync(const Bytes* result, bool take_token);
   /// alt_wait / alt_wait_all: wait for the verdict, eliminate, account.
   void settle(std::chrono::milliseconds timeout, bool collect_all);
   Bytes take_frame(std::size_t i);  // reads child i's one frame
-  /// The cohort's one wait: polls every open result pipe and every unreaped
-  /// child's pidfd until one is ready or `deadline` passes, marks frames
-  /// ready, and reaps every child that exited.
+  /// The cohort's one wait: sends every kill that is due, then polls every
+  /// open result pipe and every unreaped child's pidfd until one is ready,
+  /// `deadline` passes or the next kill falls due, marks frames ready, and
+  /// reaps every child that exited.
   void wait_cohort(Clock::time_point deadline);
+  /// Sends the kills that are due — the SIGKILL ending a SIGTERM's grace
+  /// and, governed, budget, predicted and pressure kills — and returns when
+  /// the next one falls due (kNever: none).
+  Clock::time_point enforce_deadlines();
+  /// Signals child i (SIGTERM with a grace window, else SIGKILL) and
+  /// records what the kill means.
+  void kill_child(std::size_t i, ChildFate fate,
+                  std::chrono::milliseconds grace);
+  void governed_kill(std::size_t i, GovKillReason reason);
+  void emit_governed_kill(std::size_t i, std::uint64_t stage) const;
   void reap(std::size_t i, int flags);
   [[nodiscard]] bool reaped(std::size_t i) const {
     return status_[i].fate != ChildFate::kRunning;
   }
   [[nodiscard]] bool all_reaped() const;
+  /// Unreaped, undelivered and not yet killed by us.
+  [[nodiscard]] bool live(std::size_t i) const {
+    return !reaped(i) && !slots_[i].delivered && !slots_[i].ready &&
+           slots_[i].kill_fate == ChildFate::kRunning;
+  }
   void kill_survivors(ChildFate fate);
   void reap_all();
   void release_remaining_tokens();  // admission tokens not yet returned
@@ -309,6 +343,7 @@ class AltGroup {
   std::vector<Bytes> results_;  // collect-all: delivered payloads
   int my_index_ = 0;  // 0 in parent
   std::uint64_t child_run_t0_ = 0;  // child side: arm_run span begin
+  Clock::time_point next_shed_check_{};  // governed: next pressure look
   int tokens_held_ = 0;      // admission tokens taken for this cohort
   int tokens_released_ = 0;  // ... of which already returned (1 per reap)
   std::uint32_t race_id_ = 0;        // trace id; children inherit it

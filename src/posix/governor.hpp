@@ -7,11 +7,13 @@
 // containment layer (Randell's recovery-block confinement, plus the hedged
 // -request discipline of Dean & Barroso) with three duties:
 //
-//   1. Per-arm quotas. Children get RLIMIT_CPU / RLIMIT_AS at fork, and a
-//      parent-side watchdog — one poll(2) set of pidfds plus a timerfd —
-//      escalates SIGTERM → SIGKILL on arms that exceed a wall-clock or CPU
-//      budget (live CPU read from /proc/<pid>/stat; the final bill still
-//      comes from wait4 at reap, as in the PR-3 accounting).
+//   1. Per-arm quotas. Children get RLIMIT_CPU / RLIMIT_AS at fork, and the
+//      governor holds the per-arm wall-clock and CPU budgets that every
+//      governed AltGroup enforces in its own cohort wait (alt_group.hpp):
+//      an arm past a budget is escalated SIGTERM → SIGKILL (live CPU read
+//      from /proc/<pid>/stat; the final bill still comes from wait4 at
+//      reap, as in the speculation ledger). The group reports each kill
+//      back through note_kill, for the stats.
 //
 //   2. Global admission control. A token budget caps concurrent speculative
 //      children across *all* blocks of the process tree (the pool lives in
@@ -28,22 +30,24 @@
 //   3. Pressure-driven shedding. /proc/pressure/{memory,cpu} PSI (fallback:
 //      /proc/meminfo MemAvailable; fake-able via ALTX_PSI_PATH for tests)
 //      shrinks the effective token budget as stall fractions climb, and at
-//      the kill threshold proactively sheds the lowest-PI live arm (the
-//      highest alternative index — alternatives are PI-ordered per §4.2)
-//      before the OOM killer picks a victim for us, never a block's last
-//      live arm.
+//      the kill threshold each governed group sheds its own lowest-PI live
+//      arm (the highest alternative index — alternatives are PI-ordered per
+//      §4.2) before the OOM killer picks a victim for us, never the group's
+//      last live arm. Pressure is sampled lazily — by admit() and by
+//      governed waits — at most once per pressure_interval across every
+//      process sharing the pool.
 //
 // Everything is opt-in: without ALTX_GOV_* in the environment (or a
 // programmatic config) global() is nullptr and every call site costs one
-// null check. The watchdog acts only in the process that built the
-// governor; a forked child's copy shares the admission pool but registers
-// no watches (its thread did not survive the fork).
+// null check. The governor runs no thread: every duty is carried out by
+// the process that admits or waits, so a forked copy (a nested block, an
+// altxd worker) enforces its budgets exactly as the process that built it.
 //
 // Env knobs (see GovernorConfig::from_env):
 //   ALTX_GOV_TOKENS         concurrent speculative children cap (0 = off)
 //   ALTX_GOV_ADMIT_WAIT_MS  bounded admission wait for multi-arm blocks
-//   ALTX_GOV_WALL_MS        per-arm wall-clock budget (0 = no watchdog)
-//   ALTX_GOV_CPU_MS         per-arm CPU budget (0 = no CPU watchdog)
+//   ALTX_GOV_WALL_MS        per-arm wall-clock budget (0 = none)
+//   ALTX_GOV_CPU_MS         per-arm CPU budget (0 = none)
 //   ALTX_GOV_RLIMIT_CPU_S   child RLIMIT_CPU seconds (0 = unset)
 //   ALTX_GOV_RLIMIT_AS_MB   child RLIMIT_AS MiB (0 = unset)
 //   ALTX_KILL_GRACE_MS      SIGTERM → SIGKILL escalation grace (default 0)
@@ -52,18 +56,9 @@
 //   ALTX_GOV_PSI_KILL       stall %% where live arms are shed
 #pragma once
 
-#include <sys/types.h>
-
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -81,12 +76,13 @@ struct GovernorConfig {
   /// Patience for single-token requests before the liveness overdraft.
   std::chrono::milliseconds serial_admit_wait{30'000};
 
-  /// Per-arm watchdog budgets; 0 disables the respective check.
+  /// Per-arm budgets, enforced by each governed group's cohort wait; 0
+  /// disables the respective check.
   std::chrono::milliseconds arm_wall_budget{0};
   std::chrono::milliseconds arm_cpu_budget{0};
 
-  /// SIGTERM → SIGKILL escalation window for watchdog kills (0 = straight
-  /// SIGKILL, the pre-governor behavior).
+  /// SIGTERM → SIGKILL escalation window for budget, shed and predicted
+  /// kills (0 = straight SIGKILL, the pre-governor behavior).
   std::chrono::milliseconds kill_grace{0};
 
   /// Hard kernel-side backstops applied in the child right after fork.
@@ -100,18 +96,18 @@ struct GovernorConfig {
   double psi_kill_pct = 90.0;   // lowest-PI arms are shed here
   double mem_floor_pct = 8.0;   // meminfo fallback: MemAvailable floor
 
-  std::chrono::milliseconds poll_interval{5};       // watchdog cadence
   std::chrono::milliseconds pressure_interval{100}; // PSI sample cadence
 
-  /// Run the watchdog even without wall/CPU budgets so predicted-kill
-  /// deadlines (posix/predictor.hpp) have a thread to fire from. Set from
-  /// ALTX_PRED=1, so prediction works without any ALTX_GOV_* knob.
+  /// Build the global governor even without any other duty, so every group
+  /// is governed and predicted-kill deadlines (posix/predictor.hpp) are
+  /// enforced. Set from ALTX_PRED=1, so prediction works without any
+  /// ALTX_GOV_* knob.
   bool predict_watch = false;
 
   /// Reads the ALTX_GOV_* / ALTX_KILL_GRACE_MS / ALTX_PSI_PATH knobs.
   static GovernorConfig from_env();
 
-  /// True when any duty (admission, watchdog, rlimits) is configured.
+  /// True when any duty (admission, budgets, rlimits) is configured.
   [[nodiscard]] bool any_enabled() const {
     return tokens > 0 || arm_wall_budget.count() > 0 ||
            arm_cpu_budget.count() > 0 || rlimit_cpu_s > 0 ||
@@ -206,28 +202,22 @@ class SpeculationGovernor {
   /// forced teardown (and periodically). Returns the tokens reclaimed.
   int reconcile_dead_holders();
 
-  /// Registers a freshly forked arm with the watchdog (no-op when neither
-  /// budget is configured, or in a forked copy of the governor — the
-  /// watchdog thread lives only in the creating process). `pred_kill_ns`
-  /// is the predictor's early-kill deadline: elapsed wall past it escalates
-  /// the arm as a predicted loser, unless it is the race's last live arm.
-  /// 0 = no history, never predicted-killed.
-  void watch(pid_t pid, std::uint32_t race_id, int child_index,
-             std::uint64_t pred_kill_ns = 0);
-
-  /// Unregisters an arm (idempotent; called at reap).
-  void unwatch(pid_t pid);
-
-  /// If the watchdog killed `pid`, returns why and forgets the entry — the
-  /// reaper uses it to classify the fate as over-budget, not crashed.
-  std::optional<GovKillReason> consume_kill(pid_t pid);
-
   /// Child side, right after fork: applies RLIMIT_CPU / RLIMIT_AS.
   void apply_child_rlimits() const;
 
   /// Samples the pressure sources and re-derives the effective budget now
-  /// (the watchdog does this on its own cadence; tests call it directly).
+  /// (admit() and governed waits do this at most once per
+  /// pressure_interval; tests call it directly).
   void poll_pressure_now();
+
+  /// True when the last pressure sample, taken first if it is older than
+  /// pressure_interval, is at or above psi_kill_pct: governed groups then
+  /// shed arms.
+  [[nodiscard]] bool shedding();
+
+  /// Counts a kill a governed group sent one of its arms: the kill itself
+  /// (`escalation` false) or the SIGKILL that followed an ignored SIGTERM.
+  void note_kill(GovKillReason reason, bool escalation);
 
   /// The token budget after pressure shrink (floor 1; = tokens when calm).
   [[nodiscard]] int effective_tokens() const;
@@ -244,33 +234,12 @@ class SpeculationGovernor {
 
  private:
   struct SharedPool;   // MAP_SHARED counters (fork-wide truth)
-  struct WatchEntry;
 
-  void watchdog_loop();
-  void wake_watchdog();
-  void escalate(WatchEntry& e, GovKillReason reason, std::uint64_t now_ns);
-  void shed_lowest_pi(std::uint64_t now_ns);
+  void sample_pressure_if_due();
   void apply_pressure(const PressureSample& s);
 
   GovernorConfig cfg_;
   SharedPool* pool_ = nullptr;  // shared mapping; survives fork
-  pid_t owner_pid_ = -1;        // process that owns the watchdog thread
-
-  std::mutex mu_;               // guards watches_ + kills_
-  std::vector<WatchEntry> watches_;
-  std::unordered_map<pid_t, GovKillReason> kills_;
-  std::atomic<bool> stop_{false};
-  int wake_fd_ = -1;            // eventfd: registration changes / shutdown
-  int timer_fd_ = -1;           // timerfd: budget + pressure cadence
-  std::thread watchdog_;
-
-  // Watchdog-local tallies (only the owner process kills).
-  std::atomic<std::uint64_t> kills_wall_{0};
-  std::atomic<std::uint64_t> kills_cpu_{0};
-  std::atomic<std::uint64_t> kills_shed_{0};
-  std::atomic<std::uint64_t> kills_predicted_{0};
-  std::atomic<std::uint64_t> term_escalations_{0};
-  std::atomic<std::uint64_t> pressure_shrinks_{0};
 };
 
 }  // namespace altx::posix

@@ -31,9 +31,10 @@ struct HedgeOptions {
 
   /// History + prediction passthrough: with a site_id the underlying race
   /// records each copy's wall/success, and with predict (or ALTX_PRED=1)
-  /// the planner's early-kill deadlines apply to the copies — a copy that
-  /// overruns its own historical kill quantile is reaped early, while the
-  /// stagger schedule itself stays the caller's.
+  /// under a governor the planner's early-kill deadlines apply to the
+  /// copies — the cohort wait kills a copy that overruns its own historical
+  /// kill quantile early, while the stagger schedule itself stays the
+  /// caller's.
   std::uint64_t site_id = 0;
   bool predict = false;
 };

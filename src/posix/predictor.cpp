@@ -128,7 +128,7 @@ SpeculationPlan SpeculationPlanner::plan(std::uint64_t site_id, int n_alts,
       a.decision = ArmDecision::kHedge;
       a.stage_after_ns = stage_ns;
       // The sleep does not count against the arm: its kill deadline starts
-      // after the deferral, measured from fork like the watchdog does.
+      // after the deferral, measured from fork like the cohort wait does.
       a.kill_after_ns += stage_ns;
     }
   }

@@ -22,9 +22,11 @@
 //             guard short-circuited to FAIL without running the method.
 //
 // Separately, each warm arm gets an early-kill deadline — its own
-// historical ALTX_PRED_KILL_Q quantile (default p99). The governor's
-// watchdog escalates arms past their deadline as ChildFate::kPredictedLoser,
-// never an arm with no history and never the race's last live arm.
+// historical ALTX_PRED_KILL_Q quantile (default p99), carried in
+// AltGroupOptions::pred_kill_ns. A governed group's cohort wait escalates
+// arms past their deadline as ChildFate::kPredictedLoser, never an arm with
+// no history and never the group's last live arm; an ungoverned group
+// (no governor: ALTX_PRED=1 builds the global one) never predicted-kills.
 //
 // The plan is a pure function of (config, history snapshot, pressure):
 // given a fixed store it is deterministic, and with a cold store it

@@ -88,7 +88,7 @@ struct RaceReport {
   int crashed = 0;
   int hung = 0;
   int eliminated = 0;
-  int over_budget = 0;  // killed by the governor's watchdog
+  int over_budget = 0;  // killed over a governed budget or shed
   int predicted_losers = 0;  // killed by the predictor's early-kill rule
 
   /// What the plan decided (zero when prediction was off or the plan was
@@ -181,7 +181,7 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   const int n = static_cast<int>(alts.size());
 
   // Prediction-driven planning. The plan is computed before the forks so
-  // its per-arm kill deadlines ride into the watchdog registration; an
+  // its per-arm kill deadlines ride into the group's cohort wait; an
   // inactive plan (cold store, predict off, no site) changes nothing below.
   std::optional<SpeculationPlanner> local_planner;
   const SpeculationPlanner* planner = options.planner;
@@ -208,7 +208,11 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   go.heap = options.heap;
   go.fault = options.fault;
   go.governor = options.governor;
-  if (plan.active) {
+  // Skipped arms abort unrun but count as live until they are reaped, so
+  // when the plan leaves a single contender a deadline on it could fire
+  // while a skipped sibling lingers: that contender is the block's last
+  // live arm and gets no deadline.
+  if (plan.active && (n - plan.skipped) * options.replicas >= 2) {
     go.pred_kill_ns.resize(
         static_cast<std::size_t>(n) *
         static_cast<std::size_t>(options.replicas));

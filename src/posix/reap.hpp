@@ -1,8 +1,8 @@
 // The one reap path: wait4 with EINTR retry and rusage capture, plus the
 // pidfd that tells a poll(2) set when a child is ready to be reaped.
 //
-// Every reap — AltGroup's cohort wait, its final reap, the governor's
-// watchdog — goes through here, for two reasons. First, dedup: the EINTR
+// Every reap — AltGroup's cohort wait and its final reap — goes through
+// here, for two reasons. First, dedup: the EINTR
 // dance and the WIFEXITED/WIFSIGNALED decoding are written once. Second —
 // the speculation-efficiency ledger needs it — waitpid discards exactly the
 // numbers the accounting wants: wait4's rusage is the only way to learn how
@@ -72,7 +72,7 @@ inline pid_t wait4_eintr(pid_t pid, int* status, int flags,
 
 /// Live CPU (user + system, ns) of a still-running child from
 /// /proc/<pid>/stat. wait4's rusage only exists once the child is reaped;
-/// the governor's watchdog needs the bill *before* death to enforce a CPU
+/// a governed cohort wait needs the bill *before* death to enforce a CPU
 /// budget, and /proc is the only place the kernel publishes it for a live
 /// process. nullopt when the pid is gone or /proc is unreadable.
 [[nodiscard]] inline std::optional<std::uint64_t> proc_cpu_ns(pid_t pid) {

@@ -1,9 +1,10 @@
 // Tests for the SpeculationGovernor (src/posix/governor.*): per-arm wall and
-// CPU budgets enforced by the watchdog, SIGTERM→SIGKILL grace escalation,
-// global admission control with single-token overdrafts, degradation of
-// denied blocks to serialized forked execution, PSI-driven budget shrinking
-// (through an ALTX_PSI_PATH-style fixture file), and the bounded in-place
-// fork EAGAIN retry against the fork_storm fault.
+// CPU budgets enforced by the governed cohort wait (in a nested, forked
+// block too), SIGTERM→SIGKILL grace escalation, global admission control
+// with single-token overdrafts, degradation of denied blocks to serialized
+// forked execution, PSI-driven budget shrinking and arm shedding (through
+// an ALTX_PSI_PATH-style fixture file), and the bounded in-place fork
+// EAGAIN retry against the fork_storm fault.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
@@ -27,7 +28,6 @@ using namespace std::chrono_literals;
 
 GovernorConfig watchdog_config() {
   GovernorConfig gc;
-  gc.poll_interval = 2ms;
   return gc;
 }
 
@@ -120,6 +120,37 @@ TEST(Governor, CooperativeArmDiesInsideTheGraceWindow) {
   // the generous grace window must not delay the verdict to its full width.
   EXPECT_LT(dt, 1'000ms);
   EXPECT_EQ(gov.stats().term_escalations, 0u);
+}
+
+TEST(Governor, WallBudgetHoldsInsideANestedArm) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // The budget is enforced by the cohort wait of whichever process races,
+  // so a block nested inside a forked arm is held to the budget of a
+  // governor built out here.
+  GovernorConfig gc;
+  gc.arm_wall_budget = 50ms;
+  SpeculationGovernor gov(gc);
+
+  RaceOptions outer;
+  outer.timeout = 5'000ms;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = race<int>(
+      {[&gov]() -> std::optional<int> {
+        RaceReport inner_report;
+        RaceOptions inner;
+        inner.governor = &gov;
+        inner.report = &inner_report;
+        inner.timeout = 5'000ms;
+        (void)race<int>(
+            {[]() -> std::optional<int> { ::usleep(2'000'000); return 1; }},
+            inner);
+        return inner_report.over_budget;
+      }},
+      outer);
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->value, 1);
+  EXPECT_LT(dt, 1'000ms);
 }
 
 TEST(Governor, MultiArmAdmissionIsDeniedWhenTheBudgetIsBusy) {
@@ -275,6 +306,62 @@ TEST(Governor, PsiPressureShrinksTheEffectiveBudget) {
   gov.poll_pressure_now();
   EXPECT_EQ(gov.effective_tokens(), 8);
   std::remove(path.c_str());
+}
+
+/// A PSI fixture file stalled at `pct` % (kernel /proc/pressure format).
+std::string psi_fixture(const std::string& tag, double pct) {
+  const std::string path = ::testing::TempDir() + "psi_" + tag + "_" +
+                           std::to_string(::getpid());
+  std::ofstream out(path);
+  out << "some avg10=" << pct << " avg60=12.00 avg300=3.00 total=123456\n";
+  return path;
+}
+
+TEST(Governor, PressureShedsTheHighestIndexLiveArm) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  GovernorConfig gc;
+  gc.psi_path = psi_fixture("shed", 95.0);  // above psi_kill_pct (90)
+  gc.pressure_interval = 1'000ms;  // one shed inside the winner's 200 ms
+  SpeculationGovernor gov(gc);
+
+  AltGroupOptions go;
+  go.governor = &gov;
+  AltGroup group(go);
+  const int who = group.alt_spawn(3);
+  if (who > 0) {
+    ::usleep(who == 1 ? 200'000 : 5'000'000);
+    group.child_commit(race_encode<int>(who));
+  }
+  const auto win = group.alt_wait(5'000ms);
+  std::remove(gc.psi_path.c_str());
+  ASSERT_TRUE(win.has_value());
+  EXPECT_EQ(win->index, 1);
+  const auto& st = group.child_statuses();
+  ASSERT_EQ(st.size(), 3u);
+  EXPECT_EQ(st[2].fate, ChildFate::kOverBudget);  // lowest PI: shed
+  EXPECT_EQ(st[1].fate, ChildFate::kEliminated);
+  EXPECT_GE(gov.stats().kills_shed, 1u);
+}
+
+TEST(Governor, PressureNeverShedsASingleArmRace) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  GovernorConfig gc;
+  gc.psi_path = psi_fixture("lone", 95.0);
+  SpeculationGovernor gov(gc);
+
+  RaceReport report;
+  RaceOptions opts;
+  opts.governor = &gov;
+  opts.report = &report;
+  opts.timeout = 5'000ms;
+  const auto r = race<int>(
+      {[]() -> std::optional<int> { ::usleep(300'000); return 7; }}, opts);
+  std::remove(gc.psi_path.c_str());
+  // The last live arm is the block's outcome: pressure never takes it.
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->value, 7);
+  EXPECT_EQ(report.over_budget, 0);
+  EXPECT_EQ(gov.stats().kills_shed, 0u);
 }
 
 TEST(Governor, ForkStormIsAbsorbedByInPlaceRetries) {

@@ -10,8 +10,11 @@
 #include <chrono>
 
 #include "constrained.hpp"
+#include "obs/history.hpp"
 #include "posix/alt_heap.hpp"
 #include "posix/await_all.hpp"
+#include "posix/governor.hpp"
+#include "posix/predictor.hpp"
 #include "posix/race.hpp"
 
 namespace altx::posix {
@@ -19,14 +22,17 @@ namespace {
 
 using namespace std::chrono_literals;
 
-int open_fd_count() {
+int dir_entry_count(const char* path) {
   int n = 0;
-  DIR* d = ::opendir("/proc/self/fd");
+  DIR* d = ::opendir(path);
   if (d == nullptr) return -1;
   while (::readdir(d) != nullptr) ++n;
   ::closedir(d);
   return n;
 }
+
+int open_fd_count() { return dir_entry_count("/proc/self/fd"); }
+int thread_count() { return dir_entry_count("/proc/self/task"); }
 
 TEST(PosixStress, CrashingAlternativeIsJustAFailure) {
   // A child dying of SIGSEGV (no AltHeap installed, so no handler rescues
@@ -133,16 +139,45 @@ TEST(PosixStress, LargeResultPayloadCrossesThePipe) {
 TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
   // Warm up, then assert the fd count is stable across 40 rounds of every
-  // block shape — winner, all-fail, timeout, asynchronous elimination, and
-  // await_all (won and failed) — so every per-child result pipe and pidfd
-  // is shown to close on every path.
+  // block shape — winner, all-fail, timeout, asynchronous elimination,
+  // await_all (won and failed), and governed kills (wall budget, predicted,
+  // SIGTERM grace) — so every per-child result pipe and pidfd is shown to
+  // close on every path. The thread count is taken before the governors
+  // are built: governing a block starts no thread.
   (void)race<int>({[] { return std::optional<int>(0); }});
+  const int threads_before = thread_count();
+  ASSERT_GT(threads_before, 0);
+  GovernorConfig wall_cfg;
+  wall_cfg.arm_wall_budget = 5ms;
+  SpeculationGovernor wall_gov(wall_cfg);
+  GovernorConfig grace_cfg = wall_cfg;
+  grace_cfg.kill_grace = 20ms;
+  SpeculationGovernor grace_gov(grace_cfg);
+  GovernorConfig pred_cfg;
+  pred_cfg.predict_watch = true;
+  SpeculationGovernor pred_gov(pred_cfg);
+  obs::HistoryStore store(64);
+  constexpr std::uint64_t kSite = 0x57e55;
+  for (int s = 0; s < 10; ++s) store.record(kSite, 1, 1'000'000, 500'000, true);
+  PredictorConfig pc;
+  pc.enabled = true;
+  SpeculationPlanner planner(pc, &store);
   const int before = open_fd_count();
   ASSERT_GT(before, 0);
   RaceOptions timeout;
   timeout.timeout = 5ms;
   RaceOptions async;
   async.elimination = Eliminate::kAsynchronous;
+  RaceOptions wall;
+  wall.governor = &wall_gov;
+  RaceOptions grace;
+  grace.governor = &grace_gov;
+  RaceOptions pred;
+  pred.governor = &pred_gov;
+  pred.site_id = kSite;
+  pred.planner = &planner;
+  RaceReport pred_report;
+  pred.report = &pred_report;
   for (int i = 0; i < 40; ++i) {
     auto r = race<int>({
         [i] { return std::optional<int>(i); },
@@ -177,8 +212,28 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
                                     [] { return std::optional<int>(); },
                                 })
                      .has_value());
+    EXPECT_FALSE(
+        race<int>({[] { ::sleep(10); return std::optional<int>(1); }}, wall)
+            .has_value());
+    EXPECT_FALSE(
+        race<int>({[] { ::sleep(10); return std::optional<int>(1); }}, grace)
+            .has_value());
+    // Arm 1's history says 1 ms; it sleeps instead and is predicted-killed
+    // while the cold arm 2 lives on to win.
+    EXPECT_TRUE(race<int>(
+                    {
+                        [] { ::sleep(10); return std::optional<int>(1); },
+                        [] { ::usleep(50'000); return std::optional<int>(2); },
+                    },
+                    pred)
+                    .has_value());
+    EXPECT_EQ(pred_report.predicted_losers, 1);
   }
   EXPECT_EQ(open_fd_count(), before);
+  EXPECT_EQ(thread_count(), threads_before);
+  EXPECT_EQ(wall_gov.stats().kills_wall, 40u);
+  EXPECT_EQ(grace_gov.stats().kills_wall, 40u);
+  EXPECT_EQ(pred_gov.stats().kills_predicted, 40u);
 }
 
 TEST(PosixStress, SixteenWayRace) {

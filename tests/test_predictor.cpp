@@ -1,5 +1,5 @@
 // Tests for the SpeculationPlanner (src/posix/predictor.*) and the
-// prediction wiring through race<T>() and the governor's watchdog: plan
+// prediction wiring through race<T>() and the governed cohort wait: plan
 // partitioning over synthetic histories (launch / hedge / skip), staged
 // hedges that sleep out the leader's predicted quantile, early kills of
 // arms past their own historical kill quantile (ChildFate::kPredictedLoser)
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "constrained.hpp"
 #include "obs/history.hpp"
@@ -299,7 +300,7 @@ TEST_F(PredictorRace, OverrunningArmIsKilledAsPredictedLoser) {
 
   GovernorConfig gc;
   gc.predict_watch = true;  // every arm registers, so the live census is
-  gc.poll_interval = 2ms;   // accurate (ALTX_PRED=1 sets this in prod)
+                            // accurate (ALTX_PRED=1 sets this in prod)
   SpeculationGovernor gov(gc);
 
   RaceOptions opts;
@@ -333,7 +334,6 @@ TEST_F(PredictorRace, NeverKillsTheLastLiveArm) {
 
   GovernorConfig gc;
   gc.predict_watch = true;
-  gc.poll_interval = 2ms;
   SpeculationGovernor gov(gc);
 
   RaceOptions opts;
@@ -353,6 +353,63 @@ TEST_F(PredictorRace, NeverKillsTheLastLiveArm) {
   EXPECT_EQ(gov.stats().kills_predicted, 0u);
 }
 
+TEST_F(PredictorRace, LastLiveArmIsSparedWhileAnotherRaceRuns) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // Tracing off: every group's race id is then 0, so a live-arm count kept
+  // by race id would lump concurrent races together and take a block's
+  // last arm for one of two. The count is the group's own.
+  obs::detail::g_enabled = false;
+  obs::HistoryStore store(64);
+  teach(store, 1, 2 * kMs, true);  // p99 ≈ 2 ms; the run takes 40 ms
+  // A second site whose arm 1 has a 20 ms p99 and runs 60 ms; its cold
+  // arm 2 fails at once, so arm 1 is the last live arm at its deadline.
+  for (int s = 0; s < 10; ++s) {
+    store.record(kSite + 1, 1, 20 * kMs, 10 * kMs, true);
+  }
+  SpeculationPlanner planner(test_config(), &store);
+
+  GovernorConfig gc;
+  gc.predict_watch = true;
+  SpeculationGovernor gov(gc);
+
+  for (int round = 0; round < 5; ++round) {
+    // Thread B: a governed, unplanned race, live through all of A's.
+    std::thread b([&gov] {
+      RaceOptions ob;
+      ob.timeout = 5'000ms;
+      ob.governor = &gov;
+      (void)race<int>(
+          {[] { ::usleep(300'000); return std::optional<int>(1); }}, ob);
+    });
+    std::this_thread::sleep_for(10ms);  // B's arm is running before A forks
+
+    RaceOptions oa;
+    oa.timeout = 5'000ms;
+    oa.site_id = kSite;
+    oa.planner = &planner;
+    oa.governor = &gov;
+    RaceReport rep;
+    oa.report = &rep;
+    const auto r = race<int>(
+        {[] { ::usleep(40'000); return std::optional<int>(9); }}, oa);
+    ASSERT_TRUE(r.has_value()) << "round " << round;
+    EXPECT_EQ(r->value, 9);
+    EXPECT_EQ(rep.predicted_losers, 0);
+
+    oa.site_id = kSite + 1;
+    const auto r2 = race<int>(
+        {[] { ::usleep(60'000); return std::optional<int>(8); },
+         [] { return std::optional<int>(); }},
+        oa);
+    b.join();
+    ASSERT_TRUE(r2.has_value()) << "round " << round;
+    EXPECT_EQ(r2->value, 8);
+    EXPECT_EQ(rep.predicted_losers, 0);
+  }
+  EXPECT_EQ(gov.stats().kills_predicted, 0u);
+  obs::detail::g_enabled = true;
+}
+
 TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   obs::HistoryStore store(64);
@@ -361,7 +418,6 @@ TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
 
   GovernorConfig gc;
   gc.predict_watch = true;
-  gc.poll_interval = 2ms;
   gc.kill_grace = 500ms;  // wide TERM→KILL window for the commit to land in
   SpeculationGovernor gov(gc);
 

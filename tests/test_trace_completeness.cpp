@@ -246,7 +246,6 @@ TEST_F(TraceCompleteness, PredictedKillsPairWithTerminalFatesUnderEveryFaultKind
       SpeculationPlanner planner(pc, &store);
       GovernorConfig gc;
       gc.predict_watch = true;  // every arm registers: exact live census
-      gc.poll_interval = 2ms;
       SpeculationGovernor gov(gc);
       FaultInjector inj(seed, p);
       RaceOptions opts;
