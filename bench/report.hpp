@@ -6,7 +6,9 @@
 //
 //   {
 //     "bench": "e13_supervision",
-//     "meta": {"schema": 2, "git_sha": "4680c09", "host": "ci-runner-3"},
+//     "meta": {"schema": 3, "git_sha": "4680c09", "host": "ci-runner-3",
+//              "cpus": 4, "kernel": "6.8.0-1015-azure",
+//              "build_type": "Release"},
 //     "rows": [
 //       {"name": "supervised",
 //        "params": {"crash_rate": 0.1},
@@ -21,6 +23,7 @@
 // bench code, never user input, so escaping handles only quotes/backslashes.
 #pragma once
 
+#include <sys/utsname.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -42,8 +45,14 @@ inline std::string report_path(const std::string& name) {
   return dir + "/BENCH_" + name + ".json";
 }
 
-/// Bump when the report layout changes shape (schema 2 added "meta").
-inline constexpr int kReportSchema = 2;
+/// Bump when the report layout changes shape (schema 2 added "meta",
+/// schema 3 the host's CPU count, kernel release and build type).
+inline constexpr int kReportSchema = 3;
+
+/// The CMake build type the bench was compiled as (bench/CMakeLists.txt).
+#ifndef ALTX_BUILD_TYPE
+#define ALTX_BUILD_TYPE "unknown"
+#endif
 
 /// The commit the bench binary was run against: ALTX_GIT_SHA when CI
 /// exports it (detached checkouts, worktrees), else asking git directly,
@@ -69,6 +78,11 @@ inline std::string report_host() {
   char buf[256] = {};
   if (::gethostname(buf, sizeof buf - 1) != 0) return "unknown";
   return buf[0] != '\0' ? buf : "unknown";
+}
+
+inline std::string report_kernel() {
+  utsname u{};
+  return ::uname(&u) == 0 ? u.release : "unknown";
 }
 
 class Report {
@@ -125,7 +139,10 @@ class Report {
     out << "{\"bench\":" << quote(name_);
     out << ",\"meta\":{\"schema\":" << kReportSchema
         << ",\"git_sha\":" << quote(report_git_sha())
-        << ",\"host\":" << quote(report_host()) << "}";
+        << ",\"host\":" << quote(report_host())
+        << ",\"cpus\":" << ::sysconf(_SC_NPROCESSORS_ONLN)
+        << ",\"kernel\":" << quote(report_kernel())
+        << ",\"build_type\":" << quote(ALTX_BUILD_TYPE) << "}";
     out << ",\"rows\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];

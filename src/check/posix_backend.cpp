@@ -248,8 +248,8 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
   if (degraded) return std::nullopt;  // every arm ran alone and said no
   if (report.verdict != altx::posix::WaitVerdict::kAllFailed ||
       report.over_budget > 0 || report.predicted_losers > 0) {
-    // Timeout, a stray crash without injection, a watchdog kill (the wall
-    // budget is generous, but a stalled machine can still blow it), or a
+    // Timeout, a stray crash without injection, a governed budget kill (the
+    // wall budget is generous, but a stalled machine can still blow it), or a
     // predicted kill (the synthetic history may have condemned the one arm
     // that would have won): the environment, not the semantics, decided
     // this trial.
@@ -289,9 +289,9 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
       gc.arm_wall_budget = std::chrono::milliseconds(5'000);
       gc.kill_grace = std::chrono::milliseconds((schedule_seed >> 2) % 2 == 0 ? 0 : 2);
     }
-    // Predicted trials need the watchdog awake and EVERY arm registered,
-    // deadline or not, so its last-live-arm census is exact (ALTX_PRED=1
-    // arms the same flag in production).
+    // Predicted trials need every group governed, so each cohort wait
+    // enforces its predicted-kill deadlines over an exact live-arm count
+    // (ALTX_PRED=1 sets the same flag in production).
     gc.predict_watch = predicted;
     governor = std::make_unique<altx::posix::SpeculationGovernor>(gc);
   }

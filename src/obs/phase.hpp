@@ -14,15 +14,17 @@
 //   fork             pipes + census arena + the fork loop
 //   arm_run          parent waiting for the first commit (the arms racing)
 //   result_pipe      reading / writing the winner's result frame
-//   absorb           applying the winner's heap patch in the parent
+//   absorb           pulling the winner's dirty pages into the parent's
+//                    heap (or applying its patch when the pull is refused)
 //   eliminate        killing + reaping surviving losers
 //   decide           final accounting up to kRaceDecided
 //
 // Child-side spans (child_index >= 1) measure the speculative work itself:
-// arm_run (guard body), page_diff (dirty-page serialization), result_pipe
-// (writing the frame). They overlap each other and the parent spans — the
-// critical-path reducer attributes wall time from the parent spans only and
-// reports the child spans separately.
+// arm_run (guard body), page_diff (listing the dirty pages as runs, or
+// serializing them for a patch), result_pipe (writing the frame). They
+// overlap each other and the parent spans — the critical-path reducer
+// attributes wall time from the parent spans only and reports the child
+// spans separately.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,10 @@
 #include "posix/alt_group.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,6 +26,15 @@ namespace {
 constexpr int kExitAbort = 42;    // guard failed, no synchronization
 constexpr int kExitTooLate = 43;  // lost the race for the commit token
 constexpr int kExitLost = 77;     // injected: result lost after the sync point
+
+// The release byte a heap group's winner waits for once its frame is out.
+constexpr std::uint8_t kReleaseExit = 0;       // its pages are pulled: exit
+constexpr std::uint8_t kReleaseSendPatch = 1;  // no pull: send a patch frame
+
+// How often a heap winner waiting for its release byte looks whether its
+// parent is still there: EOF cannot tell it, since a child forked by
+// another thread of the parent may hold the pipe's write end.
+constexpr int kOrphanCheckMs = 100;
 
 // In-place fork() EAGAIN retries: transient pid exhaustion (a sibling
 // cohort mid-teardown, a fork storm elsewhere in the tree) usually clears
@@ -172,6 +183,9 @@ int AltGroup::alt_spawn(int n) {
   if (std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr) {
     write_all(token_.write_end.get(), &token, 1);
   }
+  // A heap group's winner waits for one byte on this pipe; only the token
+  // holder ever reads it.
+  if (opts_.heap != nullptr) release_ = Pipe::create();
   // Every result pipe exists before the first fork; each child keeps only
   // its own write end, and the parent drops that end once the child is
   // forked, so a child that dies without a frame leaves EOF behind.
@@ -198,6 +212,7 @@ int AltGroup::alt_spawn(int n) {
   // can kill and reap exactly the children that exist.
   status_.reserve(static_cast<std::size_t>(n));
 
+  const pid_t parent = ::getpid();
   auto abandon_cohort = [this] {
     kill_survivors(ChildFate::kEliminated);
     reap_all();
@@ -246,6 +261,8 @@ int AltGroup::alt_spawn(int n) {
       fork_phase.cancel();
       my_index_ = i;
       out_ = std::move(slot.result.write_end);
+      release_.write_end.reset();
+      parent_ = parent;
       slots_.clear();
       status_.clear();
       if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
@@ -324,23 +341,49 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     _exit(kExitLost);
   }
 
+  // A heap group's frame carries the dirty pages as runs, not their bytes:
+  // the parent reads those out of this process (absorb_winner).
   Bytes frame;
   ByteWriter w(frame);
   w.blob(result->data(), result->size());
+  w.u8(opts_.heap != nullptr ? 1 : 0);
   if (opts_.heap != nullptr) {
-    w.u8(1);
     obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_, me);
-    const Bytes patch = opts_.heap->serialize_dirty();
-    diff.end();
-    w.blob(patch.data(), patch.size());
-  } else {
-    w.u8(0);
+    const std::vector<PageRun> runs = opts_.heap->dirty_runs();
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const PageRun& run : runs) {
+      w.u32(run.first);
+      w.u32(run.count);
+    }
   }
   {
     obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_, me);
     write_frame(out_.get(), frame);
   }
+  if (opts_.heap != nullptr) await_release();
   _exit(0);
+}
+
+void AltGroup::await_release() {
+  // The pages stay readable only while this process lives, so it waits for
+  // the parent's byte — or until the parent is gone.
+  pollfd pfd{release_.read_end.get(), POLLIN, 0};
+  while (::poll(&pfd, 1, kOrphanCheckMs) <= 0) {
+    if (::getppid() != parent_) return;
+  }
+  std::uint8_t ask = kReleaseExit;
+  ssize_t got = 0;
+  while ((got = ::read(pfd.fd, &ask, 1)) < 0 && errno == EINTR) {
+  }
+  if (got != 1 || ask != kReleaseSendPatch) return;
+  const auto me = static_cast<std::int16_t>(my_index_);
+  Bytes patch;
+  {
+    obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_, me);
+    patch = opts_.heap->serialize_dirty();
+  }
+  obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_, me);
+  write_frame(out_.get(), patch);
 }
 
 std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
@@ -397,11 +440,11 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
       win.index = static_cast<int>(first_ready) + 1;
       win.result = r.blob();
       if (r.u8() == 1) {
-        const Bytes patch = r.blob();
-        if (opts_.heap != nullptr) {
-          obs::ScopedPhase absorb(obs::Phase::kAbsorb, race_id_);
-          win.pages_absorbed = opts_.heap->apply_patch(patch);
-        }
+        obs::ScopedPhase absorb(obs::Phase::kAbsorb, race_id_);
+        const std::optional<std::size_t> pages =
+            absorb_winner(first_ready, r, deadline);
+        if (!pages.has_value()) continue;  // void: the race goes on
+        win.pages_absorbed = *pages;
       }
       verdict_ = std::move(win);
       verdict_kind_ = WaitVerdict::kWinner;
@@ -421,6 +464,9 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
       break;
     }
     if (Clock::now() >= deadline) {
+      // A heap winner whose frame is already out is taken, not killed: the
+      // kill would take the pages its frame names.
+      if (poll_frames()) continue;
       // TIMEOUT: presume no alternative will succeed (section 3.2). A frame
       // that raced in before the kill is still honoured on the next pass.
       arm_phase.end();
@@ -470,10 +516,132 @@ Bytes AltGroup::take_frame(std::size_t i) {
   Slot& slot = slots_[i];
   std::optional<Bytes> frame = read_frame(slot.result.read_end.get());
   ALTX_REQUIRE(frame.has_value(), "AltGroup: result pipe ready but empty");
-  slot.result.read_end.reset();  // one frame per child
+  // One frame per child, except that a heap winner may be asked for a patch
+  // frame after it (absorb_winner).
+  if (opts_.heap == nullptr) slot.result.read_end.reset();
   slot.ready = false;
   slot.delivered = true;
   return std::move(*frame);
+}
+
+std::optional<std::size_t> AltGroup::absorb_winner(
+    std::size_t i, ByteReader& r, Clock::time_point deadline) {
+  const Fd result = std::move(slots_[i].result.read_end);
+  const std::uint32_t n = r.u32();
+  ALTX_REQUIRE(n <= opts_.heap->pages(), "AltGroup: bad page-run count");
+  std::vector<PageRun> runs(n);
+  for (PageRun& run : runs) {
+    run.first = r.u32();
+    run.count = r.u32();
+  }
+  // The child is unreaped (record_exit voids the frame of a reaped one), so
+  // its pid still names it, if only as a zombie.
+  std::optional<std::size_t> pulled;
+  try {
+    pulled = opts_.heap->absorb_from(status_[i].pid, runs);
+  } catch (const SystemError& e) {
+    if (e.code() != ESRCH) throw;
+    // Killed, by us or not, between its frame and the pull: the pages died
+    // with it, and it reads as whatever that death means.
+    slots_[i].delivered = false;
+    return std::nullopt;
+  }
+  if (pulled.has_value()) {
+    release_winner(kReleaseExit);
+    return pulled;
+  }
+  // No pull: the winner sends its pages as a patch frame instead.
+  release_winner(kReleaseSendPatch);
+  const std::optional<Bytes> patch = await_patch(i, result, deadline);
+  if (!patch.has_value()) {
+    // No whole frame: the winner died mid-frame, or is still at it past the
+    // deadline, where it is killed as hung.
+    Slot& slot = slots_[i];
+    slot.delivered = false;
+    if (slot.kill_fate == ChildFate::kRunning && Clock::now() >= deadline) {
+      kill_child(i, ChildFate::kHung, std::chrono::milliseconds(0));
+    }
+    return std::nullopt;
+  }
+  return opts_.heap->apply_patch(*patch);
+}
+
+std::optional<Bytes> AltGroup::await_patch(std::size_t i, const Fd& result,
+                                           Clock::time_point deadline) {
+  // Non-blocking reads between polls of the pipe and the winner's pidfd: a
+  // winner that dies mid-frame ends the wait even when a child forked by
+  // another thread still holds the pipe's write end, so EOF never comes.
+  const int fd = result.get();
+  const int flags = ::fcntl(fd, F_GETFL);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+    throw_errno("fcntl(O_NONBLOCK)");
+  }
+  const Fd& pidfd = slots_[i].pidfd;
+  std::uint64_t len = 0;
+  Bytes patch;
+  bool header = true;
+  std::size_t got = 0;
+  bool exited = false;
+  while (true) {
+    auto* dst = header ? reinterpret_cast<std::uint8_t*>(&len) : patch.data();
+    const std::size_t want = header ? sizeof len : patch.size();
+    if (got == want) {
+      if (!header) return patch;
+      header = false;
+      got = 0;
+      patch.resize(len);
+      continue;
+    }
+    const ssize_t r = ::read(fd, dst + got, want - got);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+      continue;
+    }
+    if (r == 0) return std::nullopt;  // EOF mid-frame
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN) throw_errno("read");
+    // The pipe is drained; a winner that has exited wrote all it ever will.
+    if (exited || Clock::now() >= deadline) return std::nullopt;
+    pollfd fds[2] = {{fd, POLLIN, 0}, {pidfd.get(), POLLIN, 0}};
+    const nfds_t nfds = pidfd.valid() ? 2 : 1;
+    auto wait = std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                             Clock::now());
+    if (!pidfd.valid()) wait = std::min(wait, kBlindPoll);
+    const int timeout_ms = static_cast<int>(std::clamp<long long>(
+        wait.count(), 0, std::numeric_limits<int>::max()));
+    if (::poll(fds, nfds, timeout_ms) < 0 && errno != EINTR) {
+      throw_errno("poll");
+    }
+    if (pidfd.valid()) {
+      exited = fds[1].revents != 0;
+    } else {
+      siginfo_t info{};
+      exited = ::waitid(P_PID, static_cast<id_t>(status_[i].pid), &info,
+                        WEXITED | WNOHANG | WNOWAIT) == 0 &&
+               info.si_pid != 0;
+    }
+  }
+}
+
+void AltGroup::release_winner(std::uint8_t ask) {
+  if (!release_.write_end.valid()) return;
+  // The parent still holds the read end, so this write never meets a
+  // closed pipe, whether or not a winner lives to read it.
+  write_all(release_.write_end.get(), &ask, 1);
+  release_ = Pipe{};
+}
+
+bool AltGroup::poll_frames() {
+  if (opts_.heap == nullptr) return false;
+  bool found = false;
+  for (Slot& slot : slots_) {
+    if (slot.result.read_end.valid() && !slot.ready &&
+        has_data(slot.result.read_end.get())) {
+      slot.ready = true;
+      found = true;
+    }
+  }
+  return found;
 }
 
 void AltGroup::wait_cohort(Clock::time_point deadline) {
@@ -553,7 +721,15 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
   if (gov == nullptr || live_arms == 0) return next;
 
   const GovernorConfig& cfg = gov->config();
+  bool frames_polled = false;
   auto kill_arm = [&](std::size_t i, GovKillReason reason) {
+    // A heap arm whose frame is already out is the winner, not a kill: the
+    // next cohort wait returns at once and the race takes it.
+    if (!frames_polled) {
+      frames_polled = true;
+      if (poll_frames()) next = now;
+      if (!live(i)) return;
+    }
     governed_kill(i, reason);
     --live_arms;
     next = std::min(next, slots_[i].term_deadline);
@@ -698,6 +874,10 @@ bool AltGroup::all_reaped() const {
 }
 
 void AltGroup::reap_all() {
+  // A heap winner exits only on its release byte, which no teardown path
+  // may forget to send: EOF never comes while a child forked elsewhere in
+  // this process holds a copy of the write end.
+  release_winner(kReleaseExit);
   for (std::size_t i = 0; i < status_.size(); ++i) {
     if (!reaped(i)) reap(i, 0);
   }
@@ -719,6 +899,13 @@ void AltGroup::record_exit(std::size_t i, int status,
   if (slot.result.read_end.valid() && !slot.ready) {
     slot.ready = has_data(slot.result.read_end.get());
     if (!slot.ready) slot.result.read_end.reset();
+  }
+  // A heap frame that a verdict has yet to take is void: the pages it names
+  // died with the child, which lost. After the verdict a frame left over is
+  // a second commit (the at-most-once breach the checker hunts) and counts.
+  if (slot.ready && opts_.heap != nullptr && !decided_) {
+    slot.ready = false;
+    slot.result.read_end.reset();
   }
   const bool killed = slot.kill_fate != ChildFate::kRunning;
   st.usage = usage;

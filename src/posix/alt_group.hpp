@@ -21,6 +21,24 @@
 // later children find the pipe empty and are "too late" (section 3.2.1) —
 // they terminate themselves.
 //
+// Absorbing a heap (AltGroupOptions::heap): the winner's frame carries its
+// result and its dirty pages as runs, not the pages' bytes, and the winner
+// then waits on the group's release pipe. The parent reads the runs
+// straight out of the winner's arena (AltHeap::absorb_from, one
+// process_vm_readv) and writes the release byte; where the kernel refuses
+// the pull, or there are more runs than one call takes, the byte asks for a
+// patch frame instead, which the parent reads — polling the winner's pidfd
+// too, and no later than the deadline — and applies. The release is always
+// an explicit byte, never EOF — a child forked by another thread may hold
+// the write end — and reap_all sends it before any wait for a child, so no
+// teardown path (destructor, abandoned cohort, an exception out of the
+// pull) waits on a winner that is waiting for it. A winner whose parent
+// dies notices through getppid() and exits. Since a heap winner's pages
+// live only as long as it does, no kill — at the deadline or by the
+// governor — is sent to a child whose frame is already out, and a frame
+// whose sender died before the pull is void: that child lost. A group
+// without a heap writes its frame and exits as it always did.
+//
 // The cohort wait: each child has a result pipe of its own and, in the
 // parent, a pidfd. One poll(2) set over those descriptors wakes the parent
 // when a result arrives or a child exits, and every wait the group does —
@@ -282,7 +300,8 @@ class AltGroup {
 
   /// Parent-side descriptors of one child, parallel to status_.
   struct Slot {
-    Pipe result;  // child -> parent: payload + heap patch, one frame at most
+    Pipe result;  // child -> parent: payload + heap page runs, one frame
+                  // (a heap winner refused the pull sends a patch after it)
     Fd pidfd;     // readable once the child exits; invalid = poll blind
     Clock::time_point spawned;  // fork returned; budgets count from here
     // What our kill means: kHung (deadline), kEliminated, or — governed —
@@ -297,9 +316,29 @@ class AltGroup {
 
   /// child_commit / child_deliver / child_abort (result == nullptr).
   [[noreturn]] void child_sync(const Bytes* result, bool take_token);
+  /// Heap winner, frame sent: waits for the release byte, and sends its
+  /// patch frame when the byte asks for one. Returns if the parent dies.
+  void await_release();
   /// alt_wait / alt_wait_all: wait for the verdict, eliminate, account.
   void settle(std::chrono::milliseconds timeout, bool collect_all);
   Bytes take_frame(std::size_t i);  // reads child i's one frame
+  /// Absorbs winner i's page runs, read from its frame: pulled out of its
+  /// arena, or patched in from a frame it sends when the pull is refused.
+  /// Releases the winner either way and returns the pages absorbed, or
+  /// nullopt when the winner died with its pages (or, asked for a patch,
+  /// sent none by `deadline` and was killed): its frame is then void.
+  std::optional<std::size_t> absorb_winner(std::size_t i, ByteReader& r,
+                                           Clock::time_point deadline);
+  /// Reads the patch frame winner i was asked for from `result`, until the
+  /// frame is whole, the winner exits or `deadline` passes (nullopt).
+  std::optional<Bytes> await_patch(std::size_t i, const Fd& result,
+                                   Clock::time_point deadline);
+  /// Writes the group's one release byte; no-op once sent or without a heap.
+  void release_winner(std::uint8_t ask);
+  /// Heap groups: marks every result pipe that holds a frame ready, without
+  /// waiting, so no kill reaches a winner whose frame is already out.
+  /// Returns whether it found one.
+  bool poll_frames();
   /// The cohort's one wait: sends every kill that is due, then polls every
   /// open result pipe and every unreaped child's pidfd until one is ready,
   /// `deadline` passes or the next kill falls due, marks frames ready, and
@@ -340,6 +379,8 @@ class AltGroup {
   bool accounted_ = false;  // kSpecReport emitted / metrics rolled up
   Pipe token_;   // 0-1 semaphore: one byte, first reader commits
   Fd out_;       // child side: the write end of its own result pipe
+  Pipe release_;  // heap groups: parent -> winner, one byte (reap_all)
+  pid_t parent_ = 0;  // child side: the process that forked it
   std::vector<Bytes> results_;  // collect-all: delivered payloads
   int my_index_ = 0;  // 0 in parent
   std::uint64_t child_run_t0_ = 0;  // child side: arm_run span begin

@@ -1,9 +1,12 @@
 #include "posix/alt_heap.hpp"
 
+#include <limits.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace altx::posix {
@@ -107,6 +110,66 @@ bool AltHeap::handle_fault(void* addr) {
   }
   dirty_.push_back(static_cast<std::uint32_t>(page));
   return true;
+}
+
+std::vector<PageRun> AltHeap::dirty_runs() const {
+  std::vector<std::uint32_t> pages = dirty_;
+  std::sort(pages.begin(), pages.end());
+  std::vector<PageRun> runs;
+  for (std::uint32_t page : pages) {
+    if (!runs.empty() && runs.back().first + runs.back().count == page) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({page, 1});
+    }
+  }
+  return runs;
+}
+
+std::optional<std::size_t> AltHeap::absorb_from(
+    pid_t winner, const std::vector<PageRun>& runs) {
+  // One call or none: the call holds the winner's address space for its
+  // whole run, so a kill cannot leave half the pages copied.
+  if (runs.empty()) return 0;
+  if (runs.size() > static_cast<std::size_t>(IOV_MAX)) return std::nullopt;
+  std::vector<iovec> iov;
+  iov.reserve(runs.size());
+  std::size_t pages = 0;
+  for (const PageRun& run : runs) {
+    ALTX_REQUIRE(run.count >= 1 && run.first < pages_ &&
+                     run.count <= pages_ - run.first,
+                 "AltHeap::absorb_from: run out of range");
+    iov.push_back({static_cast<std::uint8_t*>(base_) + run.first * page_size_,
+                   run.count * page_size_});
+    pages += run.count;
+  }
+  if (tracking_) {
+    // This process is itself an arm: open the destination pages and record
+    // them, or its own commit would not carry them on.
+    std::vector<bool> recorded(pages_, false);
+    for (std::uint32_t page : dirty_) recorded[page] = true;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      if (::mprotect(iov[k].iov_base, iov[k].iov_len,
+                     PROT_READ | PROT_WRITE) != 0) {
+        throw_errno("mprotect(RW)");
+      }
+      for (std::uint32_t p = runs[k].first; p < runs[k].first + runs[k].count;
+           ++p) {
+        if (!recorded[p]) dirty_.push_back(p);
+      }
+    }
+  }
+  // Same address on both sides: each run is its own remote iovec too.
+  const ssize_t got = ::process_vm_readv(
+      winner, iov.data(), iov.size(), iov.data(), iov.size(), 0);
+  if (got < 0) {
+    if (errno == EPERM || errno == ENOSYS) return std::nullopt;
+    throw_errno("process_vm_readv");
+  }
+  if (static_cast<std::size_t>(got) != pages * page_size_) {
+    throw SystemError("process_vm_readv: truncated pull", EIO);
+  }
+  return pages;
 }
 
 Bytes AltHeap::serialize_dirty() const {

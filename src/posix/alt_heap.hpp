@@ -8,17 +8,28 @@
 // read-protected and catching the first write to each page with a SIGSEGV
 // handler that records the page and opens it up.
 //
-// At synchronization the winning child ships exactly its dirty pages through
-// a pipe; the parent patches them into its own arena, which is the absorb
-// step ("atomically replacing its page pointer with that of the child") at
-// page granularity.
+// At synchronization the winning child sends only its dirty pages, sorted
+// and merged into runs, and waits. The arena sits at the same address in
+// both processes, so the parent reads every run straight out of the
+// winner's arena into its own with one process_vm_readv (absorb_from) —
+// the absorb step ("atomically replacing its page pointer with that of the
+// child") at page granularity, with one copy per page. Where the kernel
+// refuses the pull (Yama ptrace scope 2, a seccomp filter, a non-dumpable
+// child) or there are more runs than one call takes, the winner instead
+// serialises its pages (serialize_dirty) and the parent patches them in
+// (apply_patch). An arena that is itself tracked — an arm running a nested
+// block over the same heap — opens and records the pulled pages first, so
+// its own commit carries them on.
 //
 // The same tracking runs over a file: FileHeap (posix/file_heap.hpp) is an
 // AltHeap whose arena maps a file's descriptor instead of anonymous memory.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -26,6 +37,12 @@
 #include "posix/fd.hpp"
 
 namespace altx::posix {
+
+/// Consecutive arena pages [first, first + count).
+struct PageRun {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
 
 class AltHeap {
  public:
@@ -58,8 +75,23 @@ class AltHeap {
     return dirty_;
   }
 
+  /// The dirty pages, sorted and merged into runs: what a winner sends.
+  [[nodiscard]] std::vector<PageRun> dirty_runs() const;
+
   /// Serialises the dirty pages (index + contents) for the commit pipe.
   [[nodiscard]] Bytes serialize_dirty() const;
+
+  /// Parent side: copies `runs` of process `winner`'s arena — a fork of
+  /// this one, so at the same address — into this arena with one
+  /// process_vm_readv, and returns the number of pages copied. Returns
+  /// nullopt, having copied nothing, when the pull is unavailable: more runs
+  /// than one call takes, or the kernel refuses it (EPERM, ENOSYS); the
+  /// caller then falls back to a patch. Throws SystemError when the call
+  /// fails otherwise or comes up short. While tracking, the runs' pages are
+  /// opened and recorded dirty first: the kernel's writes bypass the fault
+  /// handler.
+  std::optional<std::size_t> absorb_from(pid_t winner,
+                                         const std::vector<PageRun>& runs);
 
   /// Parent side: applies a winner's dirty pages to this arena.
   /// Returns the number of pages patched.

@@ -26,14 +26,14 @@ namespace {
 
 using namespace std::chrono_literals;
 
-GovernorConfig watchdog_config() {
+GovernorConfig default_config() {
   GovernorConfig gc;
   return gc;
 }
 
 TEST(Governor, WallBudgetOverrunIsKilledAndClassified) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = watchdog_config();
+  GovernorConfig gc = default_config();
   gc.arm_wall_budget = 60ms;
   SpeculationGovernor gov(gc);
 
@@ -56,7 +56,7 @@ TEST(Governor, WallBudgetOverrunIsKilledAndClassified) {
 
 TEST(Governor, CpuBudgetCatchesASpinningArm) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = watchdog_config();
+  GovernorConfig gc = default_config();
   gc.arm_cpu_budget = 50ms;
   SpeculationGovernor gov(gc);
 
@@ -78,7 +78,7 @@ TEST(Governor, CpuBudgetCatchesASpinningArm) {
 
 TEST(Governor, SigtermGraceEscalatesToSigkillForDeafArms) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = watchdog_config();
+  GovernorConfig gc = default_config();
   gc.arm_wall_budget = 40ms;
   gc.kill_grace = 15ms;
   SpeculationGovernor gov(gc);
@@ -100,7 +100,7 @@ TEST(Governor, SigtermGraceEscalatesToSigkillForDeafArms) {
 
 TEST(Governor, CooperativeArmDiesInsideTheGraceWindow) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = watchdog_config();
+  GovernorConfig gc = default_config();
   gc.arm_wall_budget = 40ms;
   gc.kill_grace = 200ms;
   SpeculationGovernor gov(gc);

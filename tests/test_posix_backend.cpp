@@ -4,9 +4,18 @@
 //
 // These use genuine fork(); each test finishes in well under a second.
 #include <gtest/gtest.h>
+#include <linux/audit.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#include <sys/uio.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <chrono>
 #include <vector>
 
@@ -14,6 +23,7 @@
 #include "posix/alt_group.hpp"
 #include "posix/alt_heap.hpp"
 #include "posix/checkpoint.hpp"
+#include "posix/governor.hpp"
 #include "posix/measure.hpp"
 #include "posix/race.hpp"
 
@@ -321,6 +331,203 @@ TEST(AltHeap, LoserWritesNeverReachParent) {
   EXPECT_EQ(r->winner, 1);
   EXPECT_EQ(*a, 5u);
   EXPECT_EQ(*b, 0u);  // loser's page never patched in
+}
+
+TEST(AltHeap, NestedWinnerPagesReachTheTopParent) {
+  // An arm runs a block of its own over the same heap. Its inner winner's
+  // page lands in the arm's tracked arena by a kernel write, which no fault
+  // handler sees; the arm's own commit must still carry it to the top.
+  AltHeap heap(16);
+  auto word = [&heap](std::size_t p) {
+    return heap.at<std::uint64_t>(p * heap.page_size());
+  };
+  RaceOptions opts;
+  opts.heap = &heap;
+  auto r = race<int>(
+      {
+          [&]() -> std::optional<int> {
+            auto inner = race<int>(
+                {[&]() -> std::optional<int> {
+                  word(5)[0] = 55;
+                  return 1;
+                }},
+                opts);
+            if (!inner.has_value() || inner->pages_absorbed != 1) {
+              return std::nullopt;
+            }
+            word(7)[0] = 77;
+            return 1;
+          },
+      },
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->pages_absorbed, 2u);
+  EXPECT_EQ(word(5)[0], 55u);
+  EXPECT_EQ(word(7)[0], 77u);
+  EXPECT_EQ(word(6)[0], 0u);
+}
+
+/// Makes every later process_vm_readv of this process fail with EPERM, the
+/// way a seccomp policy can. False where the filter cannot be installed.
+bool deny_process_vm_readv() {
+#if defined(__x86_64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_AARCH64;
+#else
+  return false;
+#endif
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_process_vm_readv, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | (EPERM & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog prog{static_cast<unsigned short>(std::size(filter)), filter};
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) == 0;
+}
+
+TEST(AltHeap, AbsorbFallsBackWhenThePullIsDenied) {
+  // The filter stays with the process that installs it, so a forked helper
+  // installs it and runs the race; its exit code is the verdict.
+  enum : int { kOk = 0, kWrong = 1, kNoFilter = 2, kThrew = 3 };
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int code = kThrew;
+    try {
+      if (!deny_process_vm_readv()) _exit(kNoFilter);
+      std::uint64_t probe = 0;
+      iovec v{&probe, sizeof probe};
+      if (::process_vm_readv(::getpid(), &v, 1, &v, 1, 0) != -1 ||
+          errno != EPERM) {
+        _exit(kNoFilter);
+      }
+      AltHeap heap(32);
+      const std::size_t psz = heap.page_size();
+      for (std::size_t p = 0; p < heap.pages(); ++p) {
+        heap.at<std::uint64_t>(p * psz)[0] = p;
+      }
+      RaceOptions opts;
+      opts.heap = &heap;
+      const std::vector<std::size_t> written = {3, 4, 5, 9, 20, 31};
+      auto r = race<int>(
+          {
+              [&]() -> std::optional<int> {
+                for (std::size_t p : written) {
+                  auto* w = heap.at<std::uint64_t>(p * psz);
+                  w[0] = 1000 + p;
+                  w[psz / sizeof(std::uint64_t) - 1] = 2000 + p;
+                }
+                return 1;
+              },
+              [&]() -> std::optional<int> {
+                heap.at<std::uint64_t>(0)[0] = 666;
+                ::usleep(300'000);
+                return 2;
+              },
+          },
+          opts);
+      bool ok = r.has_value() && r->winner == 1 &&
+                r->pages_absorbed == written.size();
+      for (std::size_t p = 0; ok && p < heap.pages(); ++p) {
+        const auto* w = heap.at<std::uint64_t>(p * psz);
+        const bool dirty =
+            std::find(written.begin(), written.end(), p) != written.end();
+        ok = dirty ? w[0] == 1000 + p && w[psz / sizeof(std::uint64_t) - 1] ==
+                                             2000 + p
+                   : w[0] == p;
+      }
+      code = ok ? kOk : kWrong;
+    } catch (...) {
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == kNoFilter) {
+    GTEST_SKIP() << "cannot install a seccomp filter here";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), kOk);
+}
+
+// A heap winner's pages live only as long as it does, so the window between
+// its frame reaching the pipe and the parent looking is where a kill would
+// take them. Each test below opens that window on purpose: the parent sleeps
+// while the arm writes its frame and waits for its release.
+
+TEST(AltHeap, FrameOutAtTheDeadlineIsTakenNotKilled) {
+  AltHeap heap(8);
+  auto* word = heap.at<std::uint64_t>(3 * heap.page_size());
+  AltGroupOptions opts;
+  opts.heap = &heap;
+  AltGroup g(opts);
+  if (g.alt_spawn(1) > 0) {
+    word[0] = 33;
+    g.child_commit(Bytes{1});
+  }
+  ::usleep(200'000);
+  const auto win = g.alt_wait(0ms);  // already past the deadline
+  ASSERT_TRUE(win.has_value());
+  EXPECT_EQ(win->pages_absorbed, 1u);
+  EXPECT_EQ(word[0], 33u);
+  EXPECT_EQ(g.count_fate(ChildFate::kCommitted), 1);
+}
+
+TEST(AltHeap, GovernedKillSparesAWinnerWhoseFrameIsOut) {
+  GovernorConfig gc;
+  gc.arm_wall_budget = 20ms;
+  SpeculationGovernor gov(gc);
+  AltHeap heap(8);
+  auto* word = heap.at<std::uint64_t>(2 * heap.page_size());
+  AltGroupOptions opts;
+  opts.heap = &heap;
+  opts.governor = &gov;
+  AltGroup g(opts);
+  if (g.alt_spawn(1) > 0) {
+    word[0] = 22;
+    g.child_commit(Bytes{1});
+  }
+  ::usleep(200'000);  // the wall budget is long spent when the wait starts
+  const auto win = g.alt_wait(5s);
+  ASSERT_TRUE(win.has_value());
+  EXPECT_EQ(win->pages_absorbed, 1u);
+  EXPECT_EQ(word[0], 22u);
+  EXPECT_EQ(g.count_fate(ChildFate::kOverBudget), 0);
+  EXPECT_EQ(gov.stats().kills_wall, 0u);
+}
+
+TEST(AltHeap, WinnerDeadBeforeThePullLosesWithoutThrowing) {
+  AltHeap heap(8);
+  auto* word = heap.at<std::uint64_t>(4 * heap.page_size());
+  word[0] = 1;
+  AltGroupOptions opts;
+  opts.heap = &heap;
+  AltGroup g(opts);
+  if (g.alt_spawn(1) > 0) {
+    word[0] = 44;
+    g.child_commit(Bytes{1});
+  }
+  ::usleep(200'000);
+  // Its frame is out, and then it dies before the parent looks: the frame
+  // names pages that no longer exist anywhere.
+  const pid_t pid = g.child_statuses()[0].pid;
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info,
+                     WEXITED | WNOWAIT),
+            0);
+  std::optional<AltWinner> win;
+  ASSERT_NO_THROW(win = g.alt_wait(5s));
+  EXPECT_FALSE(win.has_value());
+  EXPECT_EQ(g.verdict(), WaitVerdict::kAllFailed);
+  EXPECT_EQ(g.count_fate(ChildFate::kCrashed), 1);
+  EXPECT_EQ(word[0], 1u);
 }
 
 // ---------------------------------------------------------------------------

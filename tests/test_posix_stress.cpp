@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <dirent.h>
+#include <limits.h>
 
 #include <chrono>
 
@@ -140,10 +141,13 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
   // Warm up, then assert the fd count is stable across 40 rounds of every
   // block shape — winner, all-fail, timeout, asynchronous elimination,
-  // await_all (won and failed), and governed kills (wall budget, predicted,
-  // SIGTERM grace) — so every per-child result pipe and pidfd is shown to
-  // close on every path. The thread count is taken before the governors
-  // are built: governing a block starts no thread.
+  // await_all (won and failed), governed kills (wall budget, predicted,
+  // SIGTERM grace), and heap blocks (a bulk pull, a zero-dirty win, a
+  // timeout, and the patch fallback past IOV_MAX runs) — so every result
+  // pipe, every pidfd and the heap group's release pipe are shown to close
+  // on every path.
+  // The thread count is taken before the governors are built: governing a
+  // block starts no thread.
   (void)race<int>({[] { return std::optional<int>(0); }});
   const int threads_before = thread_count();
   ASSERT_GT(threads_before, 0);
@@ -178,6 +182,14 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   pred.planner = &planner;
   RaceReport pred_report;
   pred.report = &pred_report;
+  // Every other page of this arena is one run more than a pull takes.
+  constexpr std::size_t kFallbackRuns = IOV_MAX + 1;
+  AltHeap heap(2 * kFallbackRuns);
+  const std::size_t psz = heap.page_size();
+  RaceOptions with_heap;
+  with_heap.heap = &heap;
+  RaceOptions heap_timeout = with_heap;
+  heap_timeout.timeout = 5ms;
   for (int i = 0; i < 40; ++i) {
     auto r = race<int>({
         [i] { return std::optional<int>(i); },
@@ -228,6 +240,45 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
                     pred)
                     .has_value());
     EXPECT_EQ(pred_report.predicted_losers, 1);
+    auto bulk = race<int>(
+        {
+            [&heap, psz, i]() -> std::optional<int> {
+              for (std::size_t p = 0; p < 64; ++p) {
+                heap.at<std::uint64_t>((p + 1) * psz)[0] = p + i;
+              }
+              return 1;
+            },
+            [] { ::sleep(10); return std::optional<int>(2); },
+        },
+        with_heap);
+    ASSERT_TRUE(bulk.has_value());
+    EXPECT_EQ(bulk->pages_absorbed, 64u);
+    EXPECT_EQ(heap.at<std::uint64_t>(64 * psz)[0],
+              static_cast<std::uint64_t>(63 + i));
+    auto clean = race<int>({[] { return std::optional<int>(3); }}, with_heap);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_EQ(clean->pages_absorbed, 0u);
+    EXPECT_FALSE(race<int>(
+                     {[&heap] {
+                       heap.at<std::uint64_t>(0)[0] = 666;
+                       ::sleep(10);
+                       return std::optional<int>(1);
+                     }},
+                     heap_timeout)
+                     .has_value());
+    EXPECT_EQ(heap.at<std::uint64_t>(0)[0], 0u);
+    auto fallback = race<int>(
+        {[&heap, psz, i]() -> std::optional<int> {
+          for (std::size_t p = 0; p < heap.pages(); p += 2) {
+            heap.at<std::uint64_t>(p * psz)[1] = p + i;
+          }
+          return 4;
+        }},
+        with_heap);
+    ASSERT_TRUE(fallback.has_value());
+    EXPECT_EQ(fallback->pages_absorbed, kFallbackRuns);
+    EXPECT_EQ(heap.at<std::uint64_t>(2 * psz)[1],
+              static_cast<std::uint64_t>(2 + i));
   }
   EXPECT_EQ(open_fd_count(), before);
   EXPECT_EQ(thread_count(), threads_before);
@@ -291,6 +342,35 @@ TEST(PosixStress, HeapAbsorptionWithManyDirtyPages) {
   EXPECT_EQ(r->pages_absorbed, 128u);
   EXPECT_EQ(heap.at<std::uint64_t>(10 * heap.page_size())[0], 10u);
   EXPECT_EQ(heap.at<std::uint64_t>(11 * heap.page_size())[0], 0u);
+}
+
+TEST(PosixStress, HeapAbsorptionBeyondIovMaxRuns) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/8, /*address_mb=*/512);
+  // Every other page of a 4096-page arena: 2048 runs, more than one
+  // process_vm_readv takes, so the pages come over as a patch instead.
+  constexpr std::size_t kPages = 4096;
+  AltHeap heap(kPages);
+  const std::size_t psz = heap.page_size();
+  RaceOptions opts;
+  opts.heap = &heap;
+  auto r = race<int>(
+      {
+          [&]() -> std::optional<int> {
+            for (std::size_t p = 0; p < kPages; p += 2) {
+              heap.at<std::uint64_t>(p * psz)[0] = p + 1;
+            }
+            return 1;
+          },
+      },
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->pages_absorbed, kPages / 2);
+  std::size_t wrong = 0;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    const std::uint64_t want = p % 2 == 0 ? p + 1 : 0;
+    if (heap.at<std::uint64_t>(p * psz)[0] != want) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(PosixStress, TimeoutWithHeapLeavesArenaUntouched) {

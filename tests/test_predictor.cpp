@@ -431,7 +431,7 @@ TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
   // Arm 1 shrugs off the SIGTERM and commits inside the grace window; the
   // cold arm 2 keeps the census at two so the kill is even attempted. Same
   // precedence rule as kOverBudget: a commit that won the token is a
-  // commit, whatever the watchdog was doing.
+  // commit, whatever the governed wait was doing.
   const auto r = race<int>(
       {[]() -> std::optional<int> {
          ::signal(SIGTERM, SIG_IGN);
@@ -593,8 +593,8 @@ TEST(Predictor, EnvConfigRoundTrip) {
   ::unsetenv("ALTX_PRED_MIN_SAMPLES");
   ::unsetenv("ALTX_PRED_MAX_STAGE_MS");
   EXPECT_FALSE(PredictorConfig::from_env().enabled);
-  // ALTX_PRED also arms the governor's predict_watch, so the watchdog runs
-  // (and the live census is complete) even with no ALTX_GOV_* budget set.
+  // ALTX_PRED also arms the governor's predict_watch, so every group is
+  // governed (and its live census complete) with no ALTX_GOV_* budget set.
   ::setenv("ALTX_PRED", "1", 1);
   EXPECT_TRUE(GovernorConfig::from_env().predict_watch);
   EXPECT_TRUE(GovernorConfig::from_env().any_enabled());
