@@ -6,8 +6,8 @@
 // more concurrent blocks than the token budget allows — T submitter threads,
 // each racing 4-alternative blocks against a fixed budget of 8 child tokens —
 // and measures how the system degrades: throughput, block latency, how many
-// blocks fell back to serialized execution, and how many runaway arms the
-// governed cohort wait contained.
+// blocks were granted fewer tokens than arms (and so ran k arms at a time),
+// and how many runaway arms the governed cohort wait contained.
 //
 // Two arm mixes per row:
 //   fast      — all four arms viable, 2-4 ms each. Contention cost only.
@@ -64,7 +64,6 @@ std::vector<AlternativeFn<int>> runaway_alts() {
 struct Run {
   Summary latency_ms;
   int succeeded = 0;
-  int degraded = 0;
   double blocks_per_s = 0;
   GovernorStats gov;
 };
@@ -78,7 +77,7 @@ Run run_row(int threads, bool with_runaways, SpeculationGovernor* gov) {
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       Summary local;
-      int ok = 0, deg = 0;
+      int ok = 0;
       for (int b = 0; b < kBlocksPerThread; ++b) {
         const bool runaway =
             with_runaways && (t * kBlocksPerThread + b) % kRunawayEvery == 0;
@@ -98,14 +97,10 @@ Run run_row(int threads, bool with_runaways, SpeculationGovernor* gov) {
         local.add(std::chrono::duration_cast<
                       std::chrono::duration<double, std::milli>>(dt)
                       .count());
-        if (r.has_value()) {
-          ++ok;
-          if (r->degraded) ++deg;
-        }
+        if (r.has_value()) ++ok;
       }
       std::lock_guard<std::mutex> lk(mu);
       out.succeeded += ok;
-      out.degraded += deg;
       for (double v : local.samples()) out.latency_ms.add(v);
     });
   }
@@ -125,18 +120,17 @@ int main() {
   std::printf("E16: admission control and arm containment under overload\n\n");
   std::printf("T threads × %d blocks each, 4 arms per fast block, against a\n"
               "budget of %d child tokens (80 ms wall budget, 1 ms SIGTERM\n"
-              "grace). Blocks denied admission degrade to serialized forked\n"
-              "execution; runaway arms are killed by the governed wait.\n\n",
+              "grace). A block granted k < 4 tokens runs k arms at a time;\n"
+              "runaway arms are killed by the governed wait.\n\n",
               kBlocksPerThread, kTokens);
 
-  Table t({"mix", "threads", "success", "degraded", "p50", "p95", "blocks/s",
+  Table t({"mix", "threads", "success", "narrowed", "p50", "p95", "blocks/s",
            "max in flight", "kills"});
   bench::Report report("e16_governor");
   for (const bool runaways : {false, true}) {
     for (const int threads : {2, 8, 16, 32}) {
       GovernorConfig gc;
       gc.tokens = kTokens;
-      gc.admit_wait = 50ms;
       gc.serial_admit_wait = 200ms;
       gc.arm_wall_budget = 80ms;
       gc.kill_grace = 1ms;
@@ -148,7 +142,7 @@ int main() {
       char success[32];
       std::snprintf(success, sizeof success, "%d/%d", r.succeeded, blocks);
       t.add_row({runaways ? "runaway" : "fast", std::to_string(threads),
-                 success, std::to_string(r.degraded),
+                 success, std::to_string(r.gov.narrowed),
                  Table::num(r.latency_ms.percentile(50)) + " ms",
                  Table::num(r.latency_ms.percentile(95)) + " ms",
                  Table::num(r.blocks_per_s, 1),
@@ -159,14 +153,13 @@ int main() {
           .param("tokens", static_cast<double>(kTokens))
           .param("blocks", static_cast<double>(blocks))
           .metric("success", r.succeeded)
-          .metric("degraded", r.degraded)
+          .metric("narrowed", static_cast<double>(r.gov.narrowed))
           .metric("blocks_per_s", r.blocks_per_s)
           .metric("max_in_flight", r.gov.max_in_flight)
           .metric("overdrafts", static_cast<double>(r.gov.overdrafts))
           .metric("kills_wall", static_cast<double>(r.gov.kills_wall))
           .metric("term_escalations",
                   static_cast<double>(r.gov.term_escalations))
-          .metric("denied", static_cast<double>(r.gov.denied))
           .latency(r.latency_ms);
     }
   }

@@ -16,7 +16,7 @@
 //   baseline — prediction off. The slow arms spin until the winner's commit
 //              kills them: ratio well above 1.
 //   warm     — prediction on over a pre-populated store. The slow arms are
-//              hedged and still asleep at commit time: ratio near 1.
+//              hedged and not yet forked at commit time: ratio near 1.
 //   cold     — prediction on over an empty store (every block a fresh
 //              site). The plan is inactive, so this is the control: within
 //              noise of baseline, proving the planner costs nothing before
@@ -94,7 +94,7 @@ Run run_row(Mode mode, int threads) {
   PredictorConfig pc;
   pc.enabled = true;
   // Stage far enough out that the leader's commit (spin + fork + pipe
-  // round-trip) lands while the hedged arms are still asleep.
+  // round-trip) lands before the hedged arms are forked.
   pc.stage_slack = 4.0;
   SpeculationPlanner planner(pc, store);
   if (mode == Mode::kWarm) {

@@ -51,10 +51,10 @@ struct RunOutcome {
 ///
 /// `governed` additionally runs the whole trial under a seed-derived
 /// SpeculationGovernor (a tight token budget, admission waits, a generous
-/// per-arm wall budget, sometimes a SIGTERM grace): admission denials must
-/// degrade blocks to serialized execution without ever changing the set of
-/// admissible outcomes, and the token cap must hold (overdrafts excepted) —
-/// checked as "governor-cap-exceeded".
+/// per-arm wall budget, sometimes a SIGTERM grace): blocks granted fewer
+/// tokens than arms run k arms at a time without ever changing the set of
+/// admissible outcomes or committing twice, and the token cap must hold
+/// (overdrafts excepted) — checked as "governor-cap-exceeded".
 ///
 /// `predicted` runs every block under a SpeculationPlanner fed a seed-derived
 /// *synthetic* history (per-block sites, per-arm warm/cold walls and success

@@ -222,30 +222,16 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     return std::nullopt;
   }
 
-  std::optional<altx::posix::RaceResult<std::uint64_t>> r;
-  bool degraded = false;
-  try {
-    r = altx::posix::race<std::uint64_t>(alts, opts);
-  } catch (const altx::posix::AdmissionTimeout&) {
-    // The governor refused this cohort its tokens — at ANY depth (a nested
-    // block inside a speculative child draws from the same shared pool).
-    // Escaping here would read as a failed guard and corrupt the oracle
-    // check, so degrade exactly like the supervisor does: serialized
-    // single-arm races, which keep loser isolation and can always make
-    // progress (single-token admissions overdraft).
-    degraded = true;
-    if (c.governor != nullptr) c.governor->note_degraded();
-    r = altx::posix::serialized_race<std::uint64_t>(alts, opts);
-  }
-  if (!degraded && report.committed > (r.has_value() ? 1 : 0)) {
+  // A governed block at any depth (a nested block inside a speculative
+  // child draws from the same shared pool) runs as one group, however few
+  // tokens it was granted, so this census covers every trial.
+  const auto r = altx::posix::race<std::uint64_t>(alts, opts);
+  if (report.committed > (r.has_value() ? 1 : 0)) {
     // Exactly-one-commit: a winner means precisely one committed child; a
     // FAIL means zero. Two commits is the paper's §3.2 invariant broken.
-    // (Serialized mode reuses `report` per arm, so the census only applies
-    // to the concurrent path.)
     c.score->report("at-most-once-commit");
   }
   if (r.has_value()) return ((r->winner - 1 + rot) % n) + 1;
-  if (degraded) return std::nullopt;  // every arm ran alone and said no
   if (report.verdict != altx::posix::WaitVerdict::kAllFailed ||
       report.over_budget > 0 || report.predicted_losers > 0) {
     // Timeout, a stray crash without injection, a governed budget kill (the
@@ -271,8 +257,8 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
   SharedScoreMap score;
 
   // Governed trials: a deliberately tight token budget (1..3 across the
-  // whole trial, nested blocks included) so admission denials and serialized
-  // degradation actually happen, a wall budget far above any legitimate
+  // whole trial, nested blocks included) so narrowed grants, arms forked as
+  // slots free and overdrafts actually happen, a wall budget far above any legitimate
   // arm's runtime so it only fires on a stalled machine, and sometimes a
   // SIGTERM grace so the escalation ladder gets exercised too. Built before
   // any fork so every child shares the MAP_SHARED pool.
@@ -281,8 +267,7 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
     altx::posix::GovernorConfig gc;
     if (governed) {
       gc.tokens = 1 + static_cast<int>(schedule_seed % 3);
-      gc.admit_wait = std::chrono::milliseconds(20);
-      // Short single-token patience: a nested serialized arm whose ancestors
+      // Short patience for a first token: a nested block whose ancestors
       // hold every token must overdraft quickly, or the waits pile up inside
       // the enclosing arm's wall budget.
       gc.serial_admit_wait = std::chrono::milliseconds(100);

@@ -26,16 +26,14 @@ const char* to_string(EventKind kind) {
     case EventKind::kSequentialFallback: return "sequential_fallback";
     case EventKind::kGovAdmitWait: return "gov_admit_wait";
     case EventKind::kGovAdmit: return "gov_admit";
-    case EventKind::kGovDeny: return "gov_deny";
     case EventKind::kGovKill: return "gov_kill";
     case EventKind::kGovBudget: return "gov_budget";
-    case EventKind::kGovDegrade: return "gov_degrade";
     case EventKind::kGovOverdraft: return "gov_overdraft";
+    case EventKind::kGovNarrow: return "gov_narrow";
     case EventKind::kPhaseBegin: return "phase_begin";
     case EventKind::kPhaseEnd: return "phase_end";
     case EventKind::kProfSample: return "prof_sample";
     case EventKind::kProfMap: return "prof_map";
-    case EventKind::kHedgeWake: return "hedge_wake";
     case EventKind::kAwaitBegin: return "await_begin";
     case EventKind::kAwaitTaskDone: return "await_task_done";
     case EventKind::kAwaitDecided: return "await_decided";

@@ -53,23 +53,17 @@ enum class EventKind : std::uint16_t {
   kBackoff = 18,      // a: attempt number about to run, b: backoff ms
   kSequentialFallback = 19,
 
-  // Resource governance (posix::SpeculationGovernor). Numbered around the
-  // pre-existing kHedgeWake = 24 — kinds are append-only, not contiguous.
+  // Resource governance (posix::SpeculationGovernor). Kinds are append-only,
+  // not contiguous: 22, 24 and 26 are retired.
   kGovAdmitWait = 20, // a: tokens requested, b: in flight, c: effective budget
   kGovAdmit = 21,     // a: tokens granted, b: in flight after, c: waited ns
-  kGovDeny = 22,      // a: tokens requested, b: waited ns
   kGovKill = 23,      // governed wait: a: pid, b: reason (0 wall, 1 cpu, 2 shed),
                       //   c: stage (0 = SIGTERM, 1 = SIGKILL)
-
-  // Hedging (posix::hedged).
-  kHedgeWake = 24,    // child side: a: copy index, after its stagger sleep
-
-  // Resource governance, continued.
   kGovBudget = 25,    // a: new effective budget, b: base budget,
                       //   c: pressure stall pct x100
-  kGovDegrade = 26,   // supervisor: admission denied, running serialized;
-                      //   a: alternatives
   kGovOverdraft = 27, // single-token liveness overdraft; a: in flight after
+  kGovNarrow = 53,    // a grant of fewer tokens than asked; a: tokens
+                      //   requested, b: tokens granted
 
   // Phase spans + sampling profiles (obs/phase.hpp, obs/profile.hpp).
   kPhaseBegin = 28,   // a: Phase id (obs::Phase); child_index 0 = parent span
@@ -103,9 +97,10 @@ enum class EventKind : std::uint16_t {
   // Prediction-driven speculation budgeting (posix::SpeculationPlanner).
   kPredPlan = 45,     // parent side, after spawn: a: arms launched now,
                       //   b: arms hedged (staged), c: arms skipped
-  kPredStage = 46,    // child side: a staged arm woke after its deferral
-                      //   sleep; a: stage delay ns, b: the arm's own
-                      //   predicted wall ns (0 = no history)
+  kPredStage = 46,    // parent side: the group forked an arm its launch
+                      //   schedule deferred (a planner hedge, a hedged()
+                      //   copy); a: start delay ns, b: the arm's kill
+                      //   deadline ns from launch (0 = none)
   kPredKill = 47,     // governed wait: arm overran its historical kill quantile;
                       //   a: pid, b: predicted kill quantile ns,
                       //   c: stage (0 = SIGTERM, 1 = SIGKILL)

@@ -27,12 +27,12 @@ constexpr EventKind kAllKinds[] = {
     EventKind::kAttemptBegin,  EventKind::kAttemptEnd,
     EventKind::kBackoff,       EventKind::kSequentialFallback,
     EventKind::kGovAdmitWait,  EventKind::kGovAdmit,
-    EventKind::kGovDeny,       EventKind::kGovKill,
-    EventKind::kGovBudget,     EventKind::kGovDegrade,
-    EventKind::kGovOverdraft,  EventKind::kPhaseBegin,
+    EventKind::kGovKill,       EventKind::kGovBudget,
+    EventKind::kGovOverdraft,  EventKind::kGovNarrow,
+    EventKind::kPhaseBegin,
     EventKind::kPhaseEnd,      EventKind::kProfSample,
     EventKind::kProfMap,
-    EventKind::kHedgeWake,     EventKind::kAwaitBegin,
+    EventKind::kAwaitBegin,
     EventKind::kAwaitTaskDone, EventKind::kAwaitDecided,
     EventKind::kSrvConnect,    EventKind::kSrvSubmit,
     EventKind::kSrvDeny,       EventKind::kSrvAssign,

@@ -152,8 +152,8 @@ struct PhaseBreakdown {
 };
 
 /// Reduces a record stream to per-race breakdowns. Only races that emitted
-/// kRaceBegin appear; races denied admission (no kRaceDecided) appear with
-/// decided == false and wall_ns == 0. The dangling-span audit keys spans by
+/// kRaceBegin appear; races never decided (no kRaceDecided: a fork failure,
+/// a cut-off trace) appear with decided == false and wall_ns == 0. The dangling-span audit keys spans by
 /// (node, race) — two stitched rings' colliding race counters cannot cancel
 /// each other — and by trace id when one is set, so a span whose begin and
 /// end landed in different rings counts as one cross-hop span, not two

@@ -144,7 +144,15 @@ AltGroup::~AltGroup() {
   }
 }
 
-int AltGroup::alt_spawn(int n) {
+int AltGroup::alt_spawn(int n) { return spawn(n); }
+
+void AltGroup::alt_spawn(int n, ArmBody body) {
+  ALTX_REQUIRE(body != nullptr, "AltGroup: alt_spawn needs an arm body");
+  body_ = std::move(body);
+  spawn(n);  // a child with a body never returns from here
+}
+
+int AltGroup::spawn(int n) {
   ALTX_REQUIRE(!spawned_, "AltGroup: alt_spawn called twice");
   ALTX_REQUIRE(n >= 1, "AltGroup: need at least one alternative");
   spawned_ = true;
@@ -157,17 +165,14 @@ int AltGroup::alt_spawn(int n) {
     obs::emit(obs::EventKind::kRaceBegin, race_id_, 0,
               static_cast<std::uint64_t>(n));
   }
+  cap_ = n;
   if (opts_.governor != nullptr) {
-    // Admission before any fork: either the whole cohort runs or none of it
-    // does. kDenied (n >= 2 after the bounded wait) is the degrade signal —
-    // the supervisor catches AdmissionTimeout and serializes the block.
+    // Admission before any fork: the grant k caps how many arms run at once.
     obs::ScopedPhase admission(obs::Phase::kAdmissionWait, race_id_);
-    if (opts_.governor->admit(n) == Admission::kDenied) {
-      spawned_ = false;  // nothing happened; the group may be retried
-      throw AdmissionTimeout(n);
-    }
-    tokens_held_ = n;
+    opts_.governor->admit(n, &cap_);
+    tokens_held_ = cap_;
   }
+  admitted_ = Clock::now();
   obs::ScopedPhase fork_phase(obs::Phase::kFork, race_id_);
   obs::prof_prewarm();  // stack bounds for the children's samplers
   absorb_first_clone();
@@ -186,11 +191,9 @@ int AltGroup::alt_spawn(int n) {
   // A heap group's winner waits for one byte on this pipe; only the token
   // holder ever reads it.
   if (opts_.heap != nullptr) release_ = Pipe::create();
-  // Every result pipe exists before the first fork; each child keeps only
-  // its own write end, and the parent drops that end once the child is
-  // forked, so a child that dies without a frame leaves EOF behind.
+  // Each arm's result pipe is made at its fork (fork_arm).
   slots_.resize(static_cast<std::size_t>(n));
-  for (Slot& slot : slots_) slot.result = Pipe::create();
+  status_.resize(static_cast<std::size_t>(n));
 
   // The census arena: one MAP_SHARED slot per child, created before any
   // fork so every child inherits the same mapping. A child deposits its
@@ -208,88 +211,143 @@ int AltGroup::alt_spawn(int n) {
     census_ = static_cast<CensusSlot*>(arena);  // MAP_ANONYMOUS: zeroed
   }
 
-  // status_ grows in lockstep with the forks so that a mid-loop failure
-  // can kill and reap exactly the children that exist.
-  status_.reserve(static_cast<std::size_t>(n));
+  // Arms the plan skipped never run; without a body neither do the arms it
+  // defers or those past the grant.
+  pending_ = n;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const std::uint64_t delay = delay_ns(i);
+    if (delay == ArmLaunch::kNever ||
+        (body_ == nullptr && (delay > 0 || static_cast<int>(i) >= cap_))) {
+      cancel(i, ChildFate::kAborted);
+    }
+  }
+  const int who = launch_due();
+  if (who > 0) fork_phase.cancel();  // only the parent ends its fork span
+  return who;
+}
 
-  const pid_t parent = ::getpid();
-  auto abandon_cohort = [this] {
-    kill_survivors(ChildFate::kEliminated);
-    reap_all();
-    release_remaining_tokens();
-  };
-
-  for (int i = 1; i <= n; ++i) {
-    const std::uint64_t fork_t0 = obs::enabled() ? obs::now_ns() : 0;
-    pid_t pid = -1;
-    for (int try_n = 0;; ++try_n) {
-      const bool injected =
-          opts_.fault != nullptr &&
-          opts_.fault->fork_fails(fault_attempt_, i, try_n);
-      if (!injected) {
-        pid = ::fork();
-        if (pid >= 0) break;
+int AltGroup::launch_due() {
+  const Clock::time_point now = Clock::now();
+  for (std::size_t i = 0; i < slots_.size() && running_ < cap_; ++i) {
+    if (!pending(i) || now < due_at(i)) continue;
+    if (fork_arm(i)) {
+      if (body_ == nullptr) return my_index_;
+      try {
+        body_(my_index_);
+      } catch (...) {
+        // An escaped exception is a failed guard, as in race().
       }
-      const int err = injected ? EAGAIN : errno;
-      // EAGAIN is pid/memory exhaustion and is often transient (a sibling
-      // cohort mid-teardown); retry in place, briefly and jittered, before
-      // abandoning the cohort to the supervisor's coarser backoff. The
-      // backoff is a cohort wait, so children of this group that exit
-      // meanwhile are reaped and give their pids back.
-      if (err != EAGAIN || try_n >= kForkRetries) {
-        abandon_cohort();
-        throw SystemError(injected ? "fork (injected fault)" : "fork", err);
-      }
-      const double u =
-          Rng((fault_attempt_ << 32) ^
-              (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL) ^
-              static_cast<std::uint64_t>(try_n))
-              .uniform();
-      const auto backoff = std::chrono::microseconds(
-          static_cast<long long>(1'000 + u * 9'000));
-      wait_cohort(Clock::now() + backoff);
-      if (obs::enabled()) {
-        obs::MetricsRegistry::global().counter("fork_eagain_retries").add();
-      }
+      child_abort();
     }
-    Slot& slot = slots_[static_cast<std::size_t>(i) - 1];
-    if (pid == 0) {
-      // Child: a COW copy of everything the parent had. It keeps the write
-      // end of its own result pipe and closes every other cohort
-      // descriptor. The parent's open fork span is cancelled — only the
-      // parent emits its end.
-      fork_phase.cancel();
-      my_index_ = i;
-      out_ = std::move(slot.result.write_end);
-      release_.write_end.reset();
-      parent_ = parent;
-      slots_.clear();
-      status_.clear();
-      if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
-      if (opts_.heap != nullptr) opts_.heap->begin_tracking();
-      obs::set_current_race(race_id_);
-      obs::prof_arm_child(race_id_, i);
-      obs::emit(obs::EventKind::kGuardStart, race_id_,
-                static_cast<std::int16_t>(i));
-      child_run_t0_ = obs::phase_begin(obs::Phase::kArmRun, race_id_,
-                                       static_cast<std::int16_t>(i));
-      return i;
+    if (delay_ns(i) > 0 && status_[i].pid > 0) {
+      // The one staged-launch event: an arm forked late, by its schedule.
+      obs::emit(obs::EventKind::kPredStage, race_id_,
+                static_cast<std::int16_t>(i + 1), delay_ns(i),
+                opts_.launch[i].kill_ns);
     }
-    slot.spawned = Clock::now();
-    slot.result.write_end.reset();
-    slot.pidfd = Fd(open_pidfd(pid));
-    if (obs::enabled()) {
-      const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
-      obs::emit(obs::EventKind::kFork, race_id_, static_cast<std::int16_t>(i),
-                static_cast<std::uint64_t>(pid), fork_ns);
-      obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
-    }
-    ChildStatus st;
-    st.pid = pid;
-    st.spawn_ns = obs::now_ns();
-    status_.push_back(st);
   }
   return 0;
+}
+
+AltGroup::Clock::time_point AltGroup::next_launch() const {
+  if (running_ >= cap_) return kNever;  // a reap wakes the wait instead
+  Clock::time_point next = kNever;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (pending(i)) next = std::min(next, due_at(i));
+  }
+  return next;
+}
+
+bool AltGroup::fork_arm(std::size_t i) {
+  const int arm = static_cast<int>(i) + 1;
+  Slot& slot = slots_[i];
+  // The child keeps the write end of its own result pipe; the parent drops
+  // it once the child is forked, so a child that dies without a frame
+  // leaves EOF behind.
+  slot.result = Pipe::create();
+  const pid_t parent = ::getpid();
+  const std::uint64_t fork_t0 = obs::enabled() ? obs::now_ns() : 0;
+  pid_t pid = -1;
+  for (int try_n = 0;; ++try_n) {
+    const bool injected = opts_.fault != nullptr &&
+                          opts_.fault->fork_fails(fault_attempt_, arm, try_n);
+    if (!injected) {
+      pid = ::fork();
+      if (pid >= 0) break;
+    }
+    const int err = injected ? EAGAIN : errno;
+    // EAGAIN is pid/memory exhaustion and is often transient (a sibling
+    // cohort mid-teardown); retry in place, briefly and jittered, before
+    // abandoning the cohort to the supervisor's coarser backoff. The
+    // backoff is a cohort wait, so children of this group that exit
+    // meanwhile are reaped and give their pids back.
+    if (err != EAGAIN || try_n >= kForkRetries) {
+      slot.result = Pipe{};
+      abandon();
+      throw SystemError(injected ? "fork (injected fault)" : "fork", err);
+    }
+    const double u =
+        Rng((fault_attempt_ << 32) ^
+            (static_cast<std::uint64_t>(arm) * 0x9e3779b97f4a7c15ULL) ^
+            static_cast<std::uint64_t>(try_n))
+            .uniform();
+    const auto backoff = std::chrono::microseconds(
+        static_cast<long long>(1'000 + u * 9'000));
+    wait_cohort(Clock::now() + backoff);
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global().counter("fork_eagain_retries").add();
+    }
+    if (!pending(i)) {  // shed while it waited: it is not forked at all
+      slot.result = Pipe{};
+      return false;
+    }
+  }
+  if (pid == 0) {
+    // Child: a COW copy of everything the parent had. It keeps the write
+    // end of its own result pipe and closes every other cohort descriptor.
+    my_index_ = arm;
+    out_ = std::move(slot.result.write_end);
+    release_.write_end.reset();
+    parent_ = parent;
+    slots_.clear();
+    status_.clear();
+    if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
+    if (opts_.heap != nullptr) opts_.heap->begin_tracking();
+    obs::set_current_race(race_id_);
+    obs::prof_arm_child(race_id_, arm);
+    obs::emit(obs::EventKind::kGuardStart, race_id_,
+              static_cast<std::int16_t>(arm));
+    child_run_t0_ = obs::phase_begin(obs::Phase::kArmRun, race_id_,
+                                     static_cast<std::int16_t>(arm));
+    return true;
+  }
+  slot.spawned = Clock::now();
+  slot.result.write_end.reset();
+  slot.pidfd = Fd(open_pidfd(pid));
+  if (obs::enabled()) {
+    const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
+    obs::emit(obs::EventKind::kFork, race_id_, static_cast<std::int16_t>(arm),
+              static_cast<std::uint64_t>(pid), fork_ns);
+    obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
+  }
+  status_[i].pid = pid;
+  status_[i].spawn_ns = obs::now_ns();
+  --pending_;
+  ++running_;
+  return false;
+}
+
+void AltGroup::cancel(std::size_t i, ChildFate fate) {
+  status_[i].fate = fate;
+  if (fate == ChildFate::kAborted) ++aborted_;
+  --pending_;
+  release_spare_tokens();
+}
+
+void AltGroup::abandon() {
+  kill_survivors(ChildFate::kEliminated);
+  reap_all();
+  release_remaining_tokens();
 }
 
 void AltGroup::child_commit(const Bytes& result) { child_sync(&result, true); }
@@ -478,7 +536,9 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
       called_off = true;
       continue;
     }
-    wait_cohort(deadline);
+    // Undecided: the arms now due take the slots freed so far.
+    launch_due();
+    wait_cohort(std::min(deadline, next_launch()));
   }
 
   decided_ = true;
@@ -651,8 +711,9 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
   std::vector<pollfd> fds;
   std::vector<std::pair<std::size_t, bool>> owner;
   bool blind = false;  // some live child has no pidfd
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
+    if (status_[i].pid < 0) continue;  // never forked
     if (slot.result.read_end.valid() && !slot.ready) {
       fds.push_back({slot.result.read_end.get(), POLLIN, 0});
       owner.emplace_back(i, false);
@@ -688,7 +749,7 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
     }
   }
   if (blind) {
-    for (std::size_t i = 0; i < status_.size(); ++i) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (!reaped(i) && !slots_[i].pidfd.valid()) reap(i, WNOHANG);
     }
   }
@@ -703,7 +764,7 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
     return false;
   };
   int live_arms = 0;
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (live(i)) ++live_arms;
     if (reaped(i) || slot.term_deadline == kNever || !due(slot.term_deadline)) {
@@ -734,8 +795,8 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
     --live_arms;
     next = std::min(next, slots_[i].term_deadline);
   };
-  for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!live(i)) continue;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!live(i) || pending(i)) continue;  // budgets count from the fork
     const Slot& slot = slots_[i];
     if (cfg.arm_wall_budget.count() > 0 &&
         due(slot.spawned + cfg.arm_wall_budget)) {
@@ -748,7 +809,7 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
     // mispredicting model must degrade to sequential, never to wedged), and
     // a deadline passed while it was the last stays unarmed.
     const std::uint64_t pred =
-        i < opts_.pred_kill_ns.size() ? opts_.pred_kill_ns[i] : 0;
+        i < opts_.launch.size() ? opts_.launch[i].kill_ns : 0;
     if (pred > 0 && live_arms >= 2 &&
         due(slot.spawned + std::chrono::nanoseconds(pred))) {
       kill_arm(i, GovKillReason::kPredicted);
@@ -767,17 +828,22 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
   // Pressure shedding, one arm per pressure_interval: the group's lowest-PI
   // live arm (the highest index — alternatives are PI-ordered), never its
   // last. Shedding a loser is indistinguishable from elimination, while
-  // starving the whole block would trade an outcome for memory.
+  // starving the whole block would trade an outcome for memory. A pending
+  // arm is shed by never forking it.
   if (live_arms >= 2 && due(next_shed_check_)) {
     next_shed_check_ =
         now + std::max(cfg.pressure_interval, std::chrono::milliseconds(1));
     next = std::min(next, next_shed_check_);
     if (gov->shedding()) {
-      for (std::size_t i = status_.size(); i-- > 0;) {
-        if (live(i)) {
+      for (std::size_t i = slots_.size(); i-- > 0;) {
+        if (!live(i)) continue;
+        if (pending(i)) {
+          cancel(i, ChildFate::kOverBudget);
+          gov->note_kill(GovKillReason::kShed, /*escalation=*/false);
+        } else {
           kill_arm(i, GovKillReason::kShed);
-          break;
         }
+        break;
       }
     }
   }
@@ -786,6 +852,7 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
 
 void AltGroup::kill_child(std::size_t i, ChildFate fate,
                           std::chrono::milliseconds grace) {
+  ALTX_REQUIRE(status_[i].pid > 0, "AltGroup: kill of an arm never forked");
   Slot& slot = slots_[i];
   slot.kill_fate = fate;
   if (grace.count() > 0) {
@@ -814,12 +881,13 @@ void AltGroup::emit_governed_kill(std::size_t i, std::uint64_t stage) const {
   obs::emit(predicted ? obs::EventKind::kPredKill : obs::EventKind::kGovKill,
             race_id_, static_cast<std::int16_t>(i + 1),
             static_cast<std::uint64_t>(status_[i].pid),
-            predicted ? opts_.pred_kill_ns[i]
+            predicted ? opts_.launch[i].kill_ns
                       : static_cast<std::uint64_t>(slots_[i].gov_reason),
             stage);
 }
 
 void AltGroup::reap(std::size_t i, int flags) {
+  if (status_[i].pid < 0) return;  // never forked: nothing to wait for
   int status = 0;
   struct rusage ru {};
   if (wait4_eintr(status_[i].pid, &status, flags, &ru) == status_[i].pid) {
@@ -845,10 +913,12 @@ void AltGroup::kill_survivors(ChildFate fate) {
   // Children that delivered are on their way out through _exit(0) and are
   // only reaped; children already killed keep the fate of that first kill.
   const std::chrono::milliseconds grace = kill_grace();
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
-    if (!reaped(i) && !slot.delivered &&
-        slot.kill_fate == ChildFate::kRunning) {
+    if (pending(i)) {
+      cancel(i, fate);  // ends unforked: no process to signal
+    } else if (!reaped(i) && !slot.delivered &&
+               slot.kill_fate == ChildFate::kRunning) {
       kill_child(i, fate, grace);
     }
   }
@@ -858,7 +928,7 @@ void AltGroup::kill_survivors(ChildFate fate) {
   // kill's window included. Children reaped meanwhile keep the normal fate
   // pipeline: a SIGTERM death is still "we killed it".
   auto term_pending = [this] {
-    for (std::size_t i = 0; i < status_.size(); ++i) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (!reaped(i) && slots_[i].term_deadline != kNever) return true;
     }
     return false;
@@ -867,7 +937,7 @@ void AltGroup::kill_survivors(ChildFate fate) {
 }
 
 bool AltGroup::all_reaped() const {
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!reaped(i)) return false;
   }
   return true;
@@ -878,7 +948,7 @@ void AltGroup::reap_all() {
   // may forget to send: EOF never comes while a child forked elsewhere in
   // this process holds a copy of the write end.
   release_winner(kReleaseExit);
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!reaped(i)) reap(i, 0);
   }
 }
@@ -887,6 +957,16 @@ void AltGroup::release_remaining_tokens() {
   if (opts_.governor == nullptr || tokens_released_ >= tokens_held_) return;
   opts_.governor->release(tokens_held_ - tokens_released_);
   tokens_released_ = tokens_held_;
+}
+
+void AltGroup::release_spare_tokens() {
+  // A block winding down frees budget for queued blocks before its own
+  // teardown completes; a slot that a pending arm will take keeps its token.
+  const int spare = tokens_held_ - tokens_released_ -
+                    std::min(cap_, running_ + pending_);
+  if (opts_.governor == nullptr || spare <= 0) return;
+  opts_.governor->release(spare);
+  tokens_released_ += spare;
 }
 
 void AltGroup::record_exit(std::size_t i, int status,
@@ -910,14 +990,8 @@ void AltGroup::record_exit(std::size_t i, int status,
   const bool killed = slot.kill_fate != ChildFate::kRunning;
   st.usage = usage;
   st.reap_ns = obs::now_ns();
-  if (opts_.governor != nullptr) {
-    if (tokens_released_ < tokens_held_) {
-      // One token back per reaped child: a block winding down frees budget
-      // for queued blocks before its own teardown completes.
-      opts_.governor->release(1);
-      ++tokens_released_;
-    }
-  }
+  --running_;  // its slot is free
+  release_spare_tokens();
   const ExitInfo info = decode_wait_status(status);
   if (info.exited) {
     st.exit_code = info.exit_code;
@@ -1003,7 +1077,7 @@ void AltGroup::publish_census() {
 SpeculationReport AltGroup::speculation_report() const {
   SpeculationReport rep;
   for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!reaped(i)) continue;
+    if (!reaped(i) || status_[i].pid < 0) continue;  // unreaped, unforked
     const ChildStatus& st = status_[i];
     rep.total_cpu_ns += st.usage.cpu_ns;
     ++rep.children_costed;
@@ -1022,7 +1096,7 @@ SpeculationReport AltGroup::speculation_report() const {
 
 void AltGroup::finalize_accounting() {
   if (accounted_ || !spawned_ || my_index_ != 0) return;
-  for (std::size_t i = 0; i < status_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!reaped(i)) return;  // ledger incomplete; try again at next reap
   }
   accounted_ = true;

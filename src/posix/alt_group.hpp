@@ -64,6 +64,22 @@
 // delivering. Admission, fault plans, fates, billing and tracing are the
 // same as for a race.
 //
+// The launch schedule: every arm has a start delay and a kill deadline
+// (AltGroupOptions::launch), and at most k arms run at once, k being the
+// tokens the governor granted (posix/governor.hpp; all n when ungoverned).
+// alt_spawn forks, in index order, every arm whose delay is zero while a
+// slot is free; the parent's wait forks each remaining arm once its delay
+// has passed and a slot is free — a slot frees when an arm is reaped
+// without ending the block — again in index order. A deferred arm runs the
+// arm body handed to alt_spawn. An arm not yet forked counts as live (the
+// last-live-arm rule spares its siblings as if it ran), a pressure shed
+// cancels it, and the verdict ends it unforked: it keeps pid -1 and reads
+// as eliminated after a winner, hung at the deadline, and aborted when the
+// plan skipped it. This one schedule is how race<T> defers its planner's
+// hedged arms, how hedged() staggers its copies, and how a block granted
+// fewer tokens than arms runs k at a time with its original arm indices
+// and one deadline.
+//
 // Supervision: every child's fate is classified when it is reaped
 // (committed / aborted / too-late / crashed(signal) / hung / eliminated),
 // and a failed alt_wait distinguishes "every guard failed" from "deadline
@@ -87,6 +103,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -124,7 +141,7 @@ enum class ChildFate : std::uint8_t {
 const char* to_string(ChildFate fate);
 
 struct ChildStatus {
-  pid_t pid = -1;
+  pid_t pid = -1;  // -1: never forked (its fate says how it ended unforked)
   ChildFate fate = ChildFate::kRunning;
   int signal = 0;      // terminating signal when fate == kCrashed (0 = exit)
   int exit_code = -1;  // raw exit status when the child exited normally
@@ -164,6 +181,25 @@ const char* to_string(WaitVerdict verdict);
 class SpeculationGovernor;
 enum class GovKillReason : std::uint8_t;
 
+/// One arm's entry in a group's launch schedule.
+struct ArmLaunch {
+  /// Never fork the arm: it reads as aborted (a planner skip).
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+  /// Fork no sooner than this long (ns) after the block was admitted.
+  std::uint64_t delay_ns = 0;
+
+  /// Predicted-kill deadline (ns of wall since the arm's fork), enforced by
+  /// the cohort wait of a governed group; 0 = never predicted-killed.
+  /// Filled by race<T>() from the SpeculationPlanner.
+  std::uint64_t kill_ns = 0;
+};
+
+/// What a forked arm runs (posix::race<T>, await_all, hedged()): gets its
+/// 1-based arm index and must end in child_commit, child_deliver or
+/// child_abort; returning aborts the arm.
+using ArmBody = std::function<void(int arm)>;
+
 struct AltGroupOptions {
   Eliminate elimination = Eliminate::kSynchronous;
   AltHeap* heap = nullptr;        // optional shared-state arena to absorb
@@ -176,11 +212,9 @@ struct AltGroupOptions {
   /// one null check.
   SpeculationGovernor* governor = nullptr;
 
-  /// Per-child predicted-kill deadlines (ns of elapsed wall), indexed by
-  /// child number - 1, enforced by the cohort wait of a governed group.
-  /// 0 (or an empty vector) = this child has no history and is never
-  /// predicted-killed. Filled by race<T>() from the SpeculationPlanner.
-  std::vector<std::uint64_t> pred_kill_ns;
+  /// The launch schedule, one entry per arm (indexed by arm - 1); arms
+  /// past its end launch at once with no kill deadline.
+  std::vector<ArmLaunch> launch;
 };
 
 struct AltWinner {
@@ -218,12 +252,22 @@ class AltGroup {
   AltGroup(const AltGroup&) = delete;
   AltGroup& operator=(const AltGroup&) = delete;
 
-  /// Forks n alternates. Returns 0 in the parent, 1..n in each child.
-  /// In children, the process must finish via child_commit or child_abort.
-  /// On a mid-loop fork() failure the partial cohort is killed and reaped
-  /// before SystemError is thrown, so the caller can retry with a fresh
-  /// group and no process leaks.
+  /// Forks n alternates, body-less (the switch() form of section 3.2):
+  /// returns 0 in the parent, 1..n in each child, and in children the
+  /// process must finish via child_commit or child_abort. It forks the
+  /// first k arms at once, k being the governor's grant; the other n - k,
+  /// and any arm the launch schedule defers, are never forked and read as
+  /// aborted (a deferred fork needs an arm body). On a fork() failure the
+  /// partial cohort is killed and reaped before SystemError is thrown, so
+  /// the caller can retry with a fresh group and no process leaks.
   int alt_spawn(int n);
+
+  /// Runs n arms on the launch schedule: every forked child runs
+  /// `body(arm)` and never returns. Forks what may start now; the parent's
+  /// alt_wait / alt_wait_all forks the rest as their delays pass and slots
+  /// free, and throws SystemError — after abandoning the cohort — if one of
+  /// those forks fails.
+  void alt_spawn(int n, ArmBody body);
 
   /// Child side: attempt the synchronization with a result payload. If this
   /// child is first, its payload (and dirty heap pages) reach the parent;
@@ -263,8 +307,9 @@ class AltGroup {
   /// Number of children that aborted (available after alt_wait).
   [[nodiscard]] int aborted_children() const { return aborted_; }
 
-  /// Per-child classification. Fates are final once the child is reaped:
-  /// after a synchronous alt_wait (or finish()) no kRunning entries remain.
+  /// Per-arm classification, indexed by arm - 1. Fates are final once the
+  /// child is reaped: after a synchronous alt_wait (or finish()) no
+  /// kRunning entries remain.
   [[nodiscard]] const std::vector<ChildStatus>& child_statuses() const {
     return status_;
   }
@@ -298,7 +343,7 @@ class AltGroup {
   using Clock = std::chrono::steady_clock;
   static constexpr Clock::time_point kNever = Clock::time_point::max();
 
-  /// Parent-side descriptors of one child, parallel to status_.
+  /// Parent-side descriptors of one arm, parallel to status_.
   struct Slot {
     Pipe result;  // child -> parent: payload + heap page runs, one frame
                   // (a heap winner refused the pull sends a patch after it)
@@ -314,6 +359,29 @@ class AltGroup {
     bool delivered = false;  // its frame was taken (winner / collect-all)
   };
 
+  /// alt_spawn's two forms: admission, the cohort's shared descriptors and
+  /// the forks due now. Returns the arm index in a body-less child.
+  int spawn(int n);
+  /// Forks every pending arm whose delay has passed, in index order, while
+  /// fewer than the granted k run. Returns the arm index in a body-less
+  /// child; a child with a body runs it and never returns.
+  int launch_due();
+  /// When launch_due next has an arm to fork (kNever: none, or no slot).
+  [[nodiscard]] Clock::time_point next_launch() const;
+  [[nodiscard]] std::uint64_t delay_ns(std::size_t i) const {
+    return i < opts_.launch.size() ? opts_.launch[i].delay_ns : 0;
+  }
+  /// When pending arm i may be forked.
+  [[nodiscard]] Clock::time_point due_at(std::size_t i) const {
+    return admitted_ + std::chrono::nanoseconds(delay_ns(i));
+  }
+  /// Forks arm i; true in the child. A failed fork abandons the cohort and
+  /// throws SystemError.
+  bool fork_arm(std::size_t i);
+  /// Ends pending arm i unforked, with `fate`.
+  void cancel(std::size_t i, ChildFate fate);
+  /// Kills and reaps the cohort and returns its tokens (a failed fork).
+  void abandon();
   /// child_commit / child_deliver / child_abort (result == nullptr).
   [[noreturn]] void child_sync(const Bytes* result, bool take_token);
   /// Heap winner, frame sent: waits for the release byte, and sends its
@@ -359,7 +427,11 @@ class AltGroup {
     return status_[i].fate != ChildFate::kRunning;
   }
   [[nodiscard]] bool all_reaped() const;
-  /// Unreaped, undelivered and not yet killed by us.
+  /// Not forked yet, and not ended unforked either.
+  [[nodiscard]] bool pending(std::size_t i) const {
+    return status_[i].pid < 0 && !reaped(i);
+  }
+  /// Unreaped, undelivered and not yet killed by us; a pending arm is live.
   [[nodiscard]] bool live(std::size_t i) const {
     return !reaped(i) && !slots_[i].delivered && !slots_[i].ready &&
            slots_[i].kill_fate == ChildFate::kRunning;
@@ -367,13 +439,20 @@ class AltGroup {
   void kill_survivors(ChildFate fate);
   void reap_all();
   void release_remaining_tokens();  // admission tokens not yet returned
+  /// Returns the tokens that neither a running nor a pending arm needs.
+  void release_spare_tokens();
   void record_exit(std::size_t i, int status, const ChildUsage& usage);
   void publish_census();         // child side, before the sync point
   void finalize_accounting();    // parent side, once every child is reaped
 
   AltGroupOptions opts_;
-  std::vector<Slot> slots_;  // one per child to be forked
-  std::vector<ChildStatus> status_;  // one per child forked so far
+  std::vector<Slot> slots_;  // one per arm
+  std::vector<ChildStatus> status_;  // one per arm; pid -1 until forked
+  ArmBody body_;  // what a forked arm runs; empty = body-less alt_spawn
+  Clock::time_point admitted_;  // launch delays count from here
+  int cap_ = 0;      // k: arms that may run at once
+  int running_ = 0;  // forked and not yet reaped
+  int pending_ = 0;  // not forked yet, not ended unforked
   CensusSlot* census_ = nullptr;  // shared arena, one slot per child
   std::size_t census_slots_ = 0;
   bool accounted_ = false;  // kSpecReport emitted / metrics rolled up
@@ -386,7 +465,7 @@ class AltGroup {
   std::uint64_t child_run_t0_ = 0;  // child side: arm_run span begin
   Clock::time_point next_shed_check_{};  // governed: next pressure look
   int tokens_held_ = 0;      // admission tokens taken for this cohort
-  int tokens_released_ = 0;  // ... of which already returned (1 per reap)
+  int tokens_released_ = 0;  // ... of which already returned
   std::uint32_t race_id_ = 0;        // trace id; children inherit it
   std::uint64_t start_ns_ = 0;       // alt_spawn timestamp (traced runs)
   std::uint64_t fault_attempt_ = 0;  // attempt id children consult

@@ -13,7 +13,8 @@
 //
 // Being an AltGroup, it is admitted by the governor, billed by wait4 with a
 // fate per child, traced with phase spans, and retries injected fork
-// failures like any race.
+// failures like any race. Granted k of n tokens, it runs k tasks at a time
+// and forks the next as one delivers.
 #pragma once
 
 #include <chrono>
@@ -36,8 +37,7 @@ struct AwaitOptions {
 };
 
 /// Runs every task concurrently; returns all results (in task order) or
-/// nullopt if any task failed or the deadline passed. Under a governor that
-/// denies admission, throws AdmissionTimeout like any AltGroup.
+/// nullopt if any task failed or the deadline passed.
 template <RaceSerializable T>
 std::optional<std::vector<T>> await_all(const std::vector<AlternativeFn<T>>& tasks,
                                         const AwaitOptions& options = {}) {
@@ -45,8 +45,7 @@ std::optional<std::vector<T>> await_all(const std::vector<AlternativeFn<T>>& tas
   AltGroupOptions go;
   go.fault = options.fault;
   AltGroup group(go);
-  const int who = group.alt_spawn(static_cast<int>(tasks.size()));
-  if (who > 0) {
+  group.alt_spawn(static_cast<int>(tasks.size()), [&](int who) {
     std::optional<T> out;
     try {
       out = tasks[static_cast<std::size_t>(who) - 1]();
@@ -55,8 +54,7 @@ std::optional<std::vector<T>> await_all(const std::vector<AlternativeFn<T>>& tas
     obs::emit(obs::EventKind::kAwaitTaskDone, group.race_id(),
               static_cast<std::int16_t>(who), out.has_value() ? 1 : 0);
     if (out.has_value()) group.child_deliver(race_encode<T>(*out));
-    group.child_abort();
-  }
+  });
   obs::emit(obs::EventKind::kAwaitBegin, group.race_id(), 0,
             static_cast<std::uint64_t>(tasks.size()));
   const auto all = group.alt_wait_all(options.timeout);

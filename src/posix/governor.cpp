@@ -115,7 +115,6 @@ PressureSample read_pressure(const std::string& psi_override) {
 GovernorConfig GovernorConfig::from_env() {
   GovernorConfig c;
   c.tokens = static_cast<int>(env_u64("ALTX_GOV_TOKENS", 0));
-  c.admit_wait = env_ms("ALTX_GOV_ADMIT_WAIT_MS", c.admit_wait.count());
   c.serial_admit_wait =
       env_ms("ALTX_GOV_SERIAL_WAIT_MS", c.serial_admit_wait.count());
   c.arm_wall_budget = env_ms("ALTX_GOV_WALL_MS", 0);
@@ -157,10 +156,9 @@ struct SpeculationGovernor::SharedPool {
   std::atomic<int> effective;   // budget after pressure shrink
   std::atomic<std::uint64_t> admitted;
   std::atomic<std::uint64_t> waited;
-  std::atomic<std::uint64_t> denied;
+  std::atomic<std::uint64_t> narrowed;
   std::atomic<std::uint64_t> overdrafts;
   std::atomic<std::uint64_t> reclaimed;
-  std::atomic<std::uint64_t> degradations;
   std::atomic<std::uint64_t> kills[4];  // indexed by GovKillReason
   std::atomic<std::uint64_t> term_escalations;
   std::atomic<std::uint64_t> pressure_shrinks;
@@ -206,26 +204,13 @@ SpeculationGovernor::~SpeculationGovernor() {
   ::munmap(pool_, sizeof(SharedPool));
 }
 
-Admission SpeculationGovernor::admit(int n) {
+Admission SpeculationGovernor::admit(int n, int* granted) {
+  if (granted != nullptr) *granted = n;
   if (!admission_enabled() || n <= 0) return Admission::kGranted;
   sample_pressure_if_due();
-  if (n > cfg_.tokens) {
-    // Wider than the base budget: no amount of queueing can ever fit it.
-    // Deny immediately so the caller degrades now instead of after a
-    // pointless admit_wait. (n == 1 never lands here: tokens >= 1.)
-    pool_->denied.fetch_add(1, std::memory_order_relaxed);
-    obs::emit(obs::EventKind::kGovDeny, obs::current_race(), 0,
-              static_cast<std::uint64_t>(n), 0);
-    if (obs::enabled()) {
-      obs::MetricsRegistry::global().counter("gov_denials").add();
-    }
-    return Admission::kDenied;
-  }
   const std::uint64_t t0 = obs::now_ns();
   const std::uint64_t wait_ns =
-      static_cast<std::uint64_t>(
-          (n == 1 ? cfg_.serial_admit_wait : cfg_.admit_wait).count()) *
-      1'000'000ULL;
+      static_cast<std::uint64_t>(cfg_.serial_admit_wait.count()) * 1'000'000ULL;
   bool waited = false;
   auto bump_max = [this](int cur) {
     int seen = pool_->max_in_flight.load(std::memory_order_relaxed);
@@ -233,20 +218,33 @@ Admission SpeculationGovernor::admit(int n) {
            !pool_->max_in_flight.compare_exchange_weak(seen, cur)) {
     }
   };
+  // Takes k tokens (k < n: a narrowed grant) and reports k.
+  auto take = [&](int k, int after) {
+    bump_max(after);
+    pool_->note_held(k);
+    if (granted != nullptr) *granted = k;
+    if (k >= n) return;
+    pool_->narrowed.fetch_add(1, std::memory_order_relaxed);
+    obs::emit(obs::EventKind::kGovNarrow, obs::current_race(), 0,
+              static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(k));
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global().counter("gov_narrowed").add();
+    }
+  };
   for (;;) {
     const int eff = pool_->effective.load(std::memory_order_relaxed);
     int cur = pool_->in_flight.load(std::memory_order_relaxed);
-    while (cur + n <= eff) {
-      if (pool_->in_flight.compare_exchange_weak(cur, cur + n)) {
-        bump_max(cur + n);
-        pool_->note_held(n);
+    while (cur < eff) {
+      const int k = std::min(n, eff - cur);
+      if (pool_->in_flight.compare_exchange_weak(cur, cur + k)) {
+        take(k, cur + k);
         pool_->admitted.fetch_add(1, std::memory_order_relaxed);
         if (waited) pool_->waited.fetch_add(1, std::memory_order_relaxed);
         if (obs::enabled()) {
           const std::uint64_t dt = obs::now_ns() - t0;
           obs::emit(obs::EventKind::kGovAdmit, obs::current_race(), 0,
-                    static_cast<std::uint64_t>(n),
-                    static_cast<std::uint64_t>(cur + n), dt);
+                    static_cast<std::uint64_t>(k),
+                    static_cast<std::uint64_t>(cur + k), dt);
           auto& m = obs::MetricsRegistry::global();
           m.counter("gov_admits").add();
           if (waited) m.histogram("gov_admit_wait_ns").record(dt);
@@ -254,30 +252,19 @@ Admission SpeculationGovernor::admit(int n) {
         return Admission::kGranted;
       }
     }
-    const std::uint64_t now = obs::now_ns();
-    if (now - t0 >= wait_ns) {
-      if (n == 1) {
-        // The liveness overdraft: one child is the paper's own sequential
-        // semantics — refusing it would wedge the program, so the single
-        // arm runs and the pool goes briefly over budget.
-        const int after = pool_->in_flight.fetch_add(1) + 1;
-        bump_max(after);
-        pool_->note_held(1);
-        pool_->overdrafts.fetch_add(1, std::memory_order_relaxed);
-        obs::emit(obs::EventKind::kGovOverdraft, obs::current_race(), 0,
-                  static_cast<std::uint64_t>(after));
-        if (obs::enabled()) {
-          obs::MetricsRegistry::global().counter("gov_overdrafts").add();
-        }
-        return Admission::kOverdraft;
-      }
-      pool_->denied.fetch_add(1, std::memory_order_relaxed);
-      obs::emit(obs::EventKind::kGovDeny, obs::current_race(), 0,
-                static_cast<std::uint64_t>(n), now - t0);
+    if (obs::now_ns() - t0 >= wait_ns) {
+      // The liveness overdraft: one child is the paper's own sequential
+      // semantics — refusing it would wedge the program, so one arm runs
+      // and the pool goes briefly over budget.
+      const int after = pool_->in_flight.fetch_add(1) + 1;
+      take(1, after);
+      pool_->overdrafts.fetch_add(1, std::memory_order_relaxed);
+      obs::emit(obs::EventKind::kGovOverdraft, obs::current_race(), 0,
+                static_cast<std::uint64_t>(after));
       if (obs::enabled()) {
-        obs::MetricsRegistry::global().counter("gov_denials").add();
+        obs::MetricsRegistry::global().counter("gov_overdrafts").add();
       }
-      return Admission::kDenied;
+      return Admission::kOverdraft;
     }
     if (!waited) {
       waited = true;
@@ -345,13 +332,6 @@ void SpeculationGovernor::apply_child_rlimits() const {
   }
 }
 
-void SpeculationGovernor::note_degraded() {
-  pool_->degradations.fetch_add(1, std::memory_order_relaxed);
-  if (obs::enabled()) {
-    obs::MetricsRegistry::global().counter("gov_degraded").add();
-  }
-}
-
 int SpeculationGovernor::effective_tokens() const {
   return pool_->effective.load(std::memory_order_relaxed);
 }
@@ -360,10 +340,9 @@ GovernorStats SpeculationGovernor::stats() const {
   GovernorStats s;
   s.admitted = pool_->admitted.load(std::memory_order_relaxed);
   s.waited = pool_->waited.load(std::memory_order_relaxed);
-  s.denied = pool_->denied.load(std::memory_order_relaxed);
+  s.narrowed = pool_->narrowed.load(std::memory_order_relaxed);
   s.overdrafts = pool_->overdrafts.load(std::memory_order_relaxed);
   s.reclaimed = pool_->reclaimed.load(std::memory_order_relaxed);
-  s.degradations = pool_->degradations.load(std::memory_order_relaxed);
   s.in_flight = pool_->in_flight.load(std::memory_order_relaxed);
   s.max_in_flight = pool_->max_in_flight.load(std::memory_order_relaxed);
   s.effective_tokens = pool_->effective.load(std::memory_order_relaxed);

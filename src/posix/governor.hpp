@@ -18,14 +18,13 @@
 //   2. Global admission control. A token budget caps concurrent speculative
 //      children across *all* blocks of the process tree (the pool lives in
 //      MAP_SHARED memory, so nested blocks inside forked arms draw from the
-//      same pool). A block that cannot get its n tokens within the bounded
-//      admission wait is denied — AdmissionTimeout — and the supervisor
-//      degrades it to serialized execution: the arms run one at a time,
-//      each still fork-isolated, so the paper's §3.4 source/sink discipline
-//      survives degradation. Single-token requests wait much longer and may
-//      finally overdraft the pool: one child is the paper's own sequential
-//      semantics — the floor, never zero — so the governor can throttle
-//      speculation to sequential but can never wedge the program.
+//      same pool). A block asking for n tokens is granted k = min(n, free
+//      tokens), and its AltGroup runs at most k arms at once: the rest are
+//      forked, in index order, as earlier arms are reaped. A block that
+//      finds no token free waits for one; past the admission wait it
+//      overdrafts one. One arm is the paper's own sequential semantics —
+//      the floor, never zero — so the governor can throttle speculation to
+//      sequential but never denies a block and never wedges the program.
 //
 //   3. Pressure-driven shedding. /proc/pressure/{memory,cpu} PSI (fallback:
 //      /proc/meminfo MemAvailable; fake-able via ALTX_PSI_PATH for tests)
@@ -45,7 +44,7 @@
 //
 // Env knobs (see GovernorConfig::from_env):
 //   ALTX_GOV_TOKENS         concurrent speculative children cap (0 = off)
-//   ALTX_GOV_ADMIT_WAIT_MS  bounded admission wait for multi-arm blocks
+//   ALTX_GOV_SERIAL_WAIT_MS patience for a first token before the overdraft
 //   ALTX_GOV_WALL_MS        per-arm wall-clock budget (0 = none)
 //   ALTX_GOV_CPU_MS         per-arm CPU budget (0 = none)
 //   ALTX_GOV_RLIMIT_CPU_S   child RLIMIT_CPU seconds (0 = unset)
@@ -68,12 +67,7 @@ struct GovernorConfig {
   /// Concurrent speculative children across every block (0 = admission off).
   int tokens = 0;
 
-  /// How long a multi-arm (n >= 2) admission request may queue before it is
-  /// denied and the block degrades. Requests wider than `tokens` can never
-  /// fit and are denied without queueing.
-  std::chrono::milliseconds admit_wait{250};
-
-  /// Patience for single-token requests before the liveness overdraft.
+  /// Patience for a first free token before the liveness overdraft.
   std::chrono::milliseconds serial_admit_wait{30'000};
 
   /// Per-arm budgets, enforced by each governed group's cohort wait; 0
@@ -115,21 +109,9 @@ struct GovernorConfig {
   }
 };
 
-/// Thrown by alt_spawn when the admission wait expired without tokens. The
-/// supervisor treats it as the degrade signal, not an error: the block runs
-/// serialized instead.
-class AdmissionTimeout : public SystemError {
- public:
-  explicit AdmissionTimeout(int requested)
-      : SystemError("governor admission (requested " +
-                        std::to_string(requested) + " tokens)",
-                    EAGAIN) {}
-};
-
 enum class Admission : std::uint8_t {
   kGranted,    // tokens taken from the pool
-  kOverdraft,  // single-token liveness grant past the pool cap
-  kDenied,     // wait expired (n >= 2 only)
+  kOverdraft,  // one-token liveness grant past the pool cap
 };
 
 enum class GovKillReason : std::uint8_t {
@@ -158,7 +140,7 @@ struct PressureSample {
 struct GovernorStats {
   std::uint64_t admitted = 0;
   std::uint64_t waited = 0;      // admissions that had to queue first
-  std::uint64_t denied = 0;
+  std::uint64_t narrowed = 0;    // grants of fewer tokens than asked for
   std::uint64_t overdrafts = 0;
   std::uint64_t reclaimed = 0;   // tokens returned from dead holders
   std::uint64_t kills_wall = 0;
@@ -166,7 +148,6 @@ struct GovernorStats {
   std::uint64_t kills_shed = 0;
   std::uint64_t kills_predicted = 0;
   std::uint64_t term_escalations = 0;  // SIGTERMs that needed the SIGKILL
-  std::uint64_t degradations = 0;      // blocks run serialized
   std::uint64_t pressure_shrinks = 0;  // budget reductions applied
   int in_flight = 0;
   int max_in_flight = 0;       // high-water mark, including overdrafts
@@ -184,10 +165,11 @@ class SpeculationGovernor {
   [[nodiscard]] const GovernorConfig& config() const { return cfg_; }
   [[nodiscard]] bool admission_enabled() const { return cfg_.tokens > 0; }
 
-  /// Takes n tokens, queueing up to the configured wait. kDenied only for
-  /// n >= 2 — a single-token request waits serial_admit_wait and then
-  /// overdrafts, so sequential progress is always possible.
-  Admission admit(int n);
+  /// Takes k = min(n, free tokens) tokens and stores k in `*granted`. With
+  /// no token free it waits up to serial_admit_wait for one, then
+  /// overdrafts one (kOverdraft, k = 1), so sequential progress is always
+  /// possible. Admission off: every request is granted in full.
+  Admission admit(int n, int* granted = nullptr);
 
   /// Returns n tokens to the pool.
   void release(int n);
@@ -221,9 +203,6 @@ class SpeculationGovernor {
 
   /// The token budget after pressure shrink (floor 1; = tokens when calm).
   [[nodiscard]] int effective_tokens() const;
-
-  /// Supervisor marks a governor-driven serialized degradation.
-  void note_degraded();
 
   [[nodiscard]] GovernorStats stats() const;
 

@@ -7,10 +7,10 @@
 // finished within `stagger`, launch another copy; the first to finish wins
 // and the rest are eliminated. Decades later this reappeared as the "hedged
 // request" defence against tail latency; it is exactly an alternative block
-// whose alternates are replicas with delayed starts.
+// whose alternates are replicas with delayed starts — a plan over AltGroup's
+// launch schedule in which copy k starts k*stagger after the block, so a
+// copy whose start the verdict comes before is never forked at all.
 #pragma once
-
-#include <unistd.h>
 
 #include <chrono>
 
@@ -42,7 +42,7 @@ struct HedgeOptions {
 template <RaceSerializable T>
 struct HedgeResult {
   T value{};
-  int copies_launched = 0;  // how many replicas actually started work
+  int copies_launched = 0;  // how many copies were forked
   bool hedge_won = false;   // a non-primary copy produced the result
 };
 
@@ -51,31 +51,21 @@ struct HedgeResult {
 template <typename T>
 using HedgedFn = std::function<std::optional<T>(int copy)>;
 
-/// Runs `task` with hedging. Copy k sleeps k*stagger before starting, so
-/// later copies only matter when earlier ones are slow. Returns nullopt on
-/// total failure or timeout.
+/// Runs `task` with hedging. Copy k is forked k*stagger after the block
+/// starts, so later copies only run when earlier ones are slow. Returns
+/// nullopt on total failure or timeout.
 template <RaceSerializable T>
 std::optional<HedgeResult<T>> hedged(const HedgedFn<T>& task,
                                      const HedgeOptions& options = {}) {
   ALTX_REQUIRE(options.max_copies >= 1, "hedged: need at least one copy");
   std::vector<AlternativeFn<T>> alts;
   for (int k = 0; k < options.max_copies; ++k) {
-    const auto delay = options.stagger * k;
-    alts.push_back([&task, delay, k]() -> std::optional<T> {
-      if (delay.count() > 0) {
-        ::usleep(static_cast<useconds_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(delay).count()));
-      }
+    alts.push_back([&task, k]() -> std::optional<T> {
       // Each copy is an attempt at the same task; stamp its ordinal the way
       // supervisor.hpp does, so the timeline attributes this child's events
       // to hedge copy k rather than to whatever attempt it inherited through
       // fork. We are in the forked child: the parent's scope is untouched.
       obs::set_attempt(static_cast<std::uint32_t>(k));
-      // When this copy *actually* started mattering — the stagger sleep is
-      // the whole point of hedging, so the trace separates wake from fork.
-      obs::emit(obs::EventKind::kHedgeWake, obs::current_race(),
-                static_cast<std::int16_t>(k + 1),
-                static_cast<std::uint64_t>(k));
       return task(k);
     });
   }
@@ -84,12 +74,29 @@ std::optional<HedgeResult<T>> hedged(const HedgedFn<T>& task,
   ro.governor = options.governor;
   ro.site_id = options.site_id;
   ro.predict = options.predict;
-  const auto r = race<T>(alts, ro);
+  RaceReport report;
+  ro.report = &report;
+  // The stagger is the schedule; of a prediction only the kill deadlines
+  // are kept.
+  SpeculationPlan plan = plan_race(ro, options.max_copies);
+  plan.arms.resize(static_cast<std::size_t>(options.max_copies));
+  const auto stagger_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(options.stagger)
+          .count());
+  for (int k = 0; k < options.max_copies; ++k) {
+    ArmPlan& a = plan.arms[static_cast<std::size_t>(k)];
+    a.arm = static_cast<std::uint32_t>(k) + 1;
+    a.decision = k == 0 ? ArmDecision::kLaunch : ArmDecision::kHedge;
+    a.stage_after_ns = static_cast<std::uint64_t>(k) * stagger_ns;
+  }
+  plan.launched = 1;
+  plan.hedged = options.max_copies - 1;
+  plan.skipped = 0;
+  const auto r = run_race<T>(alts, ro, plan);
   if (!r.has_value()) return std::nullopt;
   HedgeResult<T> out;
   out.value = r->value;
-  out.copies_launched = options.max_copies;  // all forked; later ones may
-                                             // have died while still asleep
+  out.copies_launched = report.forked;
   out.hedge_won = r->winner > 1;
   return out;
 }

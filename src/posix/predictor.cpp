@@ -126,10 +126,7 @@ SpeculationPlan SpeculationPlanner::plan(std::uint64_t site_id, int n_alts,
       a.kill_after_ns = 0;  // nothing to kill: the arm does no work
     } else {
       a.decision = ArmDecision::kHedge;
-      a.stage_after_ns = stage_ns;
-      // The sleep does not count against the arm: its kill deadline starts
-      // after the deferral, measured from fork like the cohort wait does.
-      a.kill_after_ns += stage_ns;
+      a.stage_after_ns = stage_ns;  // its kill deadline counts from launch
     }
   }
   for (const ArmPlan& a : p.arms) {

@@ -12,21 +12,22 @@
 //             by success rate), every arm within hedge_ratio of it, and —
 //             unconditionally — every arm with no usable history yet
 //             (exploration: a cold arm must run to earn a prediction).
-//   hedge   — an arm predicted much slower than the leader is deferred via
-//             the hedged.hpp machinery: its child sleeps until the leader
-//             has overrun its own predicted quantile (times stage_slack),
-//             then runs. A fast leader commit eliminates the sleeper for
-//             nearly free; a slow leader still gets its backup.
+//   hedge   — an arm predicted much slower than the leader is deferred:
+//             its launch entry in AltGroup's schedule delays its fork until
+//             the leader has overrun its own predicted quantile (times
+//             stage_slack). A fast leader commit means the arm is never
+//             forked at all; a slow leader still gets its backup.
 //   skip    — only under governor-reported memory/CPU pressure: dominated
-//             arms (history says they essentially never win) have their
-//             guard short-circuited to FAIL without running the method.
+//             arms (history says they essentially never win) are never
+//             forked and read as a failed guard.
 //
 // Separately, each warm arm gets an early-kill deadline — its own
-// historical ALTX_PRED_KILL_Q quantile (default p99), carried in
-// AltGroupOptions::pred_kill_ns. A governed group's cohort wait escalates
-// arms past their deadline as ChildFate::kPredictedLoser, never an arm with
-// no history and never the group's last live arm; an ungoverned group
-// (no governor: ALTX_PRED=1 builds the global one) never predicted-kills.
+// historical ALTX_PRED_KILL_Q quantile (default p99), counted from the
+// arm's fork and carried in its AltGroupOptions::launch entry. A governed
+// group's cohort wait escalates arms past their deadline as
+// ChildFate::kPredictedLoser, never an arm with no history and never the
+// group's last live arm; an ungoverned group (no governor: ALTX_PRED=1
+// builds the global one) never predicted-kills.
 //
 // The plan is a pure function of (config, history snapshot, pressure):
 // given a fixed store it is deterministic, and with a cold store it
@@ -82,8 +83,8 @@ struct PredictorConfig {
 
 enum class ArmDecision : std::uint8_t {
   kLaunch = 0,  // fork and run immediately
-  kHedge = 1,   // fork, but sleep out the stage delay before running
-  kSkip = 2,    // fork, but short-circuit the guard to FAIL (pressure only)
+  kHedge = 1,   // fork once the stage delay has passed
+  kSkip = 2,    // never fork; the arm reads as a failed guard (pressure only)
 };
 
 const char* to_string(ArmDecision decision);
@@ -93,8 +94,9 @@ struct ArmPlan {
   std::uint32_t arm = 0;
   ArmDecision decision = ArmDecision::kLaunch;
   std::uint64_t predicted_wall_ns = 0;  // launch_q quantile (0 = no history)
-  std::uint64_t kill_after_ns = 0;      // kill_q quantile (0 = never killed)
-  std::uint64_t stage_after_ns = 0;     // hedge only: deferral sleep
+  std::uint64_t kill_after_ns = 0;      // kill_q quantile from launch
+                                        //   (0 = never killed)
+  std::uint64_t stage_after_ns = 0;     // hedge only: start delay
   double success_rate = 0.0;
   std::uint32_t samples = 0;
 };

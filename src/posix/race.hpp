@@ -14,10 +14,14 @@
 // returned in the parent and its siblings are eliminated. Side effects of the
 // losers never escape their processes. An exception inside an alternative
 // counts as a failed guard.
+//
+// A race is a plan run by one AltGroup: plan_race() asks the predictor (when
+// the race predicts) for each arm's start delay and kill deadline, and
+// run_race() hands the group those launch entries together with the child
+// branch as its arm body. hedged() runs its own plan the same way.
 #pragma once
 
-#include <time.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -96,6 +100,10 @@ struct RaceReport {
   int pred_hedged = 0;
   int pred_skipped = 0;
 
+  /// Arms actually forked: a deferred arm the verdict came before, a
+  /// skipped arm, or one past a narrowed grant is never forked.
+  int forked = 0;
+
   /// What the speculation cost: every child's CPU from wait4 at reap time,
   /// the losers' discarded COW pages, and the total/winner overhead ratio.
   SpeculationReport spec;
@@ -132,12 +140,6 @@ struct RaceOptions {
   /// (site_id, arm) entry. 0 = no history.
   std::uint64_t site_id = 0;
 
-  /// Overrides the arm index recorded into the history store — used by
-  /// serialized_race, where a degraded block runs each alternative as its
-  /// own single-arm race but the history must still attribute the sample to
-  /// the original arm. 0 = derive from the child index.
-  std::uint32_t history_arm = 0;
-
   /// When non-empty, names an altxd Unix socket: server::race() (see
   /// src/server/client.hpp) ships the block to that daemon instead of
   /// forking locally, so a call site redirects by filling this field and
@@ -171,18 +173,11 @@ struct RaceResult {
 template <RaceSerializable T>
 using AlternativeFn = std::function<std::optional<T>()>;
 
-/// Concurrently executes mutually exclusive alternatives, fastest first.
-/// Returns nullopt when all alternatives fail or the timeout expires.
-template <RaceSerializable T>
-std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
-                                  const RaceOptions& options = {}) {
-  ALTX_REQUIRE(!alts.empty(), "race: need at least one alternative");
-  ALTX_REQUIRE(options.replicas >= 1, "race: need at least one replica");
-  const int n = static_cast<int>(alts.size());
-
-  // Prediction-driven planning. The plan is computed before the forks so
-  // its per-arm kill deadlines ride into the group's cohort wait; an
-  // inactive plan (cold store, predict off, no site) changes nothing below.
+/// The plan race<T> runs: the planner's partition of the arms when the race
+/// predicts (options.predict, options.planner or ALTX_PRED=1, with a
+/// site_id), else an empty plan — every arm launched at once, no deadline.
+inline SpeculationPlan plan_race(const RaceOptions& options, int n) {
+  if (options.site_id == 0) return {};  // the planner has nothing to read
   std::optional<SpeculationPlanner> local_planner;
   const SpeculationPlanner* planner = options.planner;
   if (planner == nullptr) {
@@ -195,71 +190,51 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
       planner = SpeculationPlanner::global();
     }
   }
-  SpeculationPlan plan;
-  if (planner != nullptr && options.site_id != 0) {
-    SpeculationGovernor* gov = options.governor != nullptr
-                                   ? options.governor
-                                   : SpeculationGovernor::global();
-    plan = planner->plan(options.site_id, n, governor_under_pressure(gov));
-  }
+  if (planner == nullptr) return {};
+  SpeculationGovernor* gov = options.governor != nullptr
+                                 ? options.governor
+                                 : SpeculationGovernor::global();
+  return planner->plan(options.site_id, n, governor_under_pressure(gov));
+}
+
+/// Runs `alts` on `plan`: arm j (replicas of alternative a are a, a+n,
+/// a+2n, ...) starts after its alternative's stage_after_ns, is
+/// predicted-killed past its kill_after_ns, and is never forked when
+/// skipped. A non-empty plan is told in one kPredPlan event.
+template <RaceSerializable T>
+std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
+                                      const RaceOptions& options,
+                                      const SpeculationPlan& plan) {
+  ALTX_REQUIRE(!alts.empty(), "race: need at least one alternative");
+  ALTX_REQUIRE(options.replicas >= 1, "race: need at least one replica");
+  const int n = static_cast<int>(alts.size());
+  const auto arms = static_cast<std::size_t>(n * options.replicas);
 
   AltGroupOptions go;
   go.elimination = options.elimination;
   go.heap = options.heap;
   go.fault = options.fault;
   go.governor = options.governor;
-  // Skipped arms abort unrun but count as live until they are reaped, so
-  // when the plan leaves a single contender a deadline on it could fire
-  // while a skipped sibling lingers: that contender is the block's last
-  // live arm and gets no deadline.
-  if (plan.active && (n - plan.skipped) * options.replicas >= 2) {
-    go.pred_kill_ns.resize(
-        static_cast<std::size_t>(n) *
-        static_cast<std::size_t>(options.replicas));
-    for (std::size_t j = 0; j < go.pred_kill_ns.size(); ++j) {
-      go.pred_kill_ns[j] =
-          plan.arms[j % static_cast<std::size_t>(n)].kill_after_ns;
+  if (!plan.arms.empty()) {
+    go.launch.resize(arms);
+    for (std::size_t j = 0; j < arms; ++j) {
+      const ArmPlan& ap = plan.arms[j % static_cast<std::size_t>(n)];
+      go.launch[j].delay_ns = ap.decision == ArmDecision::kSkip
+                                  ? ArmLaunch::kNever
+                                  : ap.stage_after_ns;
+      go.launch[j].kill_ns = ap.kill_after_ns;
     }
   }
   AltGroup group(go);
-  const int who = group.alt_spawn(n * options.replicas);
-  if (who > 0) {
-    // Child: replicas of alternative a get indices a, a+n, a+2n, ... The
-    // child runs the method, then synchronizes (or aborts); it must never
-    // return into the caller's world.
-    const std::size_t alt_index = static_cast<std::size_t>((who - 1) % n);
-    const ArmPlan* ap = plan.active ? &plan.arms[alt_index] : nullptr;
-    try {
-      if (ap != nullptr && ap->decision == ArmDecision::kSkip) {
-        // The plan declined this arm under pressure: its guard is
-        // short-circuited to FAIL without the method ever running.
-        group.child_abort();
-      }
-      if (ap != nullptr && ap->decision == ArmDecision::kHedge &&
-          ap->stage_after_ns > 0) {
-        // Deferred arm (the hedged.hpp stagger discipline): sleep out the
-        // leader's predicted quantile. A leader that commits first
-        // eliminates this child while it is still asleep — nearly free; a
-        // leader that overruns finds its backup already warming up.
-        const std::uint64_t us = ap->stage_after_ns / 1000;
-        timespec ts{static_cast<time_t>(us / 1'000'000),
-                    static_cast<long>(us % 1'000'000 * 1000)};
-        ::nanosleep(&ts, nullptr);
-        obs::emit(obs::EventKind::kPredStage, group.race_id(),
-                  static_cast<std::int16_t>(who), ap->stage_after_ns,
-                  ap->predicted_wall_ns);
-      }
-      const std::optional<T> out = alts[alt_index]();
-      if (out.has_value()) group.child_commit(race_encode<T>(*out));
-      group.child_abort();
-    } catch (...) {
-      group.child_abort();
-    }
-  }
-  // Parent side from here (the child paths above never return). One
-  // kPredPlan per planned race, active or not, so the trace can tell
+  // Child: runs its alternative, then synchronizes (or aborts); it never
+  // returns into the caller's world.
+  group.alt_spawn(static_cast<int>(arms), [&](int who) {
+    const std::optional<T> out = alts[static_cast<std::size_t>((who - 1) % n)]();
+    if (out.has_value()) group.child_commit(race_encode<T>(*out));
+  });
+  // One kPredPlan per planned race, active or not, so the trace can tell
   // "predicted, cold store" from "prediction off".
-  if (planner != nullptr && options.site_id != 0) {
+  if (!plan.arms.empty()) {
     obs::emit(obs::EventKind::kPredPlan, group.race_id(), 0,
               static_cast<std::uint64_t>(plan.launched),
               static_cast<std::uint64_t>(plan.hedged),
@@ -277,34 +252,27 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
     }
   }
   auto win = group.alt_wait(options.timeout);
+  const auto& sts = group.child_statuses();
   if (options.site_id != 0) {
     if (obs::HistoryStore* h = obs::history(); h != nullptr) {
-      // One sample per reaped arm: wall from the parent's spawn/reap
-      // clamps, CPU from the wait4 bill, success = it committed. Replicas
-      // fold into their alternative's entry.
-      const auto& sts = group.child_statuses();
+      // One sample per reaped arm that ran: wall from the parent's
+      // spawn/reap clamps, CPU from the wait4 bill, success = it committed.
+      // Replicas fold into their alternative's entry. An arm never forked
+      // (skipped, or outrun before its start) taught nothing, and a hedged
+      // arm that lost ran only from its late start to the verdict: folding
+      // that censored wall in would teach the store that a slow arm is
+      // fast — a self-fulfilling prophecy that unravels the plan. Hedged
+      // arms still record when they commit (the success the planner needs).
       for (std::size_t i = 0; i < sts.size(); ++i) {
         const ChildStatus& st = sts[i];
-        if (st.fate == ChildFate::kRunning) continue;  // async, unreaped
-        if (plan.active) {
-          const ArmPlan& ap = plan.arms[i % static_cast<std::size_t>(n)];
-          // A skipped arm never ran its method, and a hedged arm that lost
-          // spent its wall mostly in the deferral sleep: folding either
-          // sample into the history would teach the store that a slow arm
-          // is fast — a self-fulfilling prophecy that unravels the plan.
-          // Hedged arms still record when they commit (a real observation,
-          // and the success the planner needs to see).
-          if (ap.decision == ArmDecision::kSkip) continue;
-          if (ap.decision == ArmDecision::kHedge &&
-              st.fate != ChildFate::kCommitted) {
-            continue;
-          }
+        if (st.fate == ChildFate::kRunning || st.pid < 0) continue;
+        const std::size_t alt = i % static_cast<std::size_t>(n);
+        if (!plan.arms.empty() &&
+            plan.arms[alt].decision == ArmDecision::kHedge &&
+            st.fate != ChildFate::kCommitted) {
+          continue;
         }
-        const std::uint32_t arm =
-            options.history_arm != 0
-                ? options.history_arm
-                : static_cast<std::uint32_t>(i % static_cast<std::size_t>(n)) +
-                      1;
+        const auto arm = static_cast<std::uint32_t>(alt) + 1;
         const std::uint64_t wall =
             st.reap_ns > st.spawn_ns ? st.reap_ns - st.spawn_ns : 0;
         h->record(options.site_id, arm, wall, st.usage.cpu_ns,
@@ -326,6 +294,8 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
     rep.predicted_losers = group.count_fate(ChildFate::kPredictedLoser);
     rep.pred_hedged = plan.hedged;
     rep.pred_skipped = plan.skipped;
+    rep.forked = static_cast<int>(std::count_if(
+        sts.begin(), sts.end(), [](const ChildStatus& st) { return st.pid > 0; }));
     rep.spec = group.speculation_report();
   }
   if (!win.has_value()) return std::nullopt;
@@ -334,6 +304,15 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   r.winner = (win->index - 1) % n + 1;
   r.pages_absorbed = win->pages_absorbed;
   return r;
+}
+
+/// Concurrently executes mutually exclusive alternatives, fastest first.
+/// Returns nullopt when all alternatives fail or the timeout expires.
+template <RaceSerializable T>
+std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
+                                  const RaceOptions& options = {}) {
+  return run_race<T>(alts, options,
+                     plan_race(options, static_cast<int>(alts.size())));
 }
 
 }  // namespace altx::posix

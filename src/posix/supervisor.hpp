@@ -21,14 +21,11 @@
 //      side effects of a failed guard are no longer contained, and the fault
 //      injector (which lives at the child sync points) is not consulted.
 //
-// Governance: when a SpeculationGovernor denies admission (the process-wide
-// token budget is exhausted and the bounded wait expired), the block does
-// not fail and does not burn retries — it degrades to *serialized*
-// execution: the alternatives run one at a time, each still as its own
-// single-arm forked race, so the paper's §3.4 source/sink discipline (loser
-// side effects never escape) survives degradation, unlike the in-process
-// fallback. Serialized single-arm spawns can always make progress — a
-// single-token admission waits and then overdrafts, by design.
+// Governance: a SpeculationGovernor never refuses a block. Granted k of its
+// n tokens, the block runs as one group k arms at a time, with its
+// original arm indices and one deadline (posix/alt_group.hpp); granted
+// none, it waits for one token and at worst overdrafts one. So admission
+// adds no outcome here: an attempt is judged like any other.
 //
 // Every retry decision and every jittered backoff is deterministic from
 // RetryPolicy::seed and the injected fault plan, so a supervised fault
@@ -40,7 +37,6 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "posix/governor.hpp"
 #include "posix/race.hpp"
 
 namespace altx::posix {
@@ -70,11 +66,6 @@ struct RetryPolicy {
   /// for environmental reasons. Disable to surface the failure instead.
   bool sequential_fallback = true;
 
-  /// Degrade to serialized (one-arm-at-a-time, still fork-isolated)
-  /// execution when the governor denies admission. Disable to treat a
-  /// denial like a spawn failure instead: back off and retry concurrently.
-  bool governor_degrade = true;
-
   [[nodiscard]] std::chrono::milliseconds attempt_timeout(int attempt) const {
     double t = static_cast<double>(base_timeout.count());
     for (int k = 0; k < attempt; ++k) t *= timeout_growth;
@@ -89,7 +80,6 @@ enum class AttemptOutcome : std::uint8_t {
   kDisrupted,    // crashes / hangs / lost commits and no winner
   kTimeout,      // deadline passed with live children
   kSpawnFailed,  // fork() failed (genuinely or by injection)
-  kAdmissionDenied,  // the governor refused the cohort its tokens
 };
 
 inline const char* to_string(AttemptOutcome o) {
@@ -99,7 +89,6 @@ inline const char* to_string(AttemptOutcome o) {
     case AttemptOutcome::kDisrupted: return "disrupted";
     case AttemptOutcome::kTimeout: return "timeout";
     case AttemptOutcome::kSpawnFailed: return "spawn_failed";
-    case AttemptOutcome::kAdmissionDenied: return "admission_denied";
   }
   return "?";
 }
@@ -114,35 +103,7 @@ struct AttemptReport {
 struct SupervisionLog {
   std::vector<AttemptReport> attempts;
   bool fell_back_sequential = false;
-  bool degraded_serialized = false;  // governor denial → serialized arms
 };
-
-/// The alternatives one at a time, in PI order, each as its own single-arm
-/// forked race — full loser isolation at sequential concurrency. This is
-/// what a governor-degraded block runs; it is also useful on its own as the
-/// minimum-footprint execution mode. Returns the first arm that commits.
-/// Throws SystemError if an arm cannot be spawned at all.
-template <RaceSerializable T>
-std::optional<RaceResult<T>> serialized_race(
-    const std::vector<AlternativeFn<T>>& alts, const RaceOptions& options = {}) {
-  ALTX_REQUIRE(!alts.empty(), "serialized_race: need at least one alternative");
-  for (std::size_t i = 0; i < alts.size(); ++i) {
-    RaceOptions one = options;
-    one.replicas = 1;
-    one.report = nullptr;
-    // The degraded single-arm race still feeds the history store under the
-    // original arm's index, not "arm 1 of 1" — predictions must not mix
-    // alternatives just because the block ran serialized.
-    one.history_arm = static_cast<std::uint32_t>(i) + 1;
-    std::optional<RaceResult<T>> r =
-        race<T>(std::vector<AlternativeFn<T>>{alts[i]}, one);
-    if (r.has_value()) {
-      r->winner = static_cast<int>(i) + 1;
-      return r;
-    }
-  }
-  return std::nullopt;
-}
 
 template <typename T>
 struct SupervisedResult {
@@ -224,51 +185,14 @@ std::optional<SupervisedResult<T>> supervised_race(
     ar.backoff_before = pending_backoff;
     std::optional<RaceResult<T>> r;
     bool spawn_failed = false;
-    bool admission_denied = false;
     try {
       r = race<T>(alts, options);
-    } catch (const AdmissionTimeout&) {
-      // Before SystemError: AdmissionTimeout derives from it. The governor
-      // refused the cohort — the process is over its speculation budget.
-      admission_denied = true;
     } catch (const SystemError&) {
       // fork() (or a pipe) failed — resource exhaustion is exactly the
       // transient condition backoff exists for.
       spawn_failed = true;
     }
     ar.race = report;
-
-    if (admission_denied && policy.governor_degrade) {
-      ar.outcome = AttemptOutcome::kAdmissionDenied;
-      obs::emit(obs::EventKind::kAttemptEnd, span_id, 0,
-                static_cast<std::uint64_t>(attempt),
-                static_cast<std::uint64_t>(ar.outcome));
-      if (log != nullptr) {
-        log->attempts.push_back(ar);
-        log->degraded_serialized = true;
-      }
-      obs::emit(obs::EventKind::kGovDegrade, span_id, 0,
-                static_cast<std::uint64_t>(alts.size()));
-      SpeculationGovernor* gov = options.governor != nullptr
-                                     ? options.governor
-                                     : SpeculationGovernor::global();
-      if (gov != nullptr) gov->note_degraded();
-      try {
-        auto sr = serialized_race<T>(alts, options);
-        if (!sr.has_value()) return std::nullopt;  // every guard said no
-        SupervisedResult<T> out;
-        out.value = std::move(sr->value);
-        out.winner = sr->winner;
-        out.attempts = attempt + 1;
-        out.degraded = true;
-        out.pages_absorbed = sr->pages_absorbed;
-        return out;
-      } catch (const SystemError&) {
-        // Not even one arm at a time could spawn; the in-process fallback
-        // is the only isolation level left.
-        return policy.sequential_fallback ? sequential() : std::nullopt;
-      }
-    }
 
     if (r.has_value()) {
       ar.outcome = AttemptOutcome::kWon;
@@ -284,14 +208,11 @@ std::optional<SupervisedResult<T>> supervised_race(
       return out;
     }
 
-    const bool clean_fail = !spawn_failed && !admission_denied &&
+    const bool clean_fail = !spawn_failed &&
                             report.verdict == WaitVerdict::kAllFailed &&
                             report.crashed == 0 && report.hung == 0 &&
                             report.over_budget == 0;
-    if (admission_denied) {
-      ar.outcome = AttemptOutcome::kAdmissionDenied;  // degrade disabled:
-                                                      // back off and retry
-    } else if (spawn_failed) {
+    if (spawn_failed) {
       ar.outcome = AttemptOutcome::kSpawnFailed;
     } else if (clean_fail) {
       ar.outcome = AttemptOutcome::kAllFailed;

@@ -1,10 +1,10 @@
 // Tests for the SpeculationGovernor (src/posix/governor.*): per-arm wall and
 // CPU budgets enforced by the governed cohort wait (in a nested, forked
 // block too), SIGTERM→SIGKILL grace escalation, global admission control
-// with single-token overdrafts, degradation of denied blocks to serialized
-// forked execution, PSI-driven budget shrinking and arm shedding (through
-// an ALTX_PSI_PATH-style fixture file), and the bounded in-place fork
-// EAGAIN retry against the fork_storm fault.
+// with k-of-n grants and single-token overdrafts, blocks granted fewer
+// tokens than arms running k arms at a time in one group, PSI-driven budget
+// shrinking and arm shedding (through an ALTX_PSI_PATH-style fixture file),
+// and the bounded in-place fork EAGAIN retry against the fork_storm fault.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
@@ -17,6 +17,8 @@
 
 #include "common/error.hpp"
 #include "constrained.hpp"
+#include "obs/history.hpp"
+#include "posix/await_all.hpp"
 #include "posix/fault.hpp"
 #include "posix/governor.hpp"
 #include "posix/supervisor.hpp"
@@ -153,33 +155,39 @@ TEST(Governor, WallBudgetHoldsInsideANestedArm) {
   EXPECT_LT(dt, 1'000ms);
 }
 
-TEST(Governor, MultiArmAdmissionIsDeniedWhenTheBudgetIsBusy) {
+TEST(Governor, MultiArmAdmissionGrantsWhatIsFree) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   GovernorConfig gc;
   gc.tokens = 2;
-  gc.admit_wait = 30ms;
+  gc.serial_admit_wait = 30ms;
   SpeculationGovernor gov(gc);
 
-  // Wider than the base budget can ever serve: denied without queueing.
+  // Wider than the whole budget: granted all of it, without queueing.
+  int k = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(gov.admit(3), Admission::kDenied);
+  EXPECT_EQ(gov.admit(3, &k), Admission::kGranted);
+  EXPECT_EQ(k, 2);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 20ms);
+  gov.release(2);
 
-  // Fits the budget but the pool is busy: queues for admit_wait, then is
-  // denied.
+  // One token busy: a two-token request gets the one that is free.
   ASSERT_EQ(gov.admit(1), Admission::kGranted);
-  EXPECT_EQ(gov.admit(2), Admission::kDenied);
+  EXPECT_EQ(gov.admit(2, &k), Admission::kGranted);
+  EXPECT_EQ(k, 1);
+  // None free: queues for serial_admit_wait, then overdrafts one.
+  EXPECT_EQ(gov.admit(2, &k), Admission::kOverdraft);
+  EXPECT_EQ(k, 1);
   const GovernorStats st = gov.stats();
-  EXPECT_EQ(st.denied, 2u);
+  EXPECT_EQ(st.narrowed, 3u);
+  EXPECT_EQ(st.overdrafts, 1u);
   EXPECT_EQ(st.waited, 0u);  // `waited` counts granted admissions that queued
-  EXPECT_EQ(st.in_flight, 1);  // a denial holds nothing
-  gov.release(1);
+  EXPECT_EQ(st.in_flight, 3);
+  gov.release(3);
 }
 
 TEST(Governor, SingleArmOverdraftsInsteadOfStarving) {
   GovernorConfig gc;
   gc.tokens = 1;
-  gc.admit_wait = 20ms;
   gc.serial_admit_wait = 30ms;
   SpeculationGovernor gov(gc);
 
@@ -198,7 +206,7 @@ TEST(Governor, SingleArmOverdraftsInsteadOfStarving) {
 TEST(Governor, AdmissionQueueDrainsWhenTokensFree) {
   GovernorConfig gc;
   gc.tokens = 2;
-  gc.admit_wait = 2'000ms;
+  gc.serial_admit_wait = 2'000ms;
   SpeculationGovernor gov(gc);
 
   ASSERT_EQ(gov.admit(2), Admission::kGranted);
@@ -215,12 +223,10 @@ TEST(Governor, AdmissionQueueDrainsWhenTokensFree) {
   gov.release(2);
 }
 
-TEST(Governor, DeniedBlockDegradesToSerializedAndStaysCorrect) {
+TEST(Governor, NarrowGrantRunsTheBlockInOneGroup) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   GovernorConfig gc;
   gc.tokens = 1;
-  gc.admit_wait = 20ms;
-  gc.serial_admit_wait = 100ms;
   SpeculationGovernor gov(gc);
 
   RetryPolicy policy;
@@ -228,10 +234,10 @@ TEST(Governor, DeniedBlockDegradesToSerializedAndStaysCorrect) {
   RaceOptions opts;
   opts.governor = &gov;
 
-  // Three arms against one token: concurrent admission is impossible, so
-  // the supervisor must degrade to serialized forked arms. The failed
-  // guard's side effects stay invisible (it ran in its own process), and
-  // the first viable arm in PI order wins.
+  // Three arms against one token: the block is granted one slot and runs
+  // its arms one at a time in PI order, in one group under one deadline.
+  // The failed guard's side effects stay invisible (it ran in its own
+  // process), the first viable arm wins, and the third is never forked.
   static int leaked = 0;
   leaked = 0;
   SupervisionLog log;
@@ -243,37 +249,81 @@ TEST(Governor, DeniedBlockDegradesToSerializedAndStaysCorrect) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 7);
   EXPECT_EQ(r->winner, 2);
-  EXPECT_TRUE(r->degraded);
-  EXPECT_TRUE(log.degraded_serialized);
+  EXPECT_FALSE(r->degraded);
+  ASSERT_EQ(log.attempts.size(), 1u);
+  EXPECT_EQ(log.attempts[0].race.forked, 2);
+  EXPECT_EQ(log.attempts[0].race.aborted, 1);
+  EXPECT_EQ(log.attempts[0].race.eliminated, 1);  // arm 3, unforked
   EXPECT_EQ(leaked, 0);  // the losing arm's write never escaped its fork
-  EXPECT_GE(gov.stats().degradations, 1u);
+  const GovernorStats st = gov.stats();
+  EXPECT_EQ(st.narrowed, 1u);
+  EXPECT_EQ(st.overdrafts, 0u);
+  EXPECT_EQ(st.max_in_flight, 1);
+  EXPECT_EQ(st.in_flight, 0);
 }
 
-TEST(Governor, DegradeDisabledSurfacesTheDenialAsRetries) {
+TEST(Governor, NarrowedRaceRunsEveryArmUnderTheCap) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc;
-  gc.tokens = 1;
-  gc.admit_wait = 10ms;
-  SpeculationGovernor gov(gc);
-  ASSERT_EQ(gov.admit(1), Admission::kGranted);  // keep the budget busy
-
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff = 1ms;
-  policy.governor_degrade = false;
-  policy.sequential_fallback = false;
-  RaceOptions opts;
-  opts.governor = &gov;
-  SupervisionLog log;
-  const auto r = supervised_race<int>({[] { return std::optional<int>(1); },
-                                       [] { return std::optional<int>(2); }},
-                                      policy, opts, &log);
-  EXPECT_FALSE(r.has_value());
-  ASSERT_EQ(log.attempts.size(), 2u);
-  for (const auto& a : log.attempts) {
-    EXPECT_EQ(a.outcome, AttemptOutcome::kAdmissionDenied);
+  obs::HistoryStore& store = *obs::history_enable_for_test(64);
+  for (const int tokens : {1, 2}) {
+    GovernorConfig gc;
+    gc.tokens = tokens;
+    SpeculationGovernor gov(gc);
+    const std::uint64_t site = 0x6a77'0000 + static_cast<std::uint64_t>(tokens);
+    RaceOptions opts;
+    opts.governor = &gov;
+    opts.site_id = site;
+    opts.timeout = 5'000ms;
+    RaceReport rep;
+    opts.report = &rep;
+    // Arms 1 and 2 fail; each reap frees the slot the next arm runs in.
+    // Arm 3 takes long enough that both have failed before it commits.
+    const auto r = race<int>(
+        {[] { return std::optional<int>(); },
+         [] { return std::optional<int>(); },
+         [] { ::usleep(20'000); return std::optional<int>(3); }},
+        opts);
+    ASSERT_TRUE(r.has_value()) << tokens << " tokens";
+    EXPECT_EQ(r->winner, 3);
+    EXPECT_EQ(rep.forked, 3);
+    EXPECT_EQ(rep.aborted, 2);
+    const GovernorStats st = gov.stats();
+    EXPECT_LE(st.max_in_flight, tokens);
+    EXPECT_EQ(st.overdrafts, 0u);
+    EXPECT_EQ(st.narrowed, 1u);
+    EXPECT_EQ(st.in_flight, 0);
+    // Every sample lands under its own arm, as in an unthrottled race.
+    for (std::uint32_t arm = 1; arm <= 3; ++arm) {
+      const obs::ArmStats* a = store.find(site, arm);
+      ASSERT_NE(a, nullptr) << "arm " << arm;
+      EXPECT_EQ(a->total, 1u);
+      EXPECT_EQ(a->success_rate() > 0.5, arm == 3);
+    }
   }
-  gov.release(1);
+  obs::history_disable_for_test();
+}
+
+TEST(Governor, AwaitAllUnderOneTokenReturnsEveryResultInOrder) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // await_all takes the process governor; ctest runs each test in a process
+  // of its own, so the environment set here is the one it is built from.
+  ::setenv("ALTX_GOV_TOKENS", "1", 1);
+  SpeculationGovernor* gov = SpeculationGovernor::global();
+  ::unsetenv("ALTX_GOV_TOKENS");
+  if (gov == nullptr) {
+    GTEST_SKIP() << "the process governor was built before this test ran";
+  }
+  const auto all = await_all<int>({
+      [] { ::usleep(3'000); return std::optional<int>(1); },
+      [] { return std::optional<int>(2); },
+      [] { ::usleep(1'000); return std::optional<int>(3); },
+  });
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(*all, (std::vector<int>{1, 2, 3}));
+  const GovernorStats st = gov->stats();
+  EXPECT_EQ(st.max_in_flight, 1);
+  EXPECT_EQ(st.overdrafts, 0u);
+  EXPECT_EQ(st.in_flight, 0);
 }
 
 TEST(Governor, PsiPressureShrinksTheEffectiveBudget) {
@@ -341,6 +391,35 @@ TEST(Governor, PressureShedsTheHighestIndexLiveArm) {
   EXPECT_EQ(st[2].fate, ChildFate::kOverBudget);  // lowest PI: shed
   EXPECT_EQ(st[1].fate, ChildFate::kEliminated);
   EXPECT_GE(gov.stats().kills_shed, 1u);
+}
+
+TEST(Governor, SheddingAPendingArmForksNothing) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  GovernorConfig gc;
+  gc.psi_path = psi_fixture("pending", 95.0);  // above psi_kill_pct (90)
+  gc.pressure_interval = 1'000ms;  // one shed inside the winner's 200 ms
+  SpeculationGovernor gov(gc);
+
+  // Arm 3 is scheduled a second out: it is the lowest-PI live arm, so the
+  // shed cancels it before it is ever forked.
+  AltGroupOptions go;
+  go.governor = &gov;
+  go.launch = {{}, {}, {.delay_ns = 1'000'000'000}};
+  AltGroup group(go);
+  group.alt_spawn(3, [&group](int who) {
+    ::usleep(who == 1 ? 200'000 : 5'000'000);
+    group.child_commit(race_encode<int>(who));
+  });
+  const auto win = group.alt_wait(5'000ms);
+  std::remove(gc.psi_path.c_str());
+  ASSERT_TRUE(win.has_value());
+  EXPECT_EQ(win->index, 1);
+  const auto& st = group.child_statuses();
+  ASSERT_EQ(st.size(), 3u);
+  EXPECT_EQ(st[2].pid, -1);
+  EXPECT_EQ(st[2].fate, ChildFate::kOverBudget);
+  EXPECT_EQ(st[1].fate, ChildFate::kEliminated);
+  EXPECT_EQ(gov.stats().kills_shed, 1u);
 }
 
 TEST(Governor, PressureNeverShedsASingleArmRace) {

@@ -142,7 +142,8 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   // Warm up, then assert the fd count is stable across 40 rounds of every
   // block shape — winner, all-fail, timeout, asynchronous elimination,
   // await_all (won and failed), governed kills (wall budget, predicted,
-  // SIGTERM grace), and heap blocks (a bulk pull, a zero-dirty win, a
+  // SIGTERM grace), a narrowed grant whose pending arm the verdict cancels
+  // unforked, and heap blocks (a bulk pull, a zero-dirty win, a
   // timeout, and the patch fallback past IOV_MAX runs) — so every result
   // pipe, every pidfd and the heap group's release pipe are shown to close
   // on every path.
@@ -160,6 +161,9 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   GovernorConfig pred_cfg;
   pred_cfg.predict_watch = true;
   SpeculationGovernor pred_gov(pred_cfg);
+  GovernorConfig narrow_cfg;
+  narrow_cfg.tokens = 1;
+  SpeculationGovernor narrow_gov(narrow_cfg);
   obs::HistoryStore store(64);
   constexpr std::uint64_t kSite = 0x57e55;
   for (int s = 0; s < 10; ++s) store.record(kSite, 1, 1'000'000, 500'000, true);
@@ -182,6 +186,10 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   pred.planner = &planner;
   RaceReport pred_report;
   pred.report = &pred_report;
+  RaceOptions narrow;
+  narrow.governor = &narrow_gov;
+  RaceReport narrow_report;
+  narrow.report = &narrow_report;
   // Every other page of this arena is one run more than a pull takes.
   constexpr std::size_t kFallbackRuns = IOV_MAX + 1;
   AltHeap heap(2 * kFallbackRuns);
@@ -240,6 +248,18 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
                     pred)
                     .has_value());
     EXPECT_EQ(pred_report.predicted_losers, 1);
+    // One token for two arms: arm 2 waits for a slot and is cancelled at
+    // the verdict without ever being forked.
+    auto narrowed = race<int>(
+        {
+            [i] { return std::optional<int>(i); },
+            [i] { return std::optional<int>(i + 1); },
+        },
+        narrow);
+    ASSERT_TRUE(narrowed.has_value());
+    EXPECT_EQ(narrowed->winner, 1);
+    EXPECT_EQ(narrow_report.forked, 1);
+    EXPECT_EQ(narrow_report.eliminated, 1);
     auto bulk = race<int>(
         {
             [&heap, psz, i]() -> std::optional<int> {
@@ -285,6 +305,8 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   EXPECT_EQ(wall_gov.stats().kills_wall, 40u);
   EXPECT_EQ(grace_gov.stats().kills_wall, 40u);
   EXPECT_EQ(pred_gov.stats().kills_predicted, 40u);
+  EXPECT_EQ(narrow_gov.stats().narrowed, 40u);
+  EXPECT_EQ(narrow_gov.stats().in_flight, 0);
 }
 
 TEST(PosixStress, SixteenWayRace) {

@@ -564,6 +564,44 @@ TEST_F(PredictorRace, PressureSkipAbortsTheArmAndRecordsNoSample) {
   obs::history_disable_for_test();
 }
 
+TEST_F(PredictorRace, HedgeKillDeadlineCountsFromItsLaunch) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  obs::HistoryStore store(64);
+  teach(store, 1, 2 * kMs, true);
+  teach(store, 2, 20 * kMs, false);  // hedged; its p99 is 20 ms
+  PredictorConfig cfg = test_config();
+  cfg.stage_slack = 10.0;  // starts 20 ms after the block
+  SpeculationPlanner planner(cfg, &store);
+  const SpeculationPlan plan = planner.plan(kSite, 3, false);
+  ASSERT_EQ(plan.arms[1].decision, ArmDecision::kHedge);
+  EXPECT_EQ(plan.arms[1].stage_after_ns, 20 * kMs);
+  EXPECT_EQ(plan.arms[1].kill_after_ns, 20 * kMs);  // no stage added
+
+  GovernorConfig gc;
+  gc.predict_watch = true;
+  SpeculationGovernor gov(gc);
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.site_id = kSite;
+  opts.planner = &planner;
+  opts.governor = &gov;
+  RaceReport rep;
+  opts.report = &rep;
+  // The leader fails at once; the hedge, forked at 20 ms, runs 8 ms — 28 ms
+  // after the block began but 8 ms after its own launch, well inside its
+  // 20 ms deadline. The cold arm 3 keeps the census above one, so a
+  // deadline counted from the block would have killed the hedge.
+  const auto r = race<int>(
+      {[] { return std::optional<int>(); },
+       [] { ::usleep(8'000); return std::optional<int>(2); },
+       [] { ::usleep(300'000); return std::optional<int>(); }},
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 2);
+  EXPECT_EQ(rep.predicted_losers, 0);
+  EXPECT_EQ(gov.stats().kills_predicted, 0u);
+}
+
 TEST(Predictor, GovernorPressureSignal) {
   EXPECT_FALSE(governor_under_pressure(nullptr));
   GovernorConfig gc;

@@ -64,7 +64,7 @@ const char* verdict_name(std::uint64_t v) {
 
 // Governor activity folded from the kGov* event stream. The panel shows the
 // most recent effective budget plus lifetime counters — enough to see live
-// whether admission is queueing, shedding, or degrading blocks.
+// whether admission is queueing, narrowing grants, or shedding.
 struct GovPanel {
   bool active = false;          // any kGov* record seen
   std::uint64_t effective = 0;  // latest kGovBudget a (0 = never adjusted)
@@ -72,9 +72,8 @@ struct GovPanel {
   std::uint64_t stall_x100 = 0; // latest kGovBudget c (PSI some avg10 ×100)
   std::uint64_t admits = 0;
   std::uint64_t waits = 0;
-  std::uint64_t denials = 0;
   std::uint64_t overdrafts = 0;
-  std::uint64_t degradations = 0;
+  std::uint64_t narrowed = 0;   // grants of fewer tokens than asked for
   std::uint64_t kills_wall = 0;
   std::uint64_t kills_cpu = 0;
   std::uint64_t kills_shed = 0;
@@ -98,17 +97,13 @@ GovPanel fold_governor(const std::vector<Record>& records) {
         g.active = true;
         ++g.admits;
         break;
-      case EventKind::kGovDeny:
-        g.active = true;
-        ++g.denials;
-        break;
       case EventKind::kGovOverdraft:
         g.active = true;
         ++g.overdrafts;
         break;
-      case EventKind::kGovDegrade:
+      case EventKind::kGovNarrow:
         g.active = true;
-        ++g.degradations;
+        ++g.narrowed;
         break;
       case EventKind::kGovBudget:
         g.active = true;
@@ -264,15 +259,14 @@ void render(const altx::obs::TraceRingReader& reader, bool clear) {
   const GovPanel gov = fold_governor(records);
   if (gov.active) {
     std::printf("governor  budget %llu/%llu  stall %.2f%%  admits %llu "
-                "(waited %llu)  denied %llu  overdraft %llu  degraded %llu\n",
+                "(waited %llu)  narrowed %llu  overdraft %llu\n",
                 static_cast<unsigned long long>(gov.effective),
                 static_cast<unsigned long long>(gov.base),
                 static_cast<double>(gov.stall_x100) / 100.0,
                 static_cast<unsigned long long>(gov.admits),
                 static_cast<unsigned long long>(gov.waits),
-                static_cast<unsigned long long>(gov.denials),
-                static_cast<unsigned long long>(gov.overdrafts),
-                static_cast<unsigned long long>(gov.degradations));
+                static_cast<unsigned long long>(gov.narrowed),
+                static_cast<unsigned long long>(gov.overdrafts));
     std::printf("          kills: wall %llu  cpu %llu  shed %llu  "
                 "(term→kill escalations %llu)\n\n",
                 static_cast<unsigned long long>(gov.kills_wall),

@@ -142,10 +142,6 @@ std::string describe(const Record& r) {
       std::snprintf(buf, sizeof buf,
                     "degrading: sequential in-process fallback");
       break;
-    case EventKind::kHedgeWake:
-      std::snprintf(buf, sizeof buf, "hedge copy %llu wakes",
-                    static_cast<unsigned long long>(r.a));
-      break;
     case EventKind::kPredPlan:
       std::snprintf(buf, sizeof buf,
                     "plan: %llu launch now, %llu hedged, %llu skipped",
@@ -154,8 +150,7 @@ std::string describe(const Record& r) {
                     static_cast<unsigned long long>(r.c));
       break;
     case EventKind::kPredStage:
-      std::snprintf(buf, sizeof buf,
-                    "staged arm wakes after %.1f ms deferral",
+      std::snprintf(buf, sizeof buf, "staged arm forked after %.1f ms delay",
                     static_cast<double>(r.a) / 1e6);
       break;
     case EventKind::kPredKill:
@@ -477,8 +472,7 @@ int run_critical_path(const std::string& path) {
     std::printf("\n");
   }
   if (decided == 0) {
-    std::printf("\nno decided races (trace predates phase spans, or all "
-                "blocks were denied admission)\n");
+    std::printf("\nno decided races (trace predates phase spans)\n");
     return 0;
   }
   const double coverage =
