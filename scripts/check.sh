@@ -38,9 +38,19 @@ echo "== altx-check smoke (200 trials, both backends)"
 "$ROOT/build/tools/altx-check" --trials 200 --seed 42 --quiet \
     --out "${TMPDIR:-/tmp}"
 
+echo "== altx-check fault smoke (200 posix trials, injected faults)"
+# A heap winner waits for its release byte; a teardown path that forgot to
+# send it would hang, so the timeout turns a hang into a failure.
+timeout 300 "$ROOT/build/tools/altx-check" --trials 200 --seed 7 \
+    --backend posix --faults --quiet --out "${TMPDIR:-/tmp}"
+
 echo "== altx-check governor smoke (100 posix trials, perturbed governor)"
 "$ROOT/build/tools/altx-check" --trials 100 --seed 42 --backend posix \
     --perturb-governor --quiet --out "${TMPDIR:-/tmp}"
+
+echo "== altx-check governor + predictor smoke (100 posix trials)"
+"$ROOT/build/tools/altx-check" --trials 100 --seed 42 --backend posix \
+    --perturb-governor --perturb-predictor --quiet --out "${TMPDIR:-/tmp}"
 
 if [ -n "$SANITIZERS" ]; then
   # Leak detection trips on intentionally SIGKILLed children's inherited

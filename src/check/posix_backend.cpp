@@ -274,10 +274,8 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
       gc.arm_wall_budget = std::chrono::milliseconds(5'000);
       gc.kill_grace = std::chrono::milliseconds((schedule_seed >> 2) % 2 == 0 ? 0 : 2);
     }
-    // Predicted trials need every group governed, so each cohort wait
-    // enforces its predicted-kill deadlines over an exact live-arm count
-    // (ALTX_PRED=1 sets the same flag in production).
-    gc.predict_watch = predicted;
+    // Predicted trials are governed: only a governed group's cohort wait
+    // enforces predicted-kill deadlines.
     governor = std::make_unique<altx::posix::SpeculationGovernor>(gc);
   }
 

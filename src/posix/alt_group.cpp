@@ -130,9 +130,7 @@ AltGroup::AltGroup(AltGroupOptions options) : opts_(options) {
 AltGroup::~AltGroup() {
   if (my_index_ != 0) return;  // children never own the group
   try {
-    kill_survivors(ChildFate::kEliminated);
-    reap_all();
-    release_remaining_tokens();
+    end_cohort();
     finalize_accounting();
   } catch (...) {
     // Destructors must not throw; losing a reap here only leaks a zombie
@@ -283,7 +281,7 @@ bool AltGroup::fork_arm(std::size_t i) {
     // meanwhile are reaped and give their pids back.
     if (err != EAGAIN || try_n >= kForkRetries) {
       slot.result = Pipe{};
-      abandon();
+      end_cohort();
       throw SystemError(injected ? "fork (injected fault)" : "fork", err);
     }
     const double u =
@@ -339,15 +337,23 @@ bool AltGroup::fork_arm(std::size_t i) {
 
 void AltGroup::cancel(std::size_t i, ChildFate fate) {
   status_[i].fate = fate;
-  if (fate == ChildFate::kAborted) ++aborted_;
   --pending_;
   release_spare_tokens();
 }
 
-void AltGroup::abandon() {
+void AltGroup::end_cohort() {
   kill_survivors(ChildFate::kEliminated);
-  reap_all();
-  release_remaining_tokens();
+  // A heap winner exits only on its release byte, which no teardown may
+  // forget to send: EOF never comes while a child forked elsewhere in this
+  // process holds a copy of the write end.
+  release_winner(kReleaseExit);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!reaped(i)) reap(i, 0);
+  }
+  if (opts_.governor != nullptr && tokens_released_ < tokens_held_) {
+    opts_.governor->release(tokens_held_ - tokens_released_);
+    tokens_released_ = tokens_held_;
+  }
 }
 
 void AltGroup::child_commit(const Bytes& result) { child_sync(&result, true); }
@@ -545,12 +551,11 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
   arm_phase.end();  // idempotent: already closed on the result/timeout paths
   if (!all_reaped()) {
     obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
-    kill_survivors(ChildFate::kEliminated);
-    if (opts_.elimination == Eliminate::kSynchronous) reap_all();
+    end_cohort();
   }
   const std::uint64_t decide_t0 =
       obs::phase_begin(obs::Phase::kDecide, race_id_, 0);
-  finalize_accounting();  // no-op while losers are still unreaped
+  finalize_accounting();
   obs::phase_end(obs::Phase::kDecide, race_id_, 0, decide_t0);
   if (obs::enabled()) {
     obs::emit(obs::EventKind::kRaceDecided, race_id_, 0,
@@ -895,12 +900,6 @@ void AltGroup::reap(std::size_t i, int flags) {
   }
 }
 
-void AltGroup::finish() {
-  reap_all();
-  release_remaining_tokens();
-  finalize_accounting();
-}
-
 int AltGroup::count_fate(ChildFate fate) const {
   int n = 0;
   for (const auto& st : status_) {
@@ -943,22 +942,6 @@ bool AltGroup::all_reaped() const {
   return true;
 }
 
-void AltGroup::reap_all() {
-  // A heap winner exits only on its release byte, which no teardown path
-  // may forget to send: EOF never comes while a child forked elsewhere in
-  // this process holds a copy of the write end.
-  release_winner(kReleaseExit);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!reaped(i)) reap(i, 0);
-  }
-}
-
-void AltGroup::release_remaining_tokens() {
-  if (opts_.governor == nullptr || tokens_released_ >= tokens_held_) return;
-  opts_.governor->release(tokens_held_ - tokens_released_);
-  tokens_released_ = tokens_held_;
-}
-
 void AltGroup::release_spare_tokens() {
   // A block winding down frees budget for queued blocks before its own
   // teardown completes; a slot that a pending arm will take keeps its token.
@@ -999,7 +982,6 @@ void AltGroup::record_exit(std::size_t i, int status,
       st.fate = ChildFate::kCommitted;
     } else if (st.exit_code == kExitAbort) {
       st.fate = ChildFate::kAborted;
-      ++aborted_;
     } else if (st.exit_code == kExitTooLate) {
       st.fate = ChildFate::kTooLate;
     } else {
@@ -1097,7 +1079,7 @@ SpeculationReport AltGroup::speculation_report() const {
 void AltGroup::finalize_accounting() {
   if (accounted_ || !spawned_ || my_index_ != 0) return;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!reaped(i)) return;  // ledger incomplete; try again at next reap
+    if (!reaped(i)) return;  // a reap failed: the ledger stays incomplete
   }
   accounted_ = true;
   if (!obs::enabled()) return;

@@ -11,10 +11,12 @@
 //   alt_wait(t)   — in the parent: waits (bounded by the TIMEOUT) for the
 //                   first child to synchronize, absorbs its result (and, when
 //                   an AltHeap is attached, its dirty pages), then eliminates
-//                   the siblings. It returns FAIL as soon as every child has
-//                   exited without synchronizing — it never sits out the
-//                   TIMEOUT once no child can win. In a child: attempts the
-//                   synchronization.
+//                   the siblings, killing and reaping them before it
+//                   returns (section 3.2.1's synchronous elimination, the
+//                   one behaviour a block has). It returns FAIL as soon as
+//                   every child has exited without synchronizing — it never
+//                   sits out the TIMEOUT once no child can win. In a child:
+//                   attempts the synchronization.
 //
 // At-most-once synchronization is a 0-1 semaphore built from a pipe: the
 // parent deposits a single token byte; the first child to read it commits;
@@ -30,9 +32,10 @@
 // patch frame instead, which the parent reads — polling the winner's pidfd
 // too, and no later than the deadline — and applies. The release is always
 // an explicit byte, never EOF — a child forked by another thread may hold
-// the write end — and reap_all sends it before any wait for a child, so no
-// teardown path (destructor, abandoned cohort, an exception out of the
-// pull) waits on a winner that is waiting for it. A winner whose parent
+// the write end — and the group's one teardown (end_cohort: the verdict,
+// a failed fork, the destructor, which also covers an exception out of the
+// pull) sends it before any wait for a child, so none of them waits on a
+// winner that is waiting for it. A winner whose parent
 // dies notices through getppid() and exits. Since a heap winner's pages
 // live only as long as it does, no kill — at the deadline or by the
 // governor — is sent to a child whose frame is already out, and a frame
@@ -115,12 +118,6 @@
 
 namespace altx::posix {
 
-/// When losing siblings are terminated, relative to alt_wait returning.
-enum class Eliminate {
-  kSynchronous,   // killed and reaped before alt_wait returns
-  kAsynchronous,  // killed immediately, reaped later (finish()/destructor)
-};
-
 /// Classification of one child's end, assigned when it is reaped.
 enum class ChildFate : std::uint8_t {
   kRunning,     // not yet exited (or not yet reaped)
@@ -201,7 +198,6 @@ struct ArmLaunch {
 using ArmBody = std::function<void(int arm)>;
 
 struct AltGroupOptions {
-  Eliminate elimination = Eliminate::kSynchronous;
   AltHeap* heap = nullptr;        // optional shared-state arena to absorb
   FaultInjector* fault = nullptr; // optional seeded fault plan
 
@@ -265,7 +261,7 @@ class AltGroup {
   /// Runs n arms on the launch schedule: every forked child runs
   /// `body(arm)` and never returns. Forks what may start now; the parent's
   /// alt_wait / alt_wait_all forks the rest as their delays pass and slots
-  /// free, and throws SystemError — after abandoning the cohort — if one of
+  /// free, and throws SystemError — after ending the cohort — if one of
   /// those forks fails.
   void alt_spawn(int n, ArmBody body);
 
@@ -301,15 +297,13 @@ class AltGroup {
   std::optional<std::vector<Bytes>> alt_wait_all(
       std::chrono::milliseconds timeout);
 
-  /// Reaps any remaining children (no-op when elimination was synchronous).
-  void finish();
-
   /// Number of children that aborted (available after alt_wait).
-  [[nodiscard]] int aborted_children() const { return aborted_; }
+  [[nodiscard]] int aborted_children() const {
+    return count_fate(ChildFate::kAborted);
+  }
 
   /// Per-arm classification, indexed by arm - 1. Fates are final once the
-  /// child is reaped: after a synchronous alt_wait (or finish()) no
-  /// kRunning entries remain.
+  /// child is reaped: after alt_wait no kRunning entries remain.
   [[nodiscard]] const std::vector<ChildStatus>& child_statuses() const {
     return status_;
   }
@@ -320,10 +314,8 @@ class AltGroup {
   /// Why the last alt_wait came out the way it did.
   [[nodiscard]] WaitVerdict verdict() const { return verdict_kind_; }
 
-  /// The speculation ledger over the children reaped so far: wasted CPU,
-  /// discarded COW pages, overhead ratio. Complete after a synchronous
-  /// alt_wait (or finish()); with asynchronous elimination it covers
-  /// whatever has been reaped when asked.
+  /// The speculation ledger over the reaped children: wasted CPU,
+  /// discarded COW pages, overhead ratio. Complete after alt_wait.
   [[nodiscard]] SpeculationReport speculation_report() const;
 
   /// The trace id grouping this block's events (0 when tracing is off).
@@ -375,13 +367,15 @@ class AltGroup {
   [[nodiscard]] Clock::time_point due_at(std::size_t i) const {
     return admitted_ + std::chrono::nanoseconds(delay_ns(i));
   }
-  /// Forks arm i; true in the child. A failed fork abandons the cohort and
+  /// Forks arm i; true in the child. A failed fork ends the cohort and
   /// throws SystemError.
   bool fork_arm(std::size_t i);
   /// Ends pending arm i unforked, with `fate`.
   void cancel(std::size_t i, ChildFate fate);
-  /// Kills and reaps the cohort and returns its tokens (a failed fork).
-  void abandon();
+  /// The cohort's one teardown (verdict, failed fork, destructor): ends
+  /// pending arms unforked, kills the survivors as eliminated, reaps every
+  /// child and returns the tokens still held. Idempotent.
+  void end_cohort();
   /// child_commit / child_deliver / child_abort (result == nullptr).
   [[noreturn]] void child_sync(const Bytes* result, bool take_token);
   /// Heap winner, frame sent: waits for the release byte, and sends its
@@ -437,8 +431,6 @@ class AltGroup {
            slots_[i].kill_fate == ChildFate::kRunning;
   }
   void kill_survivors(ChildFate fate);
-  void reap_all();
-  void release_remaining_tokens();  // admission tokens not yet returned
   /// Returns the tokens that neither a running nor a pending arm needs.
   void release_spare_tokens();
   void record_exit(std::size_t i, int status, const ChildUsage& usage);
@@ -458,7 +450,7 @@ class AltGroup {
   bool accounted_ = false;  // kSpecReport emitted / metrics rolled up
   Pipe token_;   // 0-1 semaphore: one byte, first reader commits
   Fd out_;       // child side: the write end of its own result pipe
-  Pipe release_;  // heap groups: parent -> winner, one byte (reap_all)
+  Pipe release_;  // heap groups: parent -> winner, one byte (end_cohort)
   pid_t parent_ = 0;  // child side: the process that forked it
   std::vector<Bytes> results_;  // collect-all: delivered payloads
   int my_index_ = 0;  // 0 in parent
@@ -473,7 +465,6 @@ class AltGroup {
   bool decided_ = false;
   std::optional<AltWinner> verdict_;
   WaitVerdict verdict_kind_ = WaitVerdict::kUndecided;
-  int aborted_ = 0;
 };
 
 }  // namespace altx::posix

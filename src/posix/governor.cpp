@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "posix/predictor.hpp"
 
 namespace altx::posix {
 
@@ -126,7 +127,6 @@ GovernorConfig GovernorConfig::from_env() {
   c.psi_shed_pct = env_double("ALTX_GOV_PSI_SHED", c.psi_shed_pct);
   c.psi_kill_pct = env_double("ALTX_GOV_PSI_KILL", c.psi_kill_pct);
   c.mem_floor_pct = env_double("ALTX_GOV_MEM_FLOOR", c.mem_floor_pct);
-  c.predict_watch = env_u64("ALTX_PRED", 0) != 0;
   return c;
 }
 
@@ -434,9 +434,12 @@ void SpeculationGovernor::note_kill(GovKillReason reason, bool escalation) {
 
 SpeculationGovernor* SpeculationGovernor::global() {
   static const std::unique_ptr<SpeculationGovernor> g = [] {
+    // ALTX_PRED=1 alone builds it too: only a governed group's cohort wait
+    // enforces the planner's predicted-kill deadlines.
     const GovernorConfig c = GovernorConfig::from_env();
-    return c.any_enabled() ? std::make_unique<SpeculationGovernor>(c)
-                           : std::unique_ptr<SpeculationGovernor>();
+    return c.any_enabled() || SpeculationPlanner::env_enabled()
+               ? std::make_unique<SpeculationGovernor>(c)
+               : std::unique_ptr<SpeculationGovernor>();
   }();
   return g.get();
 }

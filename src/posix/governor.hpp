@@ -36,11 +36,14 @@
 //      governed waits — at most once per pressure_interval across every
 //      process sharing the pool.
 //
-// Everything is opt-in: without ALTX_GOV_* in the environment (or a
-// programmatic config) global() is nullptr and every call site costs one
-// null check. The governor runs no thread: every duty is carried out by
-// the process that admits or waits, so a forked copy (a nested block, an
-// altxd worker) enforces its budgets exactly as the process that built it.
+// Everything is opt-in: without ALTX_GOV_* or ALTX_PRED=1 in the
+// environment (or a programmatic config) global() is nullptr and every call
+// site costs one null check. ALTX_PRED=1 alone builds a governor with no
+// duty of its own, since only a governed group enforces the planner's
+// predicted-kill deadlines (posix/predictor.hpp). The governor runs no
+// thread: every duty is carried out by the process that admits or waits,
+// so a forked copy (a nested block, an altxd worker) enforces its budgets
+// exactly as the process that built it.
 //
 // Env knobs (see GovernorConfig::from_env):
 //   ALTX_GOV_TOKENS         concurrent speculative children cap (0 = off)
@@ -92,12 +95,6 @@ struct GovernorConfig {
 
   std::chrono::milliseconds pressure_interval{100}; // PSI sample cadence
 
-  /// Build the global governor even without any other duty, so every group
-  /// is governed and predicted-kill deadlines (posix/predictor.hpp) are
-  /// enforced. Set from ALTX_PRED=1, so prediction works without any
-  /// ALTX_GOV_* knob.
-  bool predict_watch = false;
-
   /// Reads the ALTX_GOV_* / ALTX_KILL_GRACE_MS / ALTX_PSI_PATH knobs.
   static GovernorConfig from_env();
 
@@ -105,7 +102,7 @@ struct GovernorConfig {
   [[nodiscard]] bool any_enabled() const {
     return tokens > 0 || arm_wall_budget.count() > 0 ||
            arm_cpu_budget.count() > 0 || rlimit_cpu_s > 0 ||
-           rlimit_as_mb > 0 || predict_watch;
+           rlimit_as_mb > 0;
   }
 };
 
@@ -207,8 +204,8 @@ class SpeculationGovernor {
   [[nodiscard]] GovernorStats stats() const;
 
   /// The env-configured process governor, built on first use; nullptr when
-  /// no ALTX_GOV_* knob is set. Race options resolve a null governor field
-  /// to this.
+  /// no ALTX_GOV_* knob is set and ALTX_PRED is not 1. Race options resolve
+  /// a null governor field to this.
   static SpeculationGovernor* global();
 
  private:

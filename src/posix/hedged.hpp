@@ -30,13 +30,11 @@ struct HedgeOptions {
   SpeculationGovernor* governor = nullptr;
 
   /// History + prediction passthrough: with a site_id the underlying race
-  /// records each copy's wall/success, and with predict (or ALTX_PRED=1)
-  /// under a governor the planner's early-kill deadlines apply to the
-  /// copies — the cohort wait kills a copy that overruns its own historical
-  /// kill quantile early, while the stagger schedule itself stays the
-  /// caller's.
+  /// records each copy's wall/success, and with ALTX_PRED=1 the planner's
+  /// early-kill deadlines apply to the copies of a governed block — the
+  /// cohort wait kills a copy that overruns its own historical kill
+  /// quantile early, while the stagger schedule itself stays the caller's.
   std::uint64_t site_id = 0;
-  bool predict = false;
 };
 
 template <RaceSerializable T>
@@ -73,7 +71,6 @@ std::optional<HedgeResult<T>> hedged(const HedgedFn<T>& task,
   ro.timeout = options.timeout;
   ro.governor = options.governor;
   ro.site_id = options.site_id;
-  ro.predict = options.predict;
   RaceReport report;
   ro.report = &report;
   // The stagger is the schedule; of a prediction only the kill deadlines

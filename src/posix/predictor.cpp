@@ -147,12 +147,11 @@ bool SpeculationPlanner::env_enabled() noexcept {
 
 SpeculationPlanner* SpeculationPlanner::global() noexcept {
   static const std::unique_ptr<SpeculationPlanner> g = [] {
-    const PredictorConfig c = PredictorConfig::from_env();
-    if (!c.enabled) return std::unique_ptr<SpeculationPlanner>();
+    if (!env_enabled()) return std::unique_ptr<SpeculationPlanner>();
     // The global planner reads whatever history store the process has; a
     // null store just means every plan comes back inactive until
     // ALTX_HISTORY (or a test) provides one.
-    return std::make_unique<SpeculationPlanner>(c,
+    return std::make_unique<SpeculationPlanner>(PredictorConfig::from_env(),
                                                 obs::HistoryStore::global());
   }();
   return g.get();

@@ -26,8 +26,12 @@
 // arm's fork and carried in its AltGroupOptions::launch entry. A governed
 // group's cohort wait escalates arms past their deadline as
 // ChildFate::kPredictedLoser, never an arm with no history and never the
-// group's last live arm; an ungoverned group (no governor: ALTX_PRED=1
-// builds the global one) never predicted-kills.
+// group's last live arm; an ungoverned group never predicted-kills.
+//
+// Planning has one switch: ALTX_PRED=1, through SpeculationPlanner::global()
+// (which also makes SpeculationGovernor::global() exist, so env-planned
+// races are governed), or an explicit RaceOptions::planner. altxd workers
+// plan the jobs that carry a site_id the same way.
 //
 // The plan is a pure function of (config, history snapshot, pressure):
 // given a fixed store it is deterministic, and with a cold store it

@@ -76,8 +76,6 @@ T race_decode(const Bytes& b) {
 
 /// How a race without a winner ended, plus the per-fate census — what a
 /// retry policy needs to decide whether another attempt can possibly help.
-/// With Eliminate::kAsynchronous some losers may still be unreaped
-/// (kRunning) when this is filled.
 struct RaceReport {
   WaitVerdict verdict = WaitVerdict::kUndecided;
 
@@ -111,7 +109,6 @@ struct RaceReport {
 
 struct RaceOptions {
   std::chrono::milliseconds timeout{10'000};
-  Eliminate elimination = Eliminate::kSynchronous;
   AltHeap* heap = nullptr;  // shared-state arena absorbed from the winner
 
   /// Replication for reliability (paper section 6: "transparent replication
@@ -148,16 +145,12 @@ struct RaceOptions {
   /// dependency on the server.
   std::string daemon_socket;
 
-  /// Prediction-driven speculation budgeting (posix/predictor.hpp). Off by
-  /// default; `predict = true` plans this race with the env-tuned
-  /// (ALTX_PRED_*) config over the current history store, and ALTX_PRED=1
-  /// turns planning on process-wide without touching call sites. Either
-  /// way a race only plans when site_id is set — the planner has nothing
-  /// to read otherwise — and a cold store yields the predict-off plan.
-  bool predict = false;
-
-  /// Overrides the planner (tests, the checker's synthetic histories).
-  /// Implies planning for this race; must outlive the call.
+  /// Prediction-driven speculation budgeting (posix/predictor.hpp): the
+  /// planner for this race, which must outlive the call. nullptr resolves
+  /// to SpeculationPlanner::global(), which ALTX_PRED=1 builds — those two
+  /// are the only ways to turn planning on. A race only plans when site_id
+  /// is set (the planner has nothing to read otherwise), and a cold store
+  /// yields the predict-off plan.
   const SpeculationPlanner* planner = nullptr;
 };
 
@@ -174,22 +167,13 @@ template <RaceSerializable T>
 using AlternativeFn = std::function<std::optional<T>()>;
 
 /// The plan race<T> runs: the planner's partition of the arms when the race
-/// predicts (options.predict, options.planner or ALTX_PRED=1, with a
-/// site_id), else an empty plan — every arm launched at once, no deadline.
+/// predicts (options.planner or ALTX_PRED=1, with a site_id), else an empty
+/// plan — every arm launched at once, no deadline.
 inline SpeculationPlan plan_race(const RaceOptions& options, int n) {
   if (options.site_id == 0) return {};  // the planner has nothing to read
-  std::optional<SpeculationPlanner> local_planner;
-  const SpeculationPlanner* planner = options.planner;
-  if (planner == nullptr) {
-    if (options.predict) {
-      PredictorConfig pc = PredictorConfig::from_env();
-      pc.enabled = true;
-      local_planner.emplace(pc, obs::history());
-      planner = &*local_planner;
-    } else if (SpeculationPlanner::env_enabled()) {
-      planner = SpeculationPlanner::global();
-    }
-  }
+  const SpeculationPlanner* planner = options.planner != nullptr
+                                          ? options.planner
+                                          : SpeculationPlanner::global();
   if (planner == nullptr) return {};
   SpeculationGovernor* gov = options.governor != nullptr
                                  ? options.governor
@@ -211,7 +195,6 @@ std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
   const auto arms = static_cast<std::size_t>(n * options.replicas);
 
   AltGroupOptions go;
-  go.elimination = options.elimination;
   go.heap = options.heap;
   go.fault = options.fault;
   go.governor = options.governor;
@@ -265,7 +248,7 @@ std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
       // arms still record when they commit (the success the planner needs).
       for (std::size_t i = 0; i < sts.size(); ++i) {
         const ChildStatus& st = sts[i];
-        if (st.fate == ChildFate::kRunning || st.pid < 0) continue;
+        if (st.pid < 0) continue;
         const std::size_t alt = i % static_cast<std::size_t>(n);
         if (!plan.arms.empty() &&
             plan.arms[alt].decision == ArmDecision::kHedge &&

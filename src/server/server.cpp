@@ -29,7 +29,6 @@
 #include "obs/trace.hpp"
 #include "posix/fd.hpp"
 #include "posix/governor.hpp"
-#include "posix/predictor.hpp"
 #include "server/worker.hpp"
 
 namespace altx::server {
@@ -1027,7 +1026,6 @@ void Server::start() {
   ZygoteConfig zc;
   zc.heap_pages = s.cfg.heap_pages;
   zc.governor = s.gov;
-  zc.predict = posix::SpeculationPlanner::env_enabled();
   s.zygote.emplace(Zygote::spawn(zc));
 
   const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);

@@ -128,8 +128,7 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   o.timeout = std::chrono::milliseconds(spec.timeout_ms);
   o.heap = job_heap;
   o.governor = cfg.governor;
-  o.site_id = spec.site_id;
-  o.predict = cfg.predict;  // plan server-side: the job shipped its site_id
+  o.site_id = spec.site_id;  // ALTX_PRED=1 plans the job here
   o.report = &report;
 
   const std::uint64_t t0 = obs::now_ns();

@@ -23,6 +23,10 @@
 // SIGCHLD before racing (AltGroup must be able to waitpid its arms). A
 // worker puts itself in its own process group so the daemon can take down
 // the whole cohort — worker plus live arms — with one kill(-pid).
+//
+// A job carries its client's site_id over the hop, and a worker plans it as
+// any race<T> does: with ALTX_PRED=1 in the daemon's environment, through
+// SpeculationPlanner::global() over the history store the worker inherited.
 #pragma once
 
 #include <sys/types.h>
@@ -42,13 +46,6 @@ struct ZygoteConfig {
   /// Admission governor shared with the daemon (MAP_SHARED pool, inherited
   /// through the zygote fork). nullptr = races resolve global() as usual.
   posix::SpeculationGovernor* governor = nullptr;
-
-  /// Plan jobs server-side (posix/predictor.hpp): JobSpec carries the
-  /// client's site_id over the hop, so a daemon whose workers have a warm
-  /// history store can stage or early-kill arms the client knows nothing
-  /// about. Resolved from ALTX_PRED in the daemon process at startup; the
-  /// workers inherit the decision (and the store) through the zygote fork.
-  bool predict = false;
 };
 
 class Zygote {

@@ -227,29 +227,7 @@ TEST(AltGroup, AbortedChildrenAreCounted) {
   if (who > 1) g.child_abort();
   auto win = g.alt_wait(5s);
   ASSERT_TRUE(win.has_value());
-  g.finish();
   EXPECT_EQ(g.aborted_children(), 2);
-}
-
-TEST(AltGroup, AsynchronousEliminationStillReturnsWinner) {
-  AltGroupOptions o;
-  o.elimination = Eliminate::kAsynchronous;
-  AltGroup g(o);
-  const int who = g.alt_spawn(2);
-  if (who == 1) {
-    ::usleep(5'000);
-    g.child_commit(Bytes{1});
-  }
-  if (who == 2) {
-    ::sleep(30);
-    g.child_commit(Bytes{2});
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto win = g.alt_wait(5s);
-  ASSERT_TRUE(win.has_value());
-  EXPECT_EQ(win->index, 1);
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
-  g.finish();
 }
 
 // ---------------------------------------------------------------------------

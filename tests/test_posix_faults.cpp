@@ -352,21 +352,6 @@ TEST(AltGroupCohort, InjectedSignalDeathsLeaveNoZombieOnAnyPath) {
     (void)race<int>(one_viable_alts(), opts);
     EXPECT_EQ(sweep_zombies(), 0) << "seed " << seed;
   }
-  // Same under asynchronous elimination, where finish() does the reaping.
-  FaultInjector inj(7, single_fault(FaultKind::kCrashSegv, 0.5));
-  AltGroupOptions o;
-  o.elimination = Eliminate::kAsynchronous;
-  o.fault = &inj;
-  AltGroup g(o);
-  const int who = g.alt_spawn(4);
-  if (who > 0) {
-    if (who == 2) g.child_commit(Bytes{2});
-    ::usleep(200'000);
-    g.child_abort();
-  }
-  (void)g.alt_wait(2s);
-  g.finish();
-  EXPECT_EQ(sweep_zombies(), 0);
 }
 
 // ---------------------------------------------------------------------------

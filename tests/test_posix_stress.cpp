@@ -140,13 +140,12 @@ TEST(PosixStress, LargeResultPayloadCrossesThePipe) {
 TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
   // Warm up, then assert the fd count is stable across 40 rounds of every
-  // block shape — winner, all-fail, timeout, asynchronous elimination,
-  // await_all (won and failed), governed kills (wall budget, predicted,
-  // SIGTERM grace), a narrowed grant whose pending arm the verdict cancels
-  // unforked, and heap blocks (a bulk pull, a zero-dirty win, a
-  // timeout, and the patch fallback past IOV_MAX runs) — so every result
-  // pipe, every pidfd and the heap group's release pipe are shown to close
-  // on every path.
+  // block shape — winner, all-fail, timeout, await_all (won and failed),
+  // governed kills (wall budget, predicted, SIGTERM grace), a narrowed
+  // grant whose pending arm the verdict cancels unforked, and heap blocks
+  // (a bulk pull, a zero-dirty win, a timeout, and the patch fallback past
+  // IOV_MAX runs) — so every result pipe, every pidfd and the heap group's
+  // release pipe are shown to close on every path.
   // The thread count is taken before the governors are built: governing a
   // block starts no thread.
   (void)race<int>({[] { return std::optional<int>(0); }});
@@ -159,7 +158,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   grace_cfg.kill_grace = 20ms;
   SpeculationGovernor grace_gov(grace_cfg);
   GovernorConfig pred_cfg;
-  pred_cfg.predict_watch = true;
   SpeculationGovernor pred_gov(pred_cfg);
   GovernorConfig narrow_cfg;
   narrow_cfg.tokens = 1;
@@ -174,8 +172,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ASSERT_GT(before, 0);
   RaceOptions timeout;
   timeout.timeout = 5ms;
-  RaceOptions async;
-  async.elimination = Eliminate::kAsynchronous;
   RaceOptions wall;
   wall.governor = &wall_gov;
   RaceOptions grace;
@@ -212,13 +208,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
     EXPECT_FALSE(race<int>({[] { ::sleep(10); return std::optional<int>(1); }},
                            timeout)
                      .has_value());
-    EXPECT_TRUE(race<int>(
-                    {
-                        [] { return std::optional<int>(1); },
-                        [] { ::sleep(10); return std::optional<int>(2); },
-                    },
-                    async)
-                    .has_value());
     EXPECT_TRUE(await_all<int>({
                                    [i] { return std::optional<int>(i); },
                                    [i] { return std::optional<int>(i + 1); },
@@ -323,26 +312,6 @@ TEST(PosixStress, SixteenWayRace) {
   ASSERT_TRUE(r.has_value());
   EXPECT_NE(r->value % 4, 0);
   EXPECT_EQ(r->value, r->winner - 1);
-}
-
-TEST(PosixStress, AsynchronousEliminationReapsInFinish) {
-  RaceOptions opts;
-  opts.elimination = Eliminate::kAsynchronous;
-  for (int i = 0; i < 10; ++i) {
-    auto r = race<int>(
-        {
-            [] { return std::optional<int>(1); },
-            [] { ::sleep(10); return std::optional<int>(2); },
-        },
-        opts);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->value, 1);
-  }
-  // Destructors reaped the async corpses: no zombie accumulation. If they
-  // leaked, the process table would fill and later forks fail; reaching here
-  // with forks still working is the assertion.
-  auto again = race<int>({[] { return std::optional<int>(5); }});
-  ASSERT_TRUE(again.has_value());
 }
 
 TEST(PosixStress, HeapAbsorptionWithManyDirtyPages) {

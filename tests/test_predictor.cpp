@@ -299,8 +299,6 @@ TEST_F(PredictorRace, OverrunningArmIsKilledAsPredictedLoser) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;  // every arm registers, so the live census is
-                            // accurate (ALTX_PRED=1 sets this in prod)
   SpeculationGovernor gov(gc);
 
   RaceOptions opts;
@@ -333,7 +331,6 @@ TEST_F(PredictorRace, NeverKillsTheLastLiveArm) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   SpeculationGovernor gov(gc);
 
   RaceOptions opts;
@@ -369,7 +366,6 @@ TEST_F(PredictorRace, LastLiveArmIsSparedWhileAnotherRaceRuns) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   SpeculationGovernor gov(gc);
 
   for (int round = 0; round < 5; ++round) {
@@ -417,7 +413,6 @@ TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   gc.kill_grace = 500ms;  // wide TERM→KILL window for the commit to land in
   SpeculationGovernor gov(gc);
 
@@ -578,7 +573,6 @@ TEST_F(PredictorRace, HedgeKillDeadlineCountsFromItsLaunch) {
   EXPECT_EQ(plan.arms[1].kill_after_ns, 20 * kMs);  // no stage added
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   SpeculationGovernor gov(gc);
   RaceOptions opts;
   opts.timeout = 5'000ms;
@@ -631,13 +625,24 @@ TEST(Predictor, EnvConfigRoundTrip) {
   ::unsetenv("ALTX_PRED_MIN_SAMPLES");
   ::unsetenv("ALTX_PRED_MAX_STAGE_MS");
   EXPECT_FALSE(PredictorConfig::from_env().enabled);
-  // ALTX_PRED also arms the governor's predict_watch, so every group is
-  // governed (and its live census complete) with no ALTX_GOV_* budget set.
+}
+
+TEST(Predictor, EnvPredAloneBuildsTheProcessGovernor) {
+  // Only a governed group enforces predicted-kill deadlines, so ALTX_PRED=1
+  // with no ALTX_GOV_* knob must still yield a process governor. ALTX_PRED
+  // is read once per process and the globals it builds govern every later
+  // race, so this runs only as the one test of its process, as under ctest.
+  if (::testing::UnitTest::GetInstance()->test_to_run_count() != 1) {
+    GTEST_SKIP() << "needs a process of its own";
+  }
+  if (GovernorConfig::from_env().any_enabled()) {
+    GTEST_SKIP() << "an ALTX_GOV_* knob builds the governor by itself";
+  }
   ::setenv("ALTX_PRED", "1", 1);
-  EXPECT_TRUE(GovernorConfig::from_env().predict_watch);
-  EXPECT_TRUE(GovernorConfig::from_env().any_enabled());
+  ASSERT_TRUE(SpeculationPlanner::env_enabled());
+  EXPECT_NE(SpeculationPlanner::global(), nullptr);
+  EXPECT_NE(SpeculationGovernor::global(), nullptr);
   ::unsetenv("ALTX_PRED");
-  EXPECT_FALSE(GovernorConfig::from_env().predict_watch);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "obs/event.hpp"
 #include "obs/trace.hpp"
 #include "posix/governor.hpp"
+#include "posix/predictor.hpp"
 #include "server/client.hpp"
 #include "server/registry.hpp"
 #include "server/server.hpp"
@@ -537,6 +538,46 @@ TEST_F(ServerTest, MetricsEndpointScrapesTrueOnDarkDaemon) {
   EXPECT_NE(resp.find("altx_jobs_completed_total 1\n"), std::string::npos)
       << resp;
   EXPECT_NE(resp.find("altx_srv_exec_ns_count 1\n"), std::string::npos);
+}
+
+TEST_F(ServerTest, EnvPredictionPlansJobsThatCarryASiteId) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // Workers are forked from this process and inherit its reading of
+  // ALTX_PRED, which is taken once per process and then holds for every
+  // later race, so this runs only as the one test of its process, as under
+  // ctest.
+  if (::testing::UnitTest::GetInstance()->test_to_run_count() != 1) {
+    GTEST_SKIP() << "needs a process of its own";
+  }
+  ::setenv("ALTX_PRED", "1", 1);
+  ASSERT_TRUE(posix::SpeculationPlanner::env_enabled());
+  obs::enable_for_test(1 << 14);
+  ServerConfig cfg;
+  cfg.workers = 1;
+  start(cfg);
+
+  Client c = Client::connect_unix(sock_);
+  const std::uint64_t planned = 0x0123456789abcdefULL;
+  const std::uint64_t unplanned = 0x0fedcba987654321ULL;
+  JobSpec with_site = echo_job(1);
+  with_site.site_id = 0x5173;
+  const std::uint64_t id1 = c.submit(with_site, planned, /*span_id=*/1);
+  ASSERT_EQ(c.wait(id1, 15'000ms).status, JobStatus::kWon);
+  const std::uint64_t id2 = c.submit(echo_job(2), unplanned, /*span_id=*/2);
+  ASSERT_EQ(c.wait(id2, 15'000ms).status, JobStatus::kWon);
+
+  int plans_planned = 0;
+  int plans_unplanned = 0;
+  for (const obs::Record& r : obs::snapshot()) {
+    if (r.kind != obs::EventKind::kPredPlan) continue;
+    if (r.trace_id == planned) ++plans_planned;
+    if (r.trace_id == unplanned) ++plans_unplanned;
+  }
+  EXPECT_EQ(plans_planned, 1) << "the job with a site_id was not planned once";
+  EXPECT_EQ(plans_unplanned, 0) << "a job without a site_id was planned";
+  stop();
+  obs::reset();
+  ::unsetenv("ALTX_PRED");
 }
 
 }  // namespace

@@ -173,7 +173,6 @@ TEST(SpeculationAccounting, WinnerPagesAreNotDiscarded) {
   }
   const auto win = group.alt_wait(5s);
   ASSERT_TRUE(win.has_value());
-  group.finish();
   const SpeculationReport rep = group.speculation_report();
   // Absorbed pages are the answer, not waste.
   EXPECT_EQ(rep.discarded_pages, 0u);

@@ -245,7 +245,6 @@ TEST_F(TraceCompleteness, PredictedKillsPairWithTerminalFatesUnderEveryFaultKind
       pc.enabled = true;
       SpeculationPlanner planner(pc, &store);
       GovernorConfig gc;
-      gc.predict_watch = true;  // every arm registers: exact live census
       SpeculationGovernor gov(gc);
       FaultInjector inj(seed, p);
       RaceOptions opts;
