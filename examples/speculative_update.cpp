@@ -2,10 +2,11 @@
 //
 // The paper's memory story, live: a "database" lives in a copy-on-write
 // arena; two query plans race, each updating the pages it needs inside its
-// own forked world. The winner's dirty pages — recorded by the per-process
-// descriptor table (mprotect + SIGSEGV tracking) — are absorbed into the
-// parent, exactly the alt_wait page-pointer swap at page granularity. The
-// loser's writes never existed.
+// own forked world. The winner's dirty pages — its per-process descriptor
+// table, which the kernel keeps as the arm's private copies of the arena's
+// pages (read with PAGEMAP_SCAN, or tracked by mprotect + SIGSEGV on kernels
+// without it) — are absorbed into the parent, exactly the alt_wait
+// page-pointer swap at page granularity. The loser's writes never existed.
 #include <unistd.h>
 
 #include <cstdio>

@@ -1042,7 +1042,7 @@ void AltGroup::publish_census() {
   std::uint64_t pages = 0;
   std::uint64_t bytes = 0;
   if (opts_.heap != nullptr) {
-    pages = static_cast<std::uint64_t>(opts_.heap->dirty_pages().size());
+    pages = static_cast<std::uint64_t>(opts_.heap->collect_dirty());
     bytes = pages * static_cast<std::uint64_t>(opts_.heap->page_size());
   }
   if (census_ != nullptr && my_index_ >= 1 &&

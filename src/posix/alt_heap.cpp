@@ -1,25 +1,48 @@
 #include "posix/alt_heap.hpp"
 
 #include <limits.h>
+#include <linux/fs.h>
+#include <pthread.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+
+// PAGEMAP_SCAN arrived in Linux 6.7; older uapi headers lack it. The ABI is
+// fixed, so it is spelled out here (include/uapi/linux/fs.h).
+#ifndef PAGEMAP_SCAN
+struct pm_scan_arg {
+  __u64 size, flags, start, end, walk_end, vec, vec_len, max_pages;
+  __u64 category_inverted, category_mask, category_anyof_mask, return_mask;
+};
+#define PAGEMAP_SCAN _IOWR('f', 16, struct pm_scan_arg)
+#define PAGE_IS_FILE (1 << 2)
+#define PAGE_IS_PRESENT (1 << 3)
+#define PAGE_IS_SWAPPED (1 << 4)
+#define PAGE_IS_PFNZERO (1 << 5)
+#endif
 
 namespace altx::posix {
 
 namespace {
 
-// Registry of live arenas so the (process-wide) SIGSEGV handler can route a
-// fault to the arena that owns the address. Small and scanned linearly; no
-// locking needed — faults are handled on the faulting thread and the
-// backend is single-threaded by design (concurrency comes from processes).
+// Registry of live arenas, for the (process-wide) SIGSEGV handler, which
+// routes a fault to the arena that owns the address, and for the fork
+// handler, which gives every child its private view. Small and scanned
+// linearly; no locking needed — faults are handled on the faulting thread,
+// and arenas are made and destroyed by a backend that is single-threaded by
+// design (concurrency comes from processes).
 std::vector<AltHeap*> g_heaps;
 struct sigaction g_prev_segv;
 bool g_handler_installed = false;
+
+// A scan returns at most this many regions per call.
+constexpr std::size_t kScanBatch = 256;
 
 void on_segv(int signo, siginfo_t* info, void* /*ctx*/) {
   for (AltHeap* h : g_heaps) {
@@ -42,16 +65,40 @@ void install_handler() {
   g_handler_installed = true;
 }
 
+/// Maps all `bytes` of `fd` read-write.
+void* map_view(std::size_t bytes, int flags, int fd) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, fd, 0);
+  if (p == MAP_FAILED) throw_errno("mmap");
+  return p;
+}
+
 }  // namespace
 
-AltHeap::AltHeap(std::size_t pages) : AltHeap(pages, Fd{}) {}
+AltHeap::AltHeap(std::size_t pages) : AltHeap(pages, Fd{}) {
+  // The owner's view, and the private one each child moves in over it
+  // (after_fork_in_child). The maps hold the memfd, so no descriptor stays
+  // open. The spare is never touched here, so fork() copies none of its
+  // page tables either, and a child's private copies are all its own.
+  const Fd memfd(::memfd_create("altx-heap", MFD_CLOEXEC));
+  if (!memfd.valid() ||
+      ::ftruncate(memfd.get(), static_cast<off_t>(bytes_)) != 0) {
+    throw_errno("memfd_create");
+  }
+  base_ = map_view(bytes_, MAP_SHARED, memfd.get());
+  spare_ = map_view(bytes_, MAP_PRIVATE, memfd.get());
+  regions_.resize(3 * kScanBatch);
+}
 
-AltHeap::AltHeap(std::size_t pages, Fd backing) : backing_(std::move(backing)) {
+AltHeap::AltHeap(std::size_t pages, Fd file) : backing_(std::move(file)) {
   ALTX_REQUIRE(pages >= 1, "AltHeap: need at least one page");
   page_size_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   pages_ = pages;
   bytes_ = pages * page_size_;
-  map();
+  if (backing_.valid()) base_ = map_view(bytes_, MAP_PRIVATE, backing_.get());
+  // Processes that never make an arena pay nothing at their forks.
+  static const bool fork_handler =
+      ::pthread_atfork(nullptr, nullptr, &after_fork_in_child) == 0;
+  if (!fork_handler) throw SystemError("pthread_atfork", ENOMEM);
   install_handler();
   g_heaps.push_back(this);
 }
@@ -59,29 +106,46 @@ AltHeap::AltHeap(std::size_t pages, Fd backing) : backing_(std::move(backing)) {
 AltHeap::~AltHeap() {
   std::erase(g_heaps, this);
   if (base_ != nullptr) ::munmap(base_, bytes_);
-}
-
-void AltHeap::map() {
-  const int flags =
-      backing_.valid() ? MAP_PRIVATE : MAP_PRIVATE | MAP_ANONYMOUS;
-  base_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, flags,
-                 backing_.get(), 0);
-  if (base_ == MAP_FAILED) {
-    base_ = nullptr;
-    throw_errno("mmap");
-  }
+  if (spare_ != nullptr) ::munmap(spare_, bytes_);
 }
 
 void AltHeap::remap() {
   ::munmap(base_, bytes_);
   base_ = nullptr;
-  map();
+  base_ = map_view(bytes_, MAP_PRIVATE, backing_.get());
   dirty_.clear();
   tracking_ = false;
 }
 
+void AltHeap::after_fork_in_child() {
+  for (AltHeap* h : g_heaps) {
+    h->pagemap_.reset();  // it reads the parent's pages, not ours
+    h->fresh_ = h->spare_ != nullptr;
+    if (!h->fresh_) continue;
+    // From here on this process's writes go to copies of its own. A child
+    // that cannot have that must not run on in the owner's arena.
+    if (::mremap(h->spare_, h->bytes_, h->bytes_,
+                 MREMAP_MAYMOVE | MREMAP_FIXED, h->base_) == MAP_FAILED) {
+      std::abort();
+    }
+    h->spare_ = nullptr;
+  }
+}
+
 void AltHeap::begin_tracking() {
   dirty_.clear();
+  if (fresh_) {
+    // Every anonymous page of this map is a write of this process. An empty
+    // scan tells whether the kernel has the ioctl at all.
+    fresh_ = false;
+    Fd pagemap(::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC));
+    pm_scan_arg probe{};
+    probe.size = sizeof probe;
+    if (pagemap.valid() && ::ioctl(pagemap.get(), PAGEMAP_SCAN, &probe) == 0) {
+      pagemap_ = std::move(pagemap);
+      return;
+    }
+  }
   // Every page can be dirtied at most once, so the handler's push_back
   // below never has to allocate.
   dirty_.reserve(pages_);
@@ -89,11 +153,48 @@ void AltHeap::begin_tracking() {
   tracking_ = true;
 }
 
+std::size_t AltHeap::collect_dirty() {
+  if (!pagemap_.valid()) return dirty_.size();
+  dirty_.clear();
+  // A written page is an anonymous copy: present or swapped out, and
+  // neither a page of the backing file nor the zero page. Each region comes
+  // back as {start, end, categories}; a scan that fills the buffer stops
+  // early, and the next one starts where it stopped.
+  const auto begin = reinterpret_cast<std::uintptr_t>(base_);
+  for (std::uint64_t from = begin; from < begin + bytes_;) {
+    pm_scan_arg arg{};
+    arg.size = sizeof arg;
+    arg.start = from;
+    arg.end = begin + bytes_;
+    arg.vec = reinterpret_cast<std::uintptr_t>(regions_.data());
+    arg.vec_len = regions_.size() / 3;
+    arg.category_inverted = arg.category_mask = PAGE_IS_FILE | PAGE_IS_PFNZERO;
+    arg.category_anyof_mask = PAGE_IS_PRESENT | PAGE_IS_SWAPPED;
+    const int n = ::ioctl(pagemap_.get(), PAGEMAP_SCAN, &arg);
+    if (n < 0) throw_errno("ioctl(PAGEMAP_SCAN)");
+    if (arg.walk_end <= from) throw SystemError("PAGEMAP_SCAN: stalled", EIO);
+    for (std::size_t k = 0; k < 3 * static_cast<std::size_t>(n); k += 3) {
+      for (std::uint64_t a = regions_[k]; a < regions_[k + 1];
+           a += page_size_) {
+        dirty_.push_back(static_cast<std::uint32_t>((a - begin) / page_size_));
+      }
+    }
+    from = arg.walk_end;
+  }
+  return dirty_.size();
+}
+
 void AltHeap::end_tracking() {
+  pagemap_.reset();
   if (::mprotect(base_, bytes_, PROT_READ | PROT_WRITE) != 0) {
     throw_errno("mprotect(RW)");
   }
   tracking_ = false;
+}
+
+void AltHeap::clear() {
+  // The hole punch of fallocate(PUNCH_HOLE), through the shared map.
+  if (::madvise(base_, bytes_, MADV_REMOVE) != 0) throw_errno("madvise");
 }
 
 bool AltHeap::handle_fault(void* addr) {

@@ -36,7 +36,8 @@ class FileHeap : private AltHeap {
   using AltHeap::pages;
   using AltHeap::size_bytes;
 
-  /// Child side: the same mprotect/SIGSEGV descriptor table as AltHeap.
+  /// Child side: AltHeap's mprotect/SIGSEGV descriptor table. A FileHeap's
+  /// map is never shared, so it never scans.
   using AltHeap::begin_tracking;
   using AltHeap::dirty_pages;
   using AltHeap::end_tracking;

@@ -154,11 +154,8 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   }
 
   // Reset the arena for the next job — the warm-worker equivalent of a
-  // fresh fork's zero pages (tracking is off in the worker, so this is a
-  // plain write).
-  if (job_heap != nullptr) {
-    std::memset(job_heap->base(), 0, job_heap->size_bytes());
-  }
+  // fresh fork's zero pages.
+  if (job_heap != nullptr) job_heap->clear();
 
   if (r.has_value()) {
     out.status = JobStatus::kWon;
@@ -172,8 +169,7 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   return out;
 }
 
-[[noreturn]] void worker_main(int job_fd, const ZygoteConfig& cfg,
-                              posix::AltHeap* heap) {
+[[noreturn]] void worker_main(int job_fd, const ZygoteConfig& cfg) {
   // The template ignores SIGCHLD so exited siblings self-reap; AltGroup
   // needs real waitpid semantics back before it can reap arms.
   ::signal(SIGCHLD, SIG_DFL);
@@ -181,6 +177,11 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   // Own process group: the daemon tears down the whole cohort — worker
   // plus any live arms — with one kill(-pid).
   (void)::setpgid(0, 0);
+  // The worker's own arena: an arena made in the template would be one
+  // memfd that every worker maps.
+  const std::unique_ptr<posix::AltHeap> heap =
+      cfg.heap_pages > 0 ? std::make_unique<posix::AltHeap>(cfg.heap_pages)
+                         : nullptr;
 
   FrameDecoder dec;
   std::uint8_t buf[64 << 10];
@@ -212,7 +213,7 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
         obs::set_current_trace(f->trace_id);
         JobOutcome out;
         try {
-          out = run_job(decode_job(f->payload), cfg, heap);
+          out = run_job(decode_job(f->payload), cfg, heap.get());
         } catch (const std::exception& e) {
           out.status = JobStatus::kError;
           out.error = e.what();
@@ -241,20 +242,13 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   ::signal(SIGCHLD, SIG_IGN);
   ::signal(SIGPIPE, SIG_IGN);
 
-  // The arena is created once, here, so every worker inherits the mapping
-  // COW — arena setup is part of what the pool amortizes.
-  std::unique_ptr<posix::AltHeap> heap;
-  if (cfg.heap_pages > 0) {
-    heap = std::make_unique<posix::AltHeap>(cfg.heap_pages);
-  }
-
   for (;;) {
     const int job_fd = recv_fd(control_fd);
     if (job_fd < 0) ::_exit(0);  // daemon hung up
     const pid_t pid = ::fork();
     if (pid == 0) {
       ::close(control_fd);
-      worker_main(job_fd, cfg, heap.get());
+      worker_main(job_fd, cfg);
     }
     ::close(job_fd);
     std::int64_t reply = pid > 0 ? pid : -1;

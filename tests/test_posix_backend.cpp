@@ -8,6 +8,8 @@
 #include <linux/filter.h>
 #include <linux/seccomp.h>
 #include <signal.h>
+#include <fcntl.h>
+#include <sys/ioctl.h>
 #include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/uio.h>
@@ -31,6 +33,9 @@ namespace altx::posix {
 namespace {
 
 using namespace std::chrono_literals;
+
+// ioctl(PAGEMAP_SCAN) (Linux 6.7): 'f' 16, read-write, a 96-byte argument.
+constexpr std::uint32_t kPagemapScan = _IOWR('f', 16, std::uint64_t[12]);
 
 TEST(PosixRace, FastestAlternativeWins) {
   auto r = race<int>({
@@ -506,6 +511,153 @@ TEST(AltHeap, WinnerDeadBeforeThePullLosesWithoutThrowing) {
   EXPECT_EQ(g.verdict(), WaitVerdict::kAllFailed);
   EXPECT_EQ(g.count_fate(ChildFate::kCrashed), 1);
   EXPECT_EQ(word[0], 1u);
+}
+
+TEST(AltHeap, PlainForkChildCannotWriteTheParentsArena) {
+  // The owner maps its arena shared, so nothing but the fork handler's
+  // private map stands between a child that is not an arm and its pages.
+  AltHeap heap(4);
+  auto* word = heap.at<std::uint64_t>(2 * heap.page_size());
+  word[0] = 7;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const bool saw_parent = word[0] == 7;
+    word[0] = 666;
+    _exit(saw_parent && word[0] == 666 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(word[0], 7u);
+}
+
+TEST(AltHeap, ArmDirtySetIsExactlyTheWrittenPages) {
+  // Reading a page maps the owner's copy; only a write makes a page the
+  // arm's own, and only those pages are absorbed.
+  AltHeap heap(128);
+  const std::size_t psz = heap.page_size();
+  for (std::size_t p = 0; p < heap.pages(); ++p) {
+    heap.at<std::uint64_t>(p * psz)[0] = p;
+  }
+  const std::vector<std::size_t> written = {0, 77, heap.pages() - 1};
+  RaceOptions opts;
+  opts.heap = &heap;
+  auto r = race<int>(
+      {[&]() -> std::optional<int> {
+        std::uint64_t sum = 0;
+        for (std::size_t p = 0; p < heap.pages(); p += 2) {
+          sum += heap.at<std::uint64_t>(p * psz)[0];  // 64 pages read
+        }
+        for (std::size_t p : written) {
+          heap.at<std::uint64_t>(p * psz)[0] += 1000;
+        }
+        return static_cast<int>(sum);
+      }},
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->value, 2 * (63 * 64 / 2));
+  EXPECT_EQ(r->pages_absorbed, written.size());
+  for (std::size_t p = 0; p < heap.pages(); ++p) {
+    const bool dirty =
+        std::find(written.begin(), written.end(), p) != written.end();
+    EXPECT_EQ(heap.at<std::uint64_t>(p * psz)[0], dirty ? p + 1000 : p) << p;
+  }
+}
+
+/// Makes every later ioctl(PAGEMAP_SCAN) of this process fail with ENOTTY,
+/// as on a kernel older than 6.7. False where the filter cannot be
+/// installed.
+bool deny_pagemap_scan() {
+#if defined(__x86_64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_AARCH64;
+#else
+  return false;
+#endif
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_ioctl, 0, 3),
+      // The request's low word (both targets are little-endian).
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, args[1])),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kPagemapScan, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K,
+               SECCOMP_RET_ERRNO | (ENOTTY & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog prog{static_cast<unsigned short>(std::size(filter)), filter};
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) == 0;
+}
+
+TEST(AltHeap, ArmsFallBackToFaultTrackingWithoutPagemapScan) {
+  // As AbsorbFallsBackWhenThePullIsDenied: a forked helper installs the
+  // filter and runs the race; its exit code is the verdict.
+  enum : int { kOk = 0, kWrong = 1, kNoFilter = 2, kThrew = 3 };
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int code = kThrew;
+    try {
+      if (!deny_pagemap_scan()) _exit(kNoFilter);
+      std::uint64_t arg[12] = {sizeof arg};
+      const int pagemap = ::open("/proc/self/pagemap", O_RDONLY);
+      if (pagemap < 0 || ::ioctl(pagemap, kPagemapScan, arg) != -1 ||
+          errno != ENOTTY) {
+        _exit(kNoFilter);
+      }
+      ::close(pagemap);
+      AltHeap heap(32);
+      const std::size_t psz = heap.page_size();
+      for (std::size_t p = 0; p < heap.pages(); ++p) {
+        heap.at<std::uint64_t>(p * psz)[0] = p;
+      }
+      RaceOptions opts;
+      opts.heap = &heap;
+      const std::vector<std::size_t> written = {0, 4, 5, 9, 31};
+      auto r = race<int>(
+          {
+              [&]() -> std::optional<int> {
+                std::uint64_t sum = 0;
+                for (std::size_t p = 0; p < heap.pages(); ++p) {
+                  sum += heap.at<std::uint64_t>(p * psz)[0];
+                }
+                for (std::size_t p : written) {
+                  heap.at<std::uint64_t>(p * psz)[0] = 1000 + p;
+                }
+                return static_cast<int>(sum);
+              },
+              [&]() -> std::optional<int> {
+                heap.at<std::uint64_t>(2 * psz)[0] = 666;
+                ::usleep(300'000);
+                return 2;
+              },
+          },
+          opts);
+      bool ok = r.has_value() && r->winner == 1 && r->value == 31 * 32 / 2 &&
+                r->pages_absorbed == written.size();
+      for (std::size_t p = 0; ok && p < heap.pages(); ++p) {
+        const bool dirty =
+            std::find(written.begin(), written.end(), p) != written.end();
+        ok = heap.at<std::uint64_t>(p * psz)[0] == (dirty ? 1000 + p : p);
+      }
+      code = ok ? kOk : kWrong;
+    } catch (...) {
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == kNoFilter) {
+    GTEST_SKIP() << "cannot install a seccomp filter here";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "constrained.hpp"
 #include "obs/event.hpp"
 #include "obs/trace.hpp"
+#include "posix/alt_heap.hpp"
 #include "posix/governor.hpp"
 #include "posix/predictor.hpp"
 #include "server/client.hpp"
@@ -431,6 +434,72 @@ TEST_F(ServerTest, HeapJobsUseTheWorkerArena) {
   EXPECT_EQ(out.status, JobStatus::kError);
 }
 
+TEST_F(ServerTest, HeapJobsOnTwoWorkersDoNotShareAnArena) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // args: u32 pages, u32 hold ms. The arm writes its pid into that many
+  // arena pages, each of which must read zero first, holds, and fails its
+  // guard if any arena page then holds what it did not write. It returns
+  // its worker's pid. Workers are forked after start(), so they have it.
+  HandlerRegistry::global().add(
+      "heap_own", [](const JobContext& ctx) -> std::optional<Bytes> {
+        ByteReader r(ctx.args);
+        const std::uint32_t pages = r.u32();
+        const std::uint32_t hold_ms = r.u32();
+        const auto me = static_cast<std::uint32_t>(::getpid());
+        const std::size_t psz = ctx.heap->page_size();
+        for (std::size_t p = 0; p < pages; ++p) {
+          std::uint32_t* word = ctx.heap->at<std::uint32_t>(p * psz);
+          if (*word != 0) return std::nullopt;
+          *word = me;
+        }
+        ::usleep(hold_ms * 1000);
+        for (std::size_t p = 0; p < ctx.heap->pages(); ++p) {
+          const std::uint32_t want = p < pages ? me : 0;
+          if (*ctx.heap->at<std::uint32_t>(p * psz) != want) {
+            return std::nullopt;
+          }
+        }
+        Bytes out;
+        ByteWriter w(out);
+        w.u32(static_cast<std::uint32_t>(::getppid()));
+        return out;
+      });
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.heap_pages = 16;
+  start(cfg);
+
+  auto own = [](std::uint32_t pages, std::uint32_t hold_ms) {
+    Bytes args;
+    ByteWriter w(args);
+    w.u32(pages);
+    w.u32(hold_ms);
+    JobSpec s;
+    s.heap_pages = 16;
+    s.arms.push_back({"heap_own", args});
+    return s;
+  };
+  auto worker_of = [](const JobOutcome& out) {
+    return out.value.size() == 4 ? ByteReader(out.value).u32() : 0u;
+  };
+  Client c = Client::connect_unix(sock_);
+  for (int round = 0; round < 2; ++round) {
+    // Job A fills 4 pages and holds them while job B, on the other worker,
+    // fills 8 and is absorbed. Had the workers one arena, A's arm would read
+    // B's pages 4..7 through its private map, and B would not start zeroed;
+    // round 2 starts from the arenas round 1 left behind.
+    const std::uint64_t a = c.submit(own(4, 300));
+    ::usleep(100'000);
+    const JobOutcome b = c.wait(c.submit(own(8, 1)), 15'000ms);
+    const JobOutcome out = c.wait(a, 15'000ms);
+    ASSERT_EQ(b.status, JobStatus::kWon) << b.error;
+    ASSERT_EQ(out.status, JobStatus::kWon) << out.error;
+    EXPECT_NE(worker_of(out), 0u);
+    EXPECT_NE(worker_of(b), 0u);
+    EXPECT_NE(worker_of(out), worker_of(b));
+  }
+}
+
 // One plain HTTP GET against the daemon's metrics listener; returns the full
 // response (status line + headers + body) or "" on any socket failure.
 std::string http_get_metrics(int port) {
@@ -455,6 +524,16 @@ std::string http_get_metrics(int port) {
   return resp;
 }
 
+/// The value of one series line (`name` up to the space) of a scrape; 0 when
+/// the scrape has no such line. Histograms are process-global, so a test
+/// reads them as deltas from a scrape taken at its start.
+std::uint64_t series(const std::string& scrape, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = scrape.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(scrape.substr(at + key.size()));
+}
+
 TEST_F(ServerTest, MetricsEndpointServesPrometheusExposition) {
   ServerConfig cfg;
   cfg.workers = 2;
@@ -462,6 +541,8 @@ TEST_F(ServerTest, MetricsEndpointServesPrometheusExposition) {
   start(cfg);
   const int port = server_->metrics_port();
   ASSERT_GT(port, 0);
+  const std::string start_scrape = http_get_metrics(port);
+  ASSERT_FALSE(start_scrape.empty());
 
   Client c = Client::connect_unix(sock_);
   for (int i = 0; i < 3; ++i) {
@@ -491,9 +572,10 @@ TEST_F(ServerTest, MetricsEndpointServesPrometheusExposition) {
 
   // The queue-wait histogram is exposed with cumulative buckets: three
   // completed jobs means three samples.
-  EXPECT_NE(resp.find("altx_srv_queue_wait_ns_count 3\n"), std::string::npos);
-  EXPECT_NE(resp.find("altx_srv_queue_wait_ns_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
+  for (const char* name : {"altx_srv_queue_wait_ns_count",
+                           "altx_srv_queue_wait_ns_bucket{le=\"+Inf\"}"}) {
+    EXPECT_EQ(series(resp, name) - series(start_scrape, name), 3u) << name;
+  }
 
   // Non-GET requests are refused, and the refusal doesn't wedge the poll
   // loop: a follow-up scrape still works.
@@ -529,6 +611,8 @@ TEST_F(ServerTest, MetricsEndpointScrapesTrueOnDarkDaemon) {
   start(cfg);
   const int port = server_->metrics_port();
   ASSERT_GT(port, 0);
+  const std::string start_scrape = http_get_metrics(port);
+  ASSERT_FALSE(start_scrape.empty());
 
   Client c = Client::connect_unix(sock_);
   const JobOutcome out = c.wait(c.submit(echo_job(1)), 10'000ms);
@@ -537,7 +621,9 @@ TEST_F(ServerTest, MetricsEndpointScrapesTrueOnDarkDaemon) {
   const std::string resp = http_get_metrics(port);
   EXPECT_NE(resp.find("altx_jobs_completed_total 1\n"), std::string::npos)
       << resp;
-  EXPECT_NE(resp.find("altx_srv_exec_ns_count 1\n"), std::string::npos);
+  EXPECT_EQ(series(resp, "altx_srv_exec_ns_count") -
+                series(start_scrape, "altx_srv_exec_ns_count"),
+            1u);
 }
 
 TEST_F(ServerTest, EnvPredictionPlansJobsThatCarryASiteId) {
