@@ -13,7 +13,7 @@
 //   fast      — all four arms viable, 2-4 ms each. Contention cost only.
 //   runaway   — every 6th block's only viable arm sleeps past the 80 ms wall
 //               budget; the cohort wait must kill it (SIGTERM→SIGKILL, 1 ms
-//               grace) and the supervisor recovers in-process.
+//               grace), the supervisor retries once, and the block is lost.
 //
 // The invariant on display: max_in_flight never exceeds the token budget
 // except by sanctioned single-arm overdrafts, no matter how much work is
@@ -51,9 +51,9 @@ std::vector<AlternativeFn<int>> fast_alts() {
   };
 }
 
-/// The only viable arm sleeps well past the wall budget: the race can only
-/// end when the governed wait kills it, after which the supervisor's sequential
-/// fallback produces the value in-process.
+/// The only viable arm sleeps well past the wall budget: each attempt can
+/// only end when the governed wait kills it, so the block ends without a
+/// value after the supervisor's two attempts.
 std::vector<AlternativeFn<int>> runaway_alts() {
   return {
       [] { return std::optional<int>(); },  // failed guard, instantly
@@ -85,7 +85,6 @@ Run run_row(int threads, bool with_runaways, SpeculationGovernor* gov) {
         policy.max_attempts = 2;
         policy.initial_backoff = 1ms;
         policy.max_backoff = 4ms;
-        policy.base_timeout = 2'000ms;
         policy.seed = static_cast<std::uint64_t>(t) * 1'000 + b;
         RaceOptions opts;
         opts.timeout = 2'000ms;

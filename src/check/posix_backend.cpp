@@ -198,13 +198,9 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     // any other successful child blocked on the token pipe until the parent
     // gives up — the attempt can only end by deadline, so a long one just
     // stalls the trial. Child work is a few ms; 800 ms is a wide margin.
-    policy.base_timeout = std::chrono::milliseconds(800);
+    opts.timeout = std::chrono::milliseconds(800);
     policy.initial_backoff = std::chrono::milliseconds(1);
     policy.seed = c.schedule_seed ^ path;
-    // The fallback runs alternatives in-process without fork isolation —
-    // a failed guard's side effects would escape, which is exactly what
-    // the checker asserts cannot happen. Never fall back here.
-    policy.sequential_fallback = false;
     altx::posix::SupervisionLog log;
     const auto r = altx::posix::supervised_race<std::uint64_t>(alts, policy, opts, &log);
     for (const altx::posix::AttemptReport& ar : log.attempts) {

@@ -23,7 +23,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kAttemptBegin: return "attempt_begin";
     case EventKind::kAttemptEnd: return "attempt_end";
     case EventKind::kBackoff: return "backoff";
-    case EventKind::kSequentialFallback: return "sequential_fallback";
     case EventKind::kGovAdmitWait: return "gov_admit_wait";
     case EventKind::kGovAdmit: return "gov_admit";
     case EventKind::kGovKill: return "gov_kill";

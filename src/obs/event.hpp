@@ -51,7 +51,7 @@ enum class EventKind : std::uint16_t {
   kAttemptBegin = 16, // a: attempt number (0-based), b: timeout ms
   kAttemptEnd = 17,   // a: attempt number, b: AttemptOutcome
   kBackoff = 18,      // a: attempt number about to run, b: backoff ms
-  kSequentialFallback = 19,
+                      // 19 is retired (the in-process fallback).
 
   // Resource governance (posix::SpeculationGovernor). Kinds are append-only,
   // not contiguous: 22, 24 and 26 are retired.

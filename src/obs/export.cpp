@@ -25,11 +25,10 @@ constexpr EventKind kAllKinds[] = {
     EventKind::kChildUsage,    EventKind::kChildPages,
     EventKind::kSpecReport,    EventKind::kRingOverflow,
     EventKind::kAttemptBegin,  EventKind::kAttemptEnd,
-    EventKind::kBackoff,       EventKind::kSequentialFallback,
-    EventKind::kGovAdmitWait,  EventKind::kGovAdmit,
-    EventKind::kGovKill,       EventKind::kGovBudget,
-    EventKind::kGovOverdraft,  EventKind::kGovNarrow,
-    EventKind::kPhaseBegin,
+    EventKind::kBackoff,       EventKind::kGovAdmitWait,
+    EventKind::kGovAdmit,      EventKind::kGovKill,
+    EventKind::kGovBudget,     EventKind::kGovOverdraft,
+    EventKind::kGovNarrow,     EventKind::kPhaseBegin,
     EventKind::kPhaseEnd,      EventKind::kProfSample,
     EventKind::kProfMap,
     EventKind::kAwaitBegin,

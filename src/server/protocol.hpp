@@ -143,7 +143,8 @@ struct JobOutcome {
   std::uint64_t queue_ns = 0;        // daemon queue wait
   std::uint64_t exec_ns = 0;         // worker race wall time
   std::uint32_t retry_after_ms = 0;  // kDenied backoff hint
-  std::string error;                 // kDenied / kError detail
+  std::string error;                 // kDenied / kError detail, or the
+                                     //   kAllFailed / kTimeout fate census
 };
 
 [[nodiscard]] Bytes encode_outcome(const JobOutcome& outcome);

@@ -826,6 +826,8 @@ struct Server::Impl {
       if (w.busy) {
         ClientState* c = find_client(w.client_id);
         running_g.fetch_sub(1);
+        completed.fetch_add(1);
+        client_counters[w.client_id].completed += 1;
         note_replied();
         if (c != nullptr) {
           c->running -= 1;
@@ -833,7 +835,6 @@ struct Server::Impl {
           out.status = JobStatus::kError;
           out.error = "worker died while running the job";
           reply_outcome(*c, w.job_id, out, w.trace_id, w.span_id);
-          client_counters[w.client_id].completed += 1;
         }
       }
       teardown_worker(i, /*forced=*/true);

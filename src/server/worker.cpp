@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -161,11 +162,21 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
     out.status = JobStatus::kWon;
     out.winner = static_cast<std::uint32_t>(r->winner);
     out.value = std::move(r->value);
-  } else if (report.verdict == posix::WaitVerdict::kTimeout) {
-    out.status = JobStatus::kTimeout;
-  } else {
-    out.status = JobStatus::kAllFailed;
+    return out;
   }
+  out.status = report.verdict == posix::WaitVerdict::kTimeout
+                   ? JobStatus::kTimeout
+                   : JobStatus::kAllFailed;
+  // A block that did not win says why: how many arms ran, and their fates.
+  char why[192];
+  std::snprintf(why, sizeof why,
+                "forked %d: committed %d, aborted %d, too_late %d, crashed %d, "
+                "hung %d, eliminated %d, over_budget %d, predicted_losers %d",
+                report.forked, report.committed, report.aborted,
+                report.too_late, report.crashed, report.hung,
+                report.eliminated, report.over_budget,
+                report.predicted_losers);
+  out.error = why;
   return out;
 }
 

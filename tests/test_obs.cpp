@@ -219,7 +219,7 @@ TEST(Export, EventKindNamesRoundTrip) {
         EventKind::kCommitWon, EventKind::kTooLate, EventKind::kGuardFail,
         EventKind::kChildFate, EventKind::kRaceDecided, EventKind::kEliminated,
         EventKind::kAttemptBegin, EventKind::kAttemptEnd, EventKind::kBackoff,
-        EventKind::kSequentialFallback, EventKind::kGovNarrow,
+        EventKind::kGovNarrow,
         EventKind::kAwaitBegin, EventKind::kAwaitTaskDone,
         EventKind::kAwaitDecided, EventKind::kDistSpawn, EventKind::kDistAbort,
         EventKind::kDistResult, EventKind::kDistKill, EventKind::kDistDecided,

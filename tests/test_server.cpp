@@ -4,6 +4,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -114,14 +115,22 @@ TEST_F(ServerTest, EchoRoundTripAndRaceSemantics) {
   JobSpec failing;
   failing.arms.push_back({"fail", {}});
   failing.arms.push_back({"fail", {}});
-  EXPECT_EQ(c.wait(c.submit(failing), 15'000ms).status,
-            JobStatus::kAllFailed);
+  const JobOutcome all_failed = c.wait(c.submit(failing), 15'000ms);
+  EXPECT_EQ(all_failed.status, JobStatus::kAllFailed);
+  // A job that did not win carries its fate census.
+  EXPECT_NE(all_failed.error.find("forked 2:"), std::string::npos)
+      << all_failed.error;
+  EXPECT_NE(all_failed.error.find("aborted 2,"), std::string::npos)
+      << all_failed.error;
 
   // Timeout in the worker.
   JobSpec hung;
   hung.timeout_ms = 100;
   hung.arms.push_back({"hang", {}});
-  EXPECT_EQ(c.wait(c.submit(hung), 15'000ms).status, JobStatus::kTimeout);
+  const JobOutcome timed_out = c.wait(c.submit(hung), 15'000ms);
+  EXPECT_EQ(timed_out.status, JobStatus::kTimeout);
+  EXPECT_NE(timed_out.error.find("hung 1,"), std::string::npos)
+      << timed_out.error;
 
   // Unknown handler is a daemon-side error, not a FAIL.
   JobSpec unknown;
@@ -532,6 +541,50 @@ std::uint64_t series(const std::string& scrape, const std::string& name) {
   const std::size_t at = scrape.find(key);
   if (at == std::string::npos) return 0;
   return std::stoull(scrape.substr(at + key.size()));
+}
+
+TEST_F(ServerTest, JobLostWithItsWorkerIsCountedOnce) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // The arm kills its worker: the job is lost with it and replies kError.
+  // Registered before start(), so the workers forked then have it.
+  HandlerRegistry::global().add(
+      "kill_worker", [](const JobContext&) -> std::optional<Bytes> {
+        ::kill(::getppid(), SIGKILL);
+        return std::nullopt;
+      });
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.metrics_addr = "0";
+  start(cfg);
+  const int port = server_->metrics_port();
+  ASSERT_GT(port, 0);
+
+  Client c = Client::connect_unix(sock_);
+  JobSpec lost;
+  lost.arms.push_back({"kill_worker", {}});
+  const JobOutcome out = c.wait(c.submit(lost), 15'000ms);
+  EXPECT_EQ(out.status, JobStatus::kError) << out.error;
+  // The replacement worker serves the next job.
+  ASSERT_EQ(c.wait(c.submit(echo_job(3)), 15'000ms).status, JobStatus::kWon);
+
+  WireStats st = c.stats();
+  for (int i = 0; i < 500 && (st.running != 0 || st.queued != 0); ++i) {
+    std::this_thread::sleep_for(10ms);
+    st = c.stats();
+  }
+  EXPECT_EQ(st.accepted, 2u);
+  EXPECT_EQ(st.accepted, st.completed + st.canceled);
+
+  // The global completed count and the per-client ones agree.
+  const std::string resp = http_get_metrics(port);
+  std::uint64_t per_client = 0;
+  const std::string key = "outcome=\"completed\"} ";
+  for (std::size_t at = resp.find(key); at != std::string::npos;
+       at = resp.find(key, at + 1)) {
+    per_client += std::stoull(resp.substr(at + key.size()));
+  }
+  EXPECT_EQ(series(resp, "altx_jobs_completed_total"), st.completed);
+  EXPECT_EQ(per_client, st.completed);
 }
 
 TEST_F(ServerTest, MetricsEndpointServesPrometheusExposition) {

@@ -302,7 +302,7 @@ TEST_F(TraceCompleteness, PredictedKillsPairWithTerminalFatesUnderEveryFaultKind
 }
 
 TEST_F(TraceCompleteness, SupervisedRetriesStayComplete) {
-  // A hostile plan forces retries (and sometimes the sequential fallback);
+  // A hostile plan forces retries (and sometimes loses the block);
   // every attempt's race must still tell a complete story, and the attempt
   // ordinal must link each race's records to its supervisor attempt.
   FaultProfile p;
@@ -314,7 +314,6 @@ TEST_F(TraceCompleteness, SupervisedRetriesStayComplete) {
   policy.max_attempts = 3;
   policy.initial_backoff = 1ms;
   policy.max_backoff = 2ms;
-  policy.base_timeout = 300ms;
   policy.seed = 99;
 
   RaceOptions opts;

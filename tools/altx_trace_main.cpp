@@ -138,10 +138,6 @@ std::string describe(const Record& r) {
                     static_cast<unsigned long long>(r.b),
                     static_cast<unsigned long long>(r.a));
       break;
-    case EventKind::kSequentialFallback:
-      std::snprintf(buf, sizeof buf,
-                    "degrading: sequential in-process fallback");
-      break;
     case EventKind::kPredPlan:
       std::snprintf(buf, sizeof buf,
                     "plan: %llu launch now, %llu hedged, %llu skipped",
