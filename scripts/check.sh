@@ -52,6 +52,21 @@ echo "== altx-check governor + predictor smoke (100 posix trials)"
 "$ROOT/build/tools/altx-check" --trials 100 --seed 42 --backend posix \
     --perturb-governor --perturb-predictor --quiet --out "${TMPDIR:-/tmp}"
 
+echo "== altx-check negative control (a sabotaged double commit is caught)"
+# ALTX_TEST_BREAK_AT_MOST_ONCE deposits a second commit token; the checker
+# must exit 1 and name at-most-once-commit, losers reaped late or not.
+set +e
+neg=$(ALTX_TEST_BREAK_AT_MOST_ONCE=1 "$ROOT/build/tools/altx-check" \
+    --backend posix --trials 200 --seed 42 --out "${TMPDIR:-/tmp}" 2>&1)
+neg_status=$?
+set -e
+if [ "$neg_status" -ne 1 ] || ! echo "$neg" | grep -q at-most-once-commit; then
+  echo "$neg" | tail -5 >&2
+  echo "== negative control: expected exit 1 with at-most-once-commit," \
+       "got exit $neg_status" >&2
+  exit 1
+fi
+
 if [ -n "$SANITIZERS" ]; then
   # Leak detection trips on intentionally SIGKILLed children's inherited
   # allocations; ASAN_OPTIONS keeps the signal on real errors.

@@ -127,6 +127,16 @@ void seed_history(altx::obs::HistoryStore& store, Rng& rng, const Block& b,
 std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
                                        std::uint64_t path, bool* inconclusive);
 
+/// A block's verdict returns before its losers are reaped, so a commit that
+/// landed after the one the verdict took shows only when the reap set reaps
+/// its child: reaps them all, then checks the process-wide count.
+void check_late_commits(const Ctx& c) {
+  altx::posix::reap_eliminated();
+  if (altx::posix::second_commits() != 0) {
+    c.score->report("at-most-once-commit");
+  }
+}
+
 altx::posix::AlternativeFn<std::uint64_t> make_alt(const Ctx& c, const Block& b,
                                                    std::size_t alt_index, int depth,
                                                    std::uint64_t path) {
@@ -206,6 +216,7 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     for (const altx::posix::AttemptReport& ar : log.attempts) {
       if (ar.race.committed > 1) c.score->report("at-most-once-commit");
     }
+    check_late_commits(c);
     if (r.has_value()) return ((r->winner - 1 + rot) % n) + 1;
     // A FAIL whose final attempt carried predicted kills is no verdict: the
     // planner may have shot the would-be winner (a safe thing to do — the
@@ -227,6 +238,7 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     // FAIL means zero. Two commits is the paper's §3.2 invariant broken.
     c.score->report("at-most-once-commit");
   }
+  check_late_commits(c);
   if (r.has_value()) return ((r->winner - 1 + rot) % n) + 1;
   if (report.verdict != altx::posix::WaitVerdict::kAllFailed ||
       report.over_budget > 0 || report.predicted_losers > 0) {

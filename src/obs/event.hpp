@@ -31,7 +31,8 @@ enum class EventKind : std::uint16_t {
   kCommitWon = 6,     // child side: took the token (the winner)
   kTooLate = 7,       // child side: token already gone (section 3.2.1)
   kGuardFail = 8,     // child side: aborting without synchronization
-  kChildFate = 9,     // parent side, at reap: a: ChildFate, b: signal,
+  kChildFate = 9,     // parent side, at reap (maybe after kRaceDecided,
+                      //   by the reap set): a: ChildFate, b: signal,
                       //   c: raw exit code (u64-encoded)
   kRaceDecided = 10,  // parent side: a: WaitVerdict, b: winner index (0 =
                       //   none), c: pages absorbed
@@ -42,7 +43,8 @@ enum class EventKind : std::uint16_t {
                       //   rusage), b: maxrss KiB, c: minor<<32 | major faults
   kChildPages = 13,   // child side, before its sync point: a: dirty pages in
                       //   the AltHeap, b: dirty bytes
-  kSpecReport = 14,   // parent side, all children reaped: a: wasted CPU ns
+  kSpecReport = 14,   // parent side, once all of the block's children are
+                      //   reaped (by it or the reap set): a: wasted CPU ns
                       //   (losers), b: discarded pages, c: winner CPU ns
   kRingOverflow = 15, // synthesized at export when the ring dropped records:
                       //   a: records dropped

@@ -16,7 +16,8 @@
 //   result_pipe      reading / writing the winner's result frame
 //   absorb           pulling the winner's dirty pages into the parent's
 //                    heap (or applying its patch when the pull is refused)
-//   eliminate        killing + reaping surviving losers
+//   eliminate        killing the surviving losers, reaping those already
+//                    gone and handing the rest to the reap set
 //   decide           final accounting up to kRaceDecided
 //
 // Child-side spans (child_index >= 1) measure the speculative work itself:

@@ -224,11 +224,17 @@ void emit_at_node(std::uint64_t t_ns, std::uint32_t node_id, EventKind kind,
 void emit_trace(std::uint64_t trace_id, EventKind kind, std::uint32_t race_id,
                 std::int16_t child_index, std::uint64_t a, std::uint64_t b,
                 std::uint64_t c) noexcept {
+  emit_trace(trace_id, g_attempt, kind, race_id, child_index, a, b, c);
+}
+
+void emit_trace(std::uint64_t trace_id, std::uint32_t attempt, EventKind kind,
+                std::uint32_t race_id, std::int16_t child_index,
+                std::uint64_t a, std::uint64_t b, std::uint64_t c) noexcept {
   if (!detail::g_enabled || g_ring == nullptr) [[likely]] return;
   Record r;
   r.t_ns = now_ns();
   r.race_id = race_id;
-  r.attempt = g_attempt;
+  r.attempt = attempt;
   r.pid = static_cast<std::int32_t>(self_pid());
   r.node_id = g_node_id;
   r.child_index = child_index;

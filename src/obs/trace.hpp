@@ -114,6 +114,14 @@ void emit_trace(std::uint64_t trace_id, EventKind kind, std::uint32_t race_id,
                 std::int16_t child_index, std::uint64_t a = 0,
                 std::uint64_t b = 0, std::uint64_t c = 0) noexcept;
 
+/// As emit_trace(), also stamping an explicit supervisor attempt: a child
+/// reaped after its block returned is told under that block's ids, not
+/// under whatever attempt or trace is ambient when it is reaped.
+void emit_trace(std::uint64_t trace_id, std::uint32_t attempt, EventKind kind,
+                std::uint32_t race_id, std::int16_t child_index,
+                std::uint64_t a = 0, std::uint64_t b = 0,
+                std::uint64_t c = 0) noexcept;
+
 /// Testing / embedding API ------------------------------------------------
 
 /// Enables tracing with an in-memory ring only (no file export at exit).

@@ -23,9 +23,7 @@ namespace altx::posix {
 
 namespace {
 
-constexpr int kExitAbort = 42;    // guard failed, no synchronization
-constexpr int kExitTooLate = 43;  // lost the race for the commit token
-constexpr int kExitLost = 77;     // injected: result lost after the sync point
+constexpr int kExitLost = 77;  // injected: result lost after the sync point
 
 // The release byte a heap group's winner waits for once its frame is out.
 constexpr std::uint8_t kReleaseExit = 0;       // its pages are pulled: exit
@@ -94,22 +92,25 @@ bool has_data(int fd) {
   return r > 0 && (pfd.revents & POLLIN) != 0;
 }
 
-}  // namespace
-
-const char* to_string(ChildFate fate) {
-  switch (fate) {
-    case ChildFate::kRunning: return "running";
-    case ChildFate::kCommitted: return "committed";
-    case ChildFate::kTooLate: return "too_late";
-    case ChildFate::kAborted: return "aborted";
-    case ChildFate::kCrashed: return "crashed";
-    case ChildFate::kHung: return "hung";
-    case ChildFate::kEliminated: return "eliminated";
-    case ChildFate::kOverBudget: return "over_budget";
-    case ChildFate::kPredictedLoser: return "predicted_loser";
-  }
-  return "?";
+/// An arm's last act: its frame is out (or it has none), so it reaps the
+/// children its own blocks eliminated, then exits with `code`.
+[[noreturn]] void exit_arm(int code) {
+  reap_eliminated();
+  _exit(code);
 }
+
+/// An arm's frame write. No exception may leave a forked arm — it would
+/// unwind into its parent's code — so a parent that is gone (EPIPE where
+/// SIGPIPE is ignored) ends the arm with `code` instead.
+void send_frame(int fd, const Bytes& frame, int code) {
+  try {
+    write_frame(fd, frame);
+  } catch (...) {
+    exit_arm(code);
+  }
+}
+
+}  // namespace
 
 const char* to_string(WaitVerdict verdict) {
   switch (verdict) {
@@ -154,24 +155,29 @@ int AltGroup::spawn(int n) {
   ALTX_REQUIRE(!spawned_, "AltGroup: alt_spawn called twice");
   ALTX_REQUIRE(n >= 1, "AltGroup: need at least one alternative");
   spawned_ = true;
+  // Children that earlier verdicts ended and that have exited since give
+  // their tokens back before this block asks for any.
+  sweep_eliminated(/*at_spawn=*/true);
   if (opts_.fault != nullptr) fault_attempt_ = opts_.fault->begin_attempt();
+  ids_.trace_id = obs::current_trace();
+  ids_.attempt = obs::current_attempt();
   // The race id exists before admission so the queueing time is part of
   // this race's timeline — admission wait is wall time the caller pays.
   if (obs::enabled()) {
-    race_id_ = obs::next_race_id();
+    ids_.race_id = obs::next_race_id();
     start_ns_ = obs::now_ns();
-    obs::emit(obs::EventKind::kRaceBegin, race_id_, 0,
+    obs::emit(obs::EventKind::kRaceBegin, ids_.race_id, 0,
               static_cast<std::uint64_t>(n));
   }
   cap_ = n;
   if (opts_.governor != nullptr) {
     // Admission before any fork: the grant k caps how many arms run at once.
-    obs::ScopedPhase admission(obs::Phase::kAdmissionWait, race_id_);
+    obs::ScopedPhase admission(obs::Phase::kAdmissionWait, ids_.race_id);
     opts_.governor->admit(n, &cap_);
     tokens_held_ = cap_;
   }
   admitted_ = Clock::now();
-  obs::ScopedPhase fork_phase(obs::Phase::kFork, race_id_);
+  obs::ScopedPhase fork_phase(obs::Phase::kFork, ids_.race_id);
   obs::prof_prewarm();  // stack bounds for the children's samplers
   absorb_first_clone();
 
@@ -239,7 +245,7 @@ int AltGroup::launch_due() {
     }
     if (delay_ns(i) > 0 && status_[i].pid > 0) {
       // The one staged-launch event: an arm forked late, by its schedule.
-      obs::emit(obs::EventKind::kPredStage, race_id_,
+      obs::emit(obs::EventKind::kPredStage, ids_.race_id,
                 static_cast<std::int16_t>(i + 1), delay_ns(i),
                 opts_.launch[i].kill_ns);
     }
@@ -311,11 +317,11 @@ bool AltGroup::fork_arm(std::size_t i) {
     status_.clear();
     if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
     if (opts_.heap != nullptr) opts_.heap->begin_tracking();
-    obs::set_current_race(race_id_);
-    obs::prof_arm_child(race_id_, arm);
-    obs::emit(obs::EventKind::kGuardStart, race_id_,
+    obs::set_current_race(ids_.race_id);
+    obs::prof_arm_child(ids_.race_id, arm);
+    obs::emit(obs::EventKind::kGuardStart, ids_.race_id,
               static_cast<std::int16_t>(arm));
-    child_run_t0_ = obs::phase_begin(obs::Phase::kArmRun, race_id_,
+    child_run_t0_ = obs::phase_begin(obs::Phase::kArmRun, ids_.race_id,
                                      static_cast<std::int16_t>(arm));
     return true;
   }
@@ -324,8 +330,9 @@ bool AltGroup::fork_arm(std::size_t i) {
   slot.pidfd = Fd(open_pidfd(pid));
   if (obs::enabled()) {
     const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
-    obs::emit(obs::EventKind::kFork, race_id_, static_cast<std::int16_t>(arm),
-              static_cast<std::uint64_t>(pid), fork_ns);
+    obs::emit(obs::EventKind::kFork, ids_.race_id,
+              static_cast<std::int16_t>(arm), static_cast<std::uint64_t>(pid),
+              fork_ns);
     obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
   }
   status_[i].pid = pid;
@@ -342,18 +349,66 @@ void AltGroup::cancel(std::size_t i, ChildFate fate) {
 }
 
 void AltGroup::end_cohort() {
+  // A frame already out says how its child reads; an abort frame's child is
+  // on its way out and is spared the kill.
+  poll_frames();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].ready && slots_[i].frame_len == 0) peek_frame(i);
+  }
   kill_survivors(ChildFate::kEliminated);
   // A heap winner exits only on its release byte, which no teardown may
   // forget to send: EOF never comes while a child forked elsewhere in this
   // process holds a copy of the write end.
   release_winner(kReleaseExit);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!reaped(i)) reap(i, 0);
+    if (!reaped(i)) reap(i, WNOHANG);
   }
+  hand_off();
   if (opts_.governor != nullptr && tokens_released_ < tokens_held_) {
     opts_.governor->release(tokens_held_ - tokens_released_);
     tokens_released_ = tokens_held_;
   }
+}
+
+void AltGroup::hand_off() {
+  std::vector<DeferredChild> out;
+  const std::uint64_t now = obs::now_ns();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (reaped(i)) continue;  // pending arms ended unforked in kill_survivors
+    Slot& slot = slots_[i];
+    ChildStatus& st = status_[i];
+    read_census(i);
+    // Every child still here has a frame out or a kill on its way.
+    st.fate = slot.delivered || slot.ready ? ChildFate::kCommitted
+              : slot.aborted               ? ChildFate::kAborted
+                                           : slot.kill_fate;
+    st.reap_ns = now;
+    slot.deferred = true;
+    --running_;
+    DeferredChild d;
+    d.st = st;
+    d.note = note(i);
+    d.pidfd = std::move(slot.pidfd);
+    if (st.fate != ChildFate::kCommitted && st.fate != ChildFate::kAborted) {
+      d.result = std::move(slot.result.read_end);  // a killed child's
+    }
+    d.block_won = verdict_kind_ == WaitVerdict::kWinner;
+    if (tokens_released_ < tokens_held_) {  // its token goes with it
+      d.governor = opts_.governor;
+      ++tokens_released_;
+    }
+    out.push_back(std::move(d));
+  }
+  if (out.empty()) return;
+  // The bill: what the verdict reaped now, each deferred child as it is
+  // reaped, emitted with the last.
+  auto bill = std::make_shared<BlockBill>();
+  bill->ids = ids_;
+  bill->rep = speculation_report();
+  bill->outstanding = static_cast<int>(out.size());
+  for (DeferredChild& d : out) d.bill = bill;
+  accounted_ = true;
+  defer_reap(std::move(out));
 }
 
 void AltGroup::child_commit(const Bytes& result) { child_sync(&result, true); }
@@ -369,8 +424,8 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
   const auto me = static_cast<std::int16_t>(my_index_);
   // The guard's outcome is recorded before the fault sync point, so the
   // trace still explains a child that the injector kills on its way in.
-  obs::emit(obs::EventKind::kGuardResult, race_id_, me, result != nullptr);
-  obs::phase_end(obs::Phase::kArmRun, race_id_, me, child_run_t0_);
+  obs::emit(obs::EventKind::kGuardResult, ids_.race_id, me, result != nullptr);
+  obs::phase_end(obs::Phase::kArmRun, ids_.race_id, me, child_run_t0_);
   child_run_t0_ = 0;
   publish_census();  // before the sync point: survives an injected SIGKILL
   bool drop = false;
@@ -382,19 +437,22 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
            FaultKind::kDropCommit;
   }
   if (result == nullptr) {
-    obs::emit(obs::EventKind::kGuardFail, race_id_, me);
-    _exit(kExitAbort);
+    obs::emit(obs::EventKind::kGuardFail, ids_.race_id, me);
+    // An empty frame tells the parent now: a FAIL verdict need not wait for
+    // this process to exit.
+    send_frame(out_.get(), Bytes{}, kExitAbort);
+    exit_arm(kExitAbort);
   }
   if (take_token) {
     // Try to take the token. First reader commits; everyone else is too
     // late.
-    obs::emit(obs::EventKind::kCommitAttempt, race_id_, me);
+    obs::emit(obs::EventKind::kCommitAttempt, ids_.race_id, me);
     std::uint8_t token = 0;
     if (::read(token_.read_end.get(), &token, 1) != 1) {
-      obs::emit(obs::EventKind::kTooLate, race_id_, me);
-      _exit(kExitTooLate);
+      obs::emit(obs::EventKind::kTooLate, ids_.race_id, me);
+      exit_arm(kExitTooLate);
     }
-    obs::emit(obs::EventKind::kCommitWon, race_id_, me,
+    obs::emit(obs::EventKind::kCommitWon, ids_.race_id, me,
               static_cast<std::uint64_t>(result->size()));
   }
   if (drop) {
@@ -402,7 +460,7 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     // With the token gone nobody else can win — the block must fail and
     // the supervisor must notice. The unexpected exit status makes the
     // parent classify this child as crashed.
-    _exit(kExitLost);
+    exit_arm(kExitLost);
   }
 
   // A heap group's frame carries the dirty pages as runs, not their bytes:
@@ -412,7 +470,7 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
   w.blob(result->data(), result->size());
   w.u8(opts_.heap != nullptr ? 1 : 0);
   if (opts_.heap != nullptr) {
-    obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_, me);
+    obs::ScopedPhase diff(obs::Phase::kPageDiff, ids_.race_id, me);
     const std::vector<PageRun> runs = opts_.heap->dirty_runs();
     w.u32(static_cast<std::uint32_t>(runs.size()));
     for (const PageRun& run : runs) {
@@ -421,11 +479,11 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     }
   }
   {
-    obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_, me);
-    write_frame(out_.get(), frame);
+    obs::ScopedPhase pipe(obs::Phase::kResultPipe, ids_.race_id, me);
+    send_frame(out_.get(), frame, kExitLost);
   }
   if (opts_.heap != nullptr) await_release();
-  _exit(0);
+  exit_arm(0);
 }
 
 void AltGroup::await_release() {
@@ -443,11 +501,11 @@ void AltGroup::await_release() {
   const auto me = static_cast<std::int16_t>(my_index_);
   Bytes patch;
   {
-    obs::ScopedPhase diff(obs::Phase::kPageDiff, race_id_, me);
+    obs::ScopedPhase diff(obs::Phase::kPageDiff, ids_.race_id, me);
     patch = opts_.heap->serialize_dirty();
   }
-  obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_, me);
-  write_frame(out_.get(), patch);
+  obs::ScopedPhase pipe(obs::Phase::kResultPipe, ids_.race_id, me);
+  send_frame(out_.get(), patch, kExitLost);
 }
 
 std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
@@ -477,7 +535,7 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
   // frame is readable (collect-all: until the verdict). The later phases —
   // result_pipe, absorb, eliminate, decide — each close before the next
   // opens, so the parent-side spans tile the race wall time.
-  obs::ScopedPhase arm_phase(obs::Phase::kArmRun, race_id_);
+  obs::ScopedPhase arm_phase(obs::Phase::kArmRun, ids_.race_id);
   bool called_off = false;  // the deadline passed and the survivors were killed
   while (true) {
     std::size_t delivered = 0;
@@ -485,18 +543,25 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
     std::size_t first_ready = n;
     for (std::size_t i = 0; i < n; ++i) {
       Slot& slot = slots_[i];
+      // Abort frames are read as they come, up to a race's first commit.
+      if (slot.ready && slot.frame_len == 0 &&
+          (collect_all || first_ready == n)) {
+        peek_frame(i);
+      }
       if (slot.ready && collect_all) {
         results_[i] = ByteReader(take_frame(i)).blob();
       }
       if (slot.ready && first_ready == n) first_ready = i;
       if (slot.delivered) ++delivered;
-      if (reaped(i) && !slot.delivered && !slot.ready) ++lost;
+      if (slot.aborted || (reaped(i) && !slot.delivered && !slot.ready)) {
+        ++lost;
+      }
     }
     if (!collect_all && first_ready < n) {
       arm_phase.end();
       Bytes frame;
       {
-        obs::ScopedPhase pipe(obs::Phase::kResultPipe, race_id_);
+        obs::ScopedPhase pipe(obs::Phase::kResultPipe, ids_.race_id);
         frame = take_frame(first_ready);
       }
       ByteReader r(frame);
@@ -504,7 +569,7 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
       win.index = static_cast<int>(first_ready) + 1;
       win.result = r.blob();
       if (r.u8() == 1) {
-        obs::ScopedPhase absorb(obs::Phase::kAbsorb, race_id_);
+        obs::ScopedPhase absorb(obs::Phase::kAbsorb, ids_.race_id);
         const std::optional<std::size_t> pages =
             absorb_winner(first_ready, r, deadline);
         if (!pages.has_value()) continue;  // void: the race goes on
@@ -522,7 +587,8 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
       verdict_kind_ = WaitVerdict::kTimeout;
       break;
     }
-    // A race fails once every child is lost; a collect-all at the first.
+    // A race fails once every child is lost — aborted, or gone without a
+    // frame; a collect-all at the first.
     if (collect_all ? lost > 0 : lost == n) {
       verdict_kind_ = WaitVerdict::kAllFailed;
       break;
@@ -530,12 +596,12 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
     if (Clock::now() >= deadline) {
       // A heap winner whose frame is already out is taken, not killed: the
       // kill would take the pages its frame names.
-      if (poll_frames()) continue;
+      if (opts_.heap != nullptr && poll_frames()) continue;
       // TIMEOUT: presume no alternative will succeed (section 3.2). A frame
       // that raced in before the kill is still honoured on the next pass.
       arm_phase.end();
       {
-        obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
+        obs::ScopedPhase elim(obs::Phase::kEliminate, ids_.race_id);
         kill_survivors(ChildFate::kHung);
       }
       wait_cohort(Clock::now());
@@ -550,15 +616,15 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
   decided_ = true;
   arm_phase.end();  // idempotent: already closed on the result/timeout paths
   if (!all_reaped()) {
-    obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
+    obs::ScopedPhase elim(obs::Phase::kEliminate, ids_.race_id);
     end_cohort();
   }
   const std::uint64_t decide_t0 =
-      obs::phase_begin(obs::Phase::kDecide, race_id_, 0);
+      obs::phase_begin(obs::Phase::kDecide, ids_.race_id, 0);
   finalize_accounting();
-  obs::phase_end(obs::Phase::kDecide, race_id_, 0, decide_t0);
+  obs::phase_end(obs::Phase::kDecide, ids_.race_id, 0, decide_t0);
   if (obs::enabled()) {
-    obs::emit(obs::EventKind::kRaceDecided, race_id_, 0,
+    obs::emit(obs::EventKind::kRaceDecided, ids_.race_id, 0,
               static_cast<std::uint64_t>(verdict_kind_),
               verdict_.has_value() ? static_cast<std::uint64_t>(verdict_->index)
                                    : 0,
@@ -577,16 +643,34 @@ void AltGroup::settle(std::chrono::milliseconds timeout, bool collect_all) {
   }
 }
 
+void AltGroup::peek_frame(std::size_t i) {
+  Slot& slot = slots_[i];
+  if (!read_exact(slot.result.read_end.get(), &slot.frame_len,
+                  sizeof slot.frame_len)) {
+    slot.frame_len = 0;  // EOF after all: no frame
+    slot.ready = false;
+    slot.result.read_end.reset();
+    return;
+  }
+  if (slot.frame_len > 0) return;
+  slot.ready = false;
+  slot.aborted = true;
+  slot.result.read_end.reset();
+}
+
 Bytes AltGroup::take_frame(std::size_t i) {
   Slot& slot = slots_[i];
-  std::optional<Bytes> frame = read_frame(slot.result.read_end.get());
-  ALTX_REQUIRE(frame.has_value(), "AltGroup: result pipe ready but empty");
+  ALTX_REQUIRE(slot.frame_len > 0, "AltGroup: frame taken before its length");
+  Bytes frame(slot.frame_len);
+  if (!read_exact(slot.result.read_end.get(), frame.data(), frame.size())) {
+    throw SystemError("AltGroup: truncated result frame", EIO);
+  }
   // One frame per child, except that a heap winner may be asked for a patch
   // frame after it (absorb_winner).
   if (opts_.heap == nullptr) slot.result.read_end.reset();
   slot.ready = false;
   slot.delivered = true;
-  return std::move(*frame);
+  return frame;
 }
 
 std::optional<std::size_t> AltGroup::absorb_winner(
@@ -697,19 +781,29 @@ void AltGroup::release_winner(std::uint8_t ask) {
 }
 
 bool AltGroup::poll_frames() {
-  if (opts_.heap == nullptr) return false;
-  bool found = false;
-  for (Slot& slot : slots_) {
-    if (slot.result.read_end.valid() && !slot.ready &&
-        has_data(slot.result.read_end.get())) {
-      slot.ready = true;
-      found = true;
+  std::vector<pollfd> fds;
+  for (const Slot& slot : slots_) {
+    if (slot.result.read_end.valid() && !slot.ready) {
+      fds.push_back({slot.result.read_end.get(), POLLIN, 0});
     }
+  }
+  if (fds.empty()) return false;
+  int r = 0;
+  while ((r = ::poll(fds.data(), fds.size(), 0)) < 0 && errno == EINTR) {
+  }
+  if (r <= 0) return false;
+  bool found = false;
+  std::size_t k = 0;
+  for (Slot& slot : slots_) {
+    if (!slot.result.read_end.valid() || slot.ready) continue;
+    slot.ready = (fds[k++].revents & POLLIN) != 0;
+    found = found || slot.ready;
   }
   return found;
 }
 
 void AltGroup::wait_cohort(Clock::time_point deadline) {
+  sweep_eliminated();  // earlier blocks' children that have exited since
   deadline = std::min(deadline, enforce_deadlines());
   // One pollfd per open result pipe not yet known to hold a frame, and one
   // per unreaped child's pidfd; `owner` maps each back to (child, is_pidfd).
@@ -791,7 +885,7 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
   auto kill_arm = [&](std::size_t i, GovKillReason reason) {
     // A heap arm whose frame is already out is the winner, not a kill: the
     // next cohort wait returns at once and the race takes it.
-    if (!frames_polled) {
+    if (!frames_polled && opts_.heap != nullptr) {
       frames_polled = true;
       if (poll_frames()) next = now;
       if (!live(i)) return;
@@ -884,7 +978,7 @@ void AltGroup::emit_governed_kill(std::size_t i, std::uint64_t stage) const {
   // the arm's history quantile); every other reason keeps kGovKill.
   const bool predicted = slots_[i].gov_reason == GovKillReason::kPredicted;
   obs::emit(predicted ? obs::EventKind::kPredKill : obs::EventKind::kGovKill,
-            race_id_, static_cast<std::int16_t>(i + 1),
+            ids_.race_id, static_cast<std::int16_t>(i + 1),
             static_cast<std::uint64_t>(status_[i].pid),
             predicted ? opts_.launch[i].kill_ns
                       : static_cast<std::uint64_t>(slots_[i].gov_reason),
@@ -896,7 +990,7 @@ void AltGroup::reap(std::size_t i, int flags) {
   int status = 0;
   struct rusage ru {};
   if (wait4_eintr(status_[i].pid, &status, flags, &ru) == status_[i].pid) {
-    record_exit(i, status, decode_rusage(ru));
+    on_exit(i, status, decode_rusage(ru));
   }
 }
 
@@ -909,14 +1003,15 @@ int AltGroup::count_fate(ChildFate fate) const {
 }
 
 void AltGroup::kill_survivors(ChildFate fate) {
-  // Children that delivered are on their way out through _exit(0) and are
-  // only reaped; children already killed keep the fate of that first kill.
+  // Children that delivered or aborted are on their way out through _exit
+  // and are only reaped; children already killed keep the fate of that
+  // first kill.
   const std::chrono::milliseconds grace = kill_grace();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
     if (pending(i)) {
       cancel(i, fate);  // ends unforked: no process to signal
-    } else if (!reaped(i) && !slot.delivered &&
+    } else if (!reaped(i) && !slot.delivered && !slot.aborted &&
                slot.kill_fate == ChildFate::kRunning) {
       kill_child(i, fate, grace);
     }
@@ -952,9 +1047,24 @@ void AltGroup::release_spare_tokens() {
   tokens_released_ += spare;
 }
 
-void AltGroup::record_exit(std::size_t i, int status,
-                           const ChildUsage& usage) {
-  ChildStatus& st = status_[i];
+ReapNote AltGroup::note(std::size_t i) const {
+  const Slot& slot = slots_[i];
+  ReapNote n;
+  n.arm = static_cast<int>(i) + 1;
+  n.ids = ids_;
+  n.kill_fate = slot.kill_fate;
+  n.frame_out = slot.delivered || slot.ready;
+  n.site_id = opts_.site_id;
+  const ArmLaunch* launch =
+      i < opts_.launch.size() ? &opts_.launch[i] : nullptr;
+  n.history_arm = launch != nullptr && launch->history_arm != 0
+                      ? launch->history_arm
+                      : static_cast<std::uint32_t>(n.arm);
+  n.censored = launch != nullptr && launch->censored;
+  return n;
+}
+
+void AltGroup::on_exit(std::size_t i, int status, const ChildUsage& usage) {
   Slot& slot = slots_[i];
   slot.pidfd.reset();
   // The child is gone, so whatever it wrote is in the pipe in full: either
@@ -963,6 +1073,7 @@ void AltGroup::record_exit(std::size_t i, int status,
     slot.ready = has_data(slot.result.read_end.get());
     if (!slot.ready) slot.result.read_end.reset();
   }
+  if (slot.ready && slot.frame_len == 0) peek_frame(i);  // an abort's?
   // A heap frame that a verdict has yet to take is void: the pages it names
   // died with the child, which lost. After the verdict a frame left over is
   // a second commit (the at-most-once breach the checker hunts) and counts.
@@ -970,71 +1081,20 @@ void AltGroup::record_exit(std::size_t i, int status,
     slot.ready = false;
     slot.result.read_end.reset();
   }
-  const bool killed = slot.kill_fate != ChildFate::kRunning;
-  st.usage = usage;
-  st.reap_ns = obs::now_ns();
   --running_;  // its slot is free
   release_spare_tokens();
-  const ExitInfo info = decode_wait_status(status);
-  if (info.exited) {
-    st.exit_code = info.exit_code;
-    if (st.exit_code == 0) {
-      st.fate = ChildFate::kCommitted;
-    } else if (st.exit_code == kExitAbort) {
-      st.fate = ChildFate::kAborted;
-    } else if (st.exit_code == kExitTooLate) {
-      st.fate = ChildFate::kTooLate;
-    } else {
-      st.fate = ChildFate::kCrashed;  // an exit no protocol path produces
-    }
-  } else if (info.signaled) {
-    st.signal = info.signal;
-    if (killed && (slot.delivered || slot.ready)) {
-      // A kill we sent caught a child between writing its result and
-      // _exit(0). The result stands, so this is a commit — classifying it
-      // otherwise would bill the winner's CPU and pages as speculation
-      // waste.
-      st.fate = ChildFate::kCommitted;
-    } else if (killed) {
-      // We sent the kill, and its fate says why: hung past the TIMEOUT;
-      // routine elimination — after a winner, or after a collect-all
-      // sibling failed; or, governed, over budget (wall / CPU), shed under
-      // pressure, or past its own historical kill quantile — containment,
-      // which the supervisor and the ledger tell apart from a crash. A
-      // child that died of its own SIGKILL in the window between our poll
-      // and our kill is indistinguishable — attributed to us.
-      st.fate = slot.kill_fate;
-    } else {
-      st.fate = ChildFate::kCrashed;
-    }
-  } else {
-    st.fate = ChildFate::kCrashed;
-  }
-  // Pick up the child's dirty-page census if it published one before dying.
-  // The acquire pairs with the child's release store: a torn slot is never
+  read_census(i);
+  record_exit(status_[i], note(i), status, usage);
+}
+
+void AltGroup::read_census(std::size_t i) {
+  // The child's dirty-page census, if it published one before dying. The
+  // acquire pairs with the child's release store: a torn slot is never
   // read, it just counts as "no census" (zeros).
   if (census_ != nullptr && i < census_slots_ &&
       census_[i].ready.load(std::memory_order_acquire) != 0) {
-    st.dirty_pages = census_[i].dirty_pages;
-    st.dirty_bytes = census_[i].dirty_bytes;
-  }
-  if (obs::enabled()) {
-    // The terminal fate event: exactly one per reaped child, parent-side,
-    // so it exists even when the child died before its first instruction.
-    obs::emit(obs::EventKind::kChildFate, race_id_,
-              static_cast<std::int16_t>(i + 1),
-              static_cast<std::uint64_t>(st.fate),
-              static_cast<std::uint64_t>(st.signal),
-              static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                  st.exit_code)));
-    // The kernel's bill for this child, from wait4 — valid even when the
-    // child never ran a line of the protocol.
-    obs::emit(obs::EventKind::kChildUsage, race_id_,
-              static_cast<std::int16_t>(i + 1), usage.cpu_ns, usage.maxrss_kb,
-              (usage.minor_faults << 32) |
-                  (usage.major_faults & 0xffffffffULL));
-    auto& metrics = obs::MetricsRegistry::global();
-    metrics.counter(std::string("fate_") + to_string(st.fate)).add();
+    status_[i].dirty_pages = census_[i].dirty_pages;
+    status_[i].dirty_bytes = census_[i].dirty_bytes;
   }
 }
 
@@ -1052,46 +1112,27 @@ void AltGroup::publish_census() {
     slot.dirty_bytes = bytes;
     slot.ready.store(1, std::memory_order_release);
   }
-  obs::emit(obs::EventKind::kChildPages, race_id_,
+  obs::emit(obs::EventKind::kChildPages, ids_.race_id,
             static_cast<std::int16_t>(my_index_), pages, bytes);
 }
 
 SpeculationReport AltGroup::speculation_report() const {
   SpeculationReport rep;
   for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!reaped(i) || status_[i].pid < 0) continue;  // unreaped, unforked
-    const ChildStatus& st = status_[i];
-    rep.total_cpu_ns += st.usage.cpu_ns;
-    ++rep.children_costed;
-    if (st.fate == ChildFate::kCommitted) {
-      // The winner's pages were absorbed, not discarded; its CPU is the
-      // price of the answer itself.
-      rep.winner_cpu_ns += st.usage.cpu_ns;
-    } else {
-      rep.discarded_pages += st.dirty_pages;
-      rep.discarded_bytes += st.dirty_bytes;
-    }
+    // Unreaped, unforked, or billed by the reap set later.
+    if (!reaped(i) || status_[i].pid < 0 || slots_[i].deferred) continue;
+    rep.add(status_[i]);
   }
-  rep.wasted_cpu_ns = rep.total_cpu_ns - rep.winner_cpu_ns;
   return rep;
 }
 
 void AltGroup::finalize_accounting() {
-  if (accounted_ || !spawned_ || my_index_ != 0) return;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!reaped(i)) return;  // a reap failed: the ledger stays incomplete
-  }
+  if (accounted_ || !spawned_ || my_index_ != 0 || !all_reaped()) return;
   accounted_ = true;
-  if (!obs::enabled()) return;
-  const SpeculationReport rep = speculation_report();
-  obs::emit(obs::EventKind::kSpecReport, race_id_, 0, rep.wasted_cpu_ns,
-            rep.discarded_pages, rep.winner_cpu_ns);
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter("spec_wasted_cpu_ns").add(rep.wasted_cpu_ns);
-  metrics.counter("spec_discarded_pages").add(rep.discarded_pages);
-  metrics.counter("spec_discarded_bytes").add(rep.discarded_bytes);
-  metrics.histogram("spec_overhead_ratio_x100")
-      .record(static_cast<std::uint64_t>(rep.overhead_ratio() * 100.0));
+  BlockBill bill;
+  bill.ids = ids_;
+  bill.rep = speculation_report();
+  bill.emit();
 }
 
 }  // namespace altx::posix

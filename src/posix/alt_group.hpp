@@ -11,12 +11,25 @@
 //   alt_wait(t)   — in the parent: waits (bounded by the TIMEOUT) for the
 //                   first child to synchronize, absorbs its result (and, when
 //                   an AltHeap is attached, its dirty pages), then eliminates
-//                   the siblings, killing and reaping them before it
-//                   returns (section 3.2.1's synchronous elimination, the
-//                   one behaviour a block has). It returns FAIL as soon as
-//                   every child has exited without synchronizing — it never
-//                   sits out the TIMEOUT once no child can win. In a child:
-//                   attempts the synchronization.
+//                   the siblings and returns without waiting for them to
+//                   die (section 3.2.1's asynchronous elimination: once the
+//                   token is taken no loser can commit, and a loser's pages
+//                   are private). It returns FAIL as soon as every child has
+//                   aborted or exited without synchronizing — it never sits
+//                   out the TIMEOUT once no child can win, nor a failed
+//                   child's exit. In a child: attempts the synchronization.
+//
+// Elimination: the verdict sends the kills (and waits out a SIGTERM grace
+// window, when one is configured), writes a heap winner's release byte,
+// reaps whatever has already exited, and hands every other child to the
+// process-wide reap set (posix/reap.hpp), which reaps it later and delivers
+// what a reap owes — its kChildFate and kChildUsage records under the
+// block's ids, its history sample, its governor token, its share of the
+// block's kSpecReport. The group's own view (child_statuses,
+// speculation_report, race<T>'s RaceReport) is the block at its verdict: a
+// child not yet reaped then reads as committed if its frame was out, as
+// aborted if its abort frame was, and otherwise as the fate of the kill the
+// verdict sent it; its bill is not in that view.
 //
 // At-most-once synchronization is a 0-1 semaphore built from a pipe: the
 // parent deposits a single token byte; the first child to read it commits;
@@ -83,8 +96,9 @@
 // fewer tokens than arms runs k at a time with its original arm indices
 // and one deadline.
 //
-// Supervision: every child's fate is classified when it is reaped
-// (committed / aborted / too-late / crashed(signal) / hung / eliminated),
+// Supervision: every child's fate is classified when it is reaped, or by
+// the verdict that ended it (committed / aborted / too-late /
+// crashed(signal) / hung / eliminated),
 // and a failed alt_wait distinguishes "every guard failed" from "deadline
 // passed with children still live" — the information a retry policy needs
 // (see posix/supervisor.hpp). An optional FaultInjector is consulted at the
@@ -118,50 +132,6 @@
 
 namespace altx::posix {
 
-/// Classification of one child's end, assigned when it is reaped.
-enum class ChildFate : std::uint8_t {
-  kRunning,     // not yet exited (or not yet reaped)
-  kCommitted,   // took the token and delivered its result (the winner)
-  kTooLate,     // synchronized after the token was gone (section 3.2.1)
-  kAborted,     // guard failed: child_abort
-  kCrashed,     // died of a signal we did not send, or an unexpected exit —
-                // includes a commit lost between token and result delivery
-  kHung,        // still live at the deadline; killed by the parent
-  kEliminated,  // healthy loser killed by the parent after a winner emerged
-  kOverBudget,  // killed by a governed wait: wall/CPU budget blown or shed
-                // under memory pressure — contained, not crashed
-  kPredictedLoser,  // killed by a governed wait's prediction rule: elapsed
-                    // wall overran the arm's own historical kill quantile
-                    // (ALTX_PRED_KILL_Q) while a sibling was still live
-};
-
-const char* to_string(ChildFate fate);
-
-struct ChildStatus {
-  pid_t pid = -1;  // -1: never forked (its fate says how it ended unforked)
-  ChildFate fate = ChildFate::kRunning;
-  int signal = 0;      // terminating signal when fate == kCrashed (0 = exit)
-  int exit_code = -1;  // raw exit status when the child exited normally
-
-  /// Resource bill from wait4 at reap time — valid for every fate,
-  /// including losers we SIGKILLed (the kernel keeps the ledger for us).
-  ChildUsage usage;
-
-  /// Dirty-page census the child reported just before its sync point
-  /// (kChildPages), read back from the shared census arena. Zero for a
-  /// child that died before reaching a sync point — a mid-guard SIGKILL
-  /// leaves its COW cost unknowable.
-  std::uint64_t dirty_pages = 0;
-  std::uint64_t dirty_bytes = 0;
-
-  /// Parent-side wall clamps: CLOCK_MONOTONIC right after fork() returned
-  /// the pid, and at reap. reap_ns - spawn_ns is the arm's wall time as the
-  /// history store records it (for losers it includes the elimination lag —
-  /// the price actually paid for launching the arm).
-  std::uint64_t spawn_ns = 0;
-  std::uint64_t reap_ns = 0;
-};
-
 /// Why alt_wait returned nullopt — or that it did not.
 enum class WaitVerdict : std::uint8_t {
   kUndecided,  // alt_wait has not (successfully) completed
@@ -190,6 +160,14 @@ struct ArmLaunch {
   /// the cohort wait of a governed group; 0 = never predicted-killed.
   /// Filled by race<T>() from the SpeculationPlanner.
   std::uint64_t kill_ns = 0;
+
+  /// The history entry (AltGroupOptions::site_id, history_arm) the arm's
+  /// sample folds into; 0 = the arm's own index.
+  std::uint32_t history_arm = 0;
+
+  /// A hedged arm: it ran only from its late start, so only its commit is a
+  /// history sample.
+  bool censored = false;
 };
 
 /// What a forked arm runs (posix::race<T>, await_all, hedged()): gets its
@@ -211,33 +189,17 @@ struct AltGroupOptions {
   /// The launch schedule, one entry per arm (indexed by arm - 1); arms
   /// past its end launch at once with no kill deadline.
   std::vector<ArmLaunch> launch;
+
+  /// Stable identity of the block for the history store (obs/history.hpp):
+  /// when nonzero and a store is active, every reaped arm's wall, CPU and
+  /// success fold into its (site_id, arm) entry, whoever reaps it.
+  std::uint64_t site_id = 0;
 };
 
 struct AltWinner {
   int index = 0;       // 1-based alternative number (alt_spawn's return)
   Bytes result;        // bytes the winner passed to child_commit
   std::size_t pages_absorbed = 0;
-};
-
-/// What the speculation cost, rolled up over every reaped child of one
-/// block (paper section 3.1's bet, measured): the winner's work is the
-/// price of the answer, everything else is the price of getting it fast.
-struct SpeculationReport {
-  std::uint64_t total_cpu_ns = 0;     // every child, winners and losers
-  std::uint64_t winner_cpu_ns = 0;    // the committed child (0 = no winner)
-  std::uint64_t wasted_cpu_ns = 0;    // total - winner: the losers' bill
-  std::uint64_t discarded_pages = 0;  // losers' dirty COW pages, as reported
-  std::uint64_t discarded_bytes = 0;  //   before their sync points
-  int children_costed = 0;            // reaped children in this rollup
-
-  /// total work / winner work — 1.0 is free speculation, N is "we paid for
-  /// N alternatives to get one answer". 0 when there is no winner to
-  /// normalize by (FAIL / timeout: every cycle was wasted).
-  [[nodiscard]] double overhead_ratio() const {
-    if (winner_cpu_ns == 0) return 0.0;
-    return static_cast<double>(total_cpu_ns) /
-           static_cast<double>(winner_cpu_ns);
-  }
 };
 
 class AltGroup {
@@ -302,8 +264,10 @@ class AltGroup {
     return count_fate(ChildFate::kAborted);
   }
 
-  /// Per-arm classification, indexed by arm - 1. Fates are final once the
-  /// child is reaped: after alt_wait no kRunning entries remain.
+  /// Per-arm classification, indexed by arm - 1: the block at its verdict.
+  /// After alt_wait no kRunning entries remain; a child the verdict ended
+  /// before it exited reads as the verdict saw it, with no usage (the reap
+  /// set bills it later, in its kChildUsage record).
   [[nodiscard]] const std::vector<ChildStatus>& child_statuses() const {
     return status_;
   }
@@ -314,12 +278,14 @@ class AltGroup {
   /// Why the last alt_wait came out the way it did.
   [[nodiscard]] WaitVerdict verdict() const { return verdict_kind_; }
 
-  /// The speculation ledger over the reaped children: wasted CPU,
-  /// discarded COW pages, overhead ratio. Complete after alt_wait.
+  /// The speculation ledger over the children reaped by the verdict:
+  /// wasted CPU, discarded COW pages, overhead ratio. A child the reap set
+  /// reaps later adds its share to the block's kSpecReport and the spec_*
+  /// metrics, not to this view.
   [[nodiscard]] SpeculationReport speculation_report() const;
 
   /// The trace id grouping this block's events (0 when tracing is off).
-  [[nodiscard]] std::uint32_t race_id() const { return race_id_; }
+  [[nodiscard]] std::uint32_t race_id() const { return ids_.race_id; }
 
  private:
   /// One census slot per child in a MAP_SHARED arena: the child writes its
@@ -348,7 +314,10 @@ class AltGroup {
     GovKillReason gov_reason{};
     Clock::time_point term_deadline = kNever;  // SIGTERM sent; SIGKILL due
     bool ready = false;      // a frame is waiting in the result pipe
+    std::uint64_t frame_len = 0;  // its length word, once read (0: unread)
     bool delivered = false;  // its frame was taken (winner / collect-all)
+    bool aborted = false;    // its abort frame was read: it is on its way out
+    bool deferred = false;   // handed to the reap set at the verdict
   };
 
   /// alt_spawn's two forms: admission, the cohort's shared descriptors and
@@ -373,9 +342,13 @@ class AltGroup {
   /// Ends pending arm i unforked, with `fate`.
   void cancel(std::size_t i, ChildFate fate);
   /// The cohort's one teardown (verdict, failed fork, destructor): ends
-  /// pending arms unforked, kills the survivors as eliminated, reaps every
-  /// child and returns the tokens still held. Idempotent.
+  /// pending arms unforked, kills the survivors as eliminated, reaps what
+  /// has exited, hands the rest to the reap set with one token each, and
+  /// returns the other tokens still held. Idempotent.
   void end_cohort();
+  /// end_cohort's hand-off of every unreaped child to the reap set, with
+  /// the block's bill when any is handed over.
+  void hand_off();
   /// child_commit / child_deliver / child_abort (result == nullptr).
   [[noreturn]] void child_sync(const Bytes* result, bool take_token);
   /// Heap winner, frame sent: waits for the release byte, and sends its
@@ -383,6 +356,9 @@ class AltGroup {
   void await_release();
   /// alt_wait / alt_wait_all: wait for the verdict, eliminate, account.
   void settle(std::chrono::milliseconds timeout, bool collect_all);
+  /// Reads the length word of child i's waiting frame, once. An empty
+  /// frame is an abort: the child is marked aborted and is ready no more.
+  void peek_frame(std::size_t i);
   Bytes take_frame(std::size_t i);  // reads child i's one frame
   /// Absorbs winner i's page runs, read from its frame: pulled out of its
   /// arena, or patched in from a frame it sends when the pull is refused.
@@ -397,9 +373,10 @@ class AltGroup {
                                    Clock::time_point deadline);
   /// Writes the group's one release byte; no-op once sent or without a heap.
   void release_winner(std::uint8_t ask);
-  /// Heap groups: marks every result pipe that holds a frame ready, without
-  /// waiting, so no kill reaches a winner whose frame is already out.
-  /// Returns whether it found one.
+  /// Marks every result pipe that holds a frame ready, without waiting —
+  /// so no kill reaches a heap winner whose frame is already out, and the
+  /// verdict reads each child by the frame it sent. Returns whether it
+  /// found one.
   bool poll_frames();
   /// The cohort's one wait: sends every kill that is due, then polls every
   /// open result pipe and every unreaped child's pidfd until one is ready,
@@ -425,17 +402,26 @@ class AltGroup {
   [[nodiscard]] bool pending(std::size_t i) const {
     return status_[i].pid < 0 && !reaped(i);
   }
-  /// Unreaped, undelivered and not yet killed by us; a pending arm is live.
+  /// Unreaped, without a frame out and not yet killed by us; a pending arm
+  /// is live.
   [[nodiscard]] bool live(std::size_t i) const {
-    return !reaped(i) && !slots_[i].delivered && !slots_[i].ready &&
-           slots_[i].kill_fate == ChildFate::kRunning;
+    const Slot& slot = slots_[i];
+    return !reaped(i) && !slot.delivered && !slot.ready && !slot.aborted &&
+           slot.kill_fate == ChildFate::kRunning;
   }
   void kill_survivors(ChildFate fate);
   /// Returns the tokens that neither a running nor a pending arm needs.
   void release_spare_tokens();
-  void record_exit(std::size_t i, int status, const ChildUsage& usage);
+  /// What record_exit needs to know about child i besides its status.
+  [[nodiscard]] ReapNote note(std::size_t i) const;
+  /// A reap of child i by the group: frees its slot, reads its census and
+  /// hands it to record_exit.
+  void on_exit(std::size_t i, int status, const ChildUsage& usage);
+  void read_census(std::size_t i);
   void publish_census();         // child side, before the sync point
-  void finalize_accounting();    // parent side, once every child is reaped
+  /// Parent side: emits the block's bill when the verdict reaped every
+  /// child (hand_off gives it to the reap set otherwise).
+  void finalize_accounting();
 
   AltGroupOptions opts_;
   std::vector<Slot> slots_;  // one per arm
@@ -447,7 +433,7 @@ class AltGroup {
   int pending_ = 0;  // not forked yet, not ended unforked
   CensusSlot* census_ = nullptr;  // shared arena, one slot per child
   std::size_t census_slots_ = 0;
-  bool accounted_ = false;  // kSpecReport emitted / metrics rolled up
+  bool accounted_ = false;  // the bill is emitted, or with the reap set
   Pipe token_;   // 0-1 semaphore: one byte, first reader commits
   Fd out_;       // child side: the write end of its own result pipe
   Pipe release_;  // heap groups: parent -> winner, one byte (end_cohort)
@@ -458,7 +444,8 @@ class AltGroup {
   Clock::time_point next_shed_check_{};  // governed: next pressure look
   int tokens_held_ = 0;      // admission tokens taken for this cohort
   int tokens_released_ = 0;  // ... of which already returned
-  std::uint32_t race_id_ = 0;        // trace id; children inherit it
+  BlockIds ids_;  // the block's race id (children inherit it), trace id
+                  // and supervisor attempt, stamped on its records
   std::uint64_t start_ns_ = 0;       // alt_spawn timestamp (traced runs)
   std::uint64_t fault_attempt_ = 0;  // attempt id children consult
   bool spawned_ = false;

@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "posix/predictor.hpp"
+#include "posix/reap.hpp"
 
 namespace altx::posix {
 
@@ -199,6 +200,8 @@ SpeculationGovernor::SpeculationGovernor(GovernorConfig cfg) : cfg_(cfg) {
 }
 
 SpeculationGovernor::~SpeculationGovernor() {
+  // Children the reap set holds may carry this governor's tokens back.
+  reap_eliminated();
   // Unmapping affects only this process's view; a forked sibling keeps its
   // own mapping of the pool.
   ::munmap(pool_, sizeof(SharedPool));
@@ -272,7 +275,9 @@ Admission SpeculationGovernor::admit(int n, int* granted) {
                 static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(cur),
                 static_cast<std::uint64_t>(eff));
     }
-    ::usleep(500);
+    // Losers this process's verdicts ended hold their tokens until reaped:
+    // the wait ends early when one of them dies.
+    await_eliminated(std::chrono::microseconds(500));
   }
 }
 

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "posix/alt_group.hpp"
@@ -74,8 +73,11 @@ T race_decode(const Bytes& b) {
   }
 }
 
-/// How a race without a winner ended, plus the per-fate census — what a
-/// retry policy needs to decide whether another attempt can possibly help.
+/// How a race ended, plus the per-fate census — what a retry policy needs to
+/// decide whether another attempt can possibly help. It is the block at its
+/// verdict: a child still running then (the reap set reaps it later) counts
+/// as committed if its frame was out, as aborted if its abort frame was,
+/// and otherwise under the fate of the kill the verdict sent it.
 struct RaceReport {
   WaitVerdict verdict = WaitVerdict::kUndecided;
 
@@ -102,8 +104,10 @@ struct RaceReport {
   /// skipped arm, or one past a narrowed grant is never forked.
   int forked = 0;
 
-  /// What the speculation cost: every child's CPU from wait4 at reap time,
-  /// the losers' discarded COW pages, and the total/winner overhead ratio.
+  /// What the speculation cost, over the children reaped by the verdict:
+  /// their CPU from wait4, the losers' discarded COW pages, and the
+  /// total/winner overhead ratio. A child reaped later is billed in its
+  /// kChildUsage record and the block's kSpecReport instead.
   SpeculationReport spec;
 };
 
@@ -133,8 +137,9 @@ struct RaceOptions {
   /// Stable identity of this alternative block for the per-arm history
   /// store (obs/history.hpp): pass ALTX_SITE() (a file:line hash) or any
   /// nonzero id that is the same every run. When set and a history store is
-  /// active, every reaped child's wall/CPU/success is folded into the
-  /// (site_id, arm) entry. 0 = no history.
+  /// active, every forked child's wall/CPU/success is folded into the
+  /// (site_id, arm) entry when it is reaped — by the race, or by the reap
+  /// set after it (posix/reap.hpp). 0 = no history.
   std::uint64_t site_id = 0;
 
   /// When non-empty, names an altxd Unix socket: server::race() (see
@@ -198,14 +203,22 @@ std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
   go.heap = options.heap;
   go.fault = options.fault;
   go.governor = options.governor;
-  if (!plan.arms.empty()) {
+  go.site_id = options.site_id;
+  if (!plan.arms.empty() || options.replicas > 1) {
+    // Replicas fold into their alternative's history entry. A hedged arm
+    // that lost ran only from its late start to the verdict, so only its
+    // commit is a sample.
     go.launch.resize(arms);
     for (std::size_t j = 0; j < arms; ++j) {
-      const ArmPlan& ap = plan.arms[j % static_cast<std::size_t>(n)];
-      go.launch[j].delay_ns = ap.decision == ArmDecision::kSkip
-                                  ? ArmLaunch::kNever
-                                  : ap.stage_after_ns;
-      go.launch[j].kill_ns = ap.kill_after_ns;
+      const std::size_t alt = j % static_cast<std::size_t>(n);
+      ArmLaunch& launch = go.launch[j];
+      launch.history_arm = static_cast<std::uint32_t>(alt) + 1;
+      if (plan.arms.empty()) continue;
+      const ArmPlan& ap = plan.arms[alt];
+      launch.delay_ns = ap.decision == ArmDecision::kSkip ? ArmLaunch::kNever
+                                                          : ap.stage_after_ns;
+      launch.kill_ns = ap.kill_after_ns;
+      launch.censored = ap.decision == ArmDecision::kHedge;
     }
   }
   AltGroup group(go);
@@ -236,33 +249,6 @@ std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
   }
   auto win = group.alt_wait(options.timeout);
   const auto& sts = group.child_statuses();
-  if (options.site_id != 0) {
-    if (obs::HistoryStore* h = obs::history(); h != nullptr) {
-      // One sample per reaped arm that ran: wall from the parent's
-      // spawn/reap clamps, CPU from the wait4 bill, success = it committed.
-      // Replicas fold into their alternative's entry. An arm never forked
-      // (skipped, or outrun before its start) taught nothing, and a hedged
-      // arm that lost ran only from its late start to the verdict: folding
-      // that censored wall in would teach the store that a slow arm is
-      // fast — a self-fulfilling prophecy that unravels the plan. Hedged
-      // arms still record when they commit (the success the planner needs).
-      for (std::size_t i = 0; i < sts.size(); ++i) {
-        const ChildStatus& st = sts[i];
-        if (st.pid < 0) continue;
-        const std::size_t alt = i % static_cast<std::size_t>(n);
-        if (!plan.arms.empty() &&
-            plan.arms[alt].decision == ArmDecision::kHedge &&
-            st.fate != ChildFate::kCommitted) {
-          continue;
-        }
-        const auto arm = static_cast<std::uint32_t>(alt) + 1;
-        const std::uint64_t wall =
-            st.reap_ns > st.spawn_ns ? st.reap_ns - st.spawn_ns : 0;
-        h->record(options.site_id, arm, wall, st.usage.cpu_ns,
-                  st.fate == ChildFate::kCommitted);
-      }
-    }
-  }
   if (options.report != nullptr) {
     RaceReport& rep = *options.report;
     rep.verdict = group.verdict();

@@ -496,9 +496,11 @@ struct Server::Impl {
   // ---- worker teardown -------------------------------------------------
 
   /// Takes one worker out of the pool. forced = kill the whole cohort
-  /// (worker plus live arms, by process group) with TERM → grace → KILL;
-  /// !forced = close the job fd and let it retire after EOF. Either way the
-  /// governor ledger is reconciled so a killed cohort cannot leak tokens.
+  /// (worker plus live arms, by process group): TERM → grace for a live
+  /// worker, then KILL to the group whether or not the worker is still
+  /// there; !forced = close the job fd and let it retire after EOF. Either
+  /// way the governor ledger is reconciled so a killed cohort cannot leak
+  /// tokens.
   void teardown_worker(std::size_t idx, bool forced) {
     std::unique_ptr<WorkerState> w = std::move(workers[idx]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -511,17 +513,21 @@ struct Server::Impl {
       // read. It should be idle, so this is fast; escalate if it is not.
       if (!wait_pid_gone(pid, cfg.kill_grace)) was_forced = true;
     }
-    if (was_forced && !pid_gone(pid)) {
+    if (was_forced) {
       // kill(-pid) takes the worker's process group — the worker put itself
       // there with setpgid — so live arms die with it. The direct kill
-      // covers the window before setpgid has run.
-      ::kill(-pid, SIGTERM);
-      ::kill(pid, SIGTERM);
-      if (!wait_pid_gone(pid, cfg.kill_grace)) {
-        ::kill(-pid, SIGKILL);
-        ::kill(pid, SIGKILL);
-        wait_pid_gone(pid, std::chrono::milliseconds(2000));
+      // covers the window before setpgid has run. The group is killed even
+      // when the worker is already gone: a worker that died on its own (a
+      // crash, an OOM kill) leaves its arms running in it, and arms its
+      // verdicts eliminated may not have been reaped yet.
+      if (!pid_gone(pid)) {
+        ::kill(-pid, SIGTERM);
+        ::kill(pid, SIGTERM);
+        wait_pid_gone(pid, cfg.kill_grace);
       }
+      ::kill(-pid, SIGKILL);
+      ::kill(pid, SIGKILL);
+      wait_pid_gone(pid, std::chrono::milliseconds(2000));
     }
     reap_orphans();
     if (gov != nullptr) {

@@ -1,5 +1,6 @@
 #include "server/worker.hpp"
 
+#include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -16,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "posix/alt_heap.hpp"
 #include "posix/race.hpp"
+#include "posix/reap.hpp"
 #include "server/protocol.hpp"
 #include "server/registry.hpp"
 
@@ -77,6 +79,13 @@ int recv_fd(int sock) {
     }
   }
   return -1;
+}
+
+/// A worker's end: the arms its jobs' verdicts eliminated are reaped first,
+/// so each one's fate, bill and token are delivered.
+[[noreturn]] void retire(int code) {
+  posix::reap_eliminated();
+  ::_exit(code);
 }
 
 JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
@@ -180,6 +189,11 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   return out;
 }
 
+/// The worker's end of its job socket. Arms forked from the worker close
+/// their copy, so the daemon reads EOF the moment the worker dies, however
+/// long its arms live on.
+int g_job_fd = -1;
+
 [[noreturn]] void worker_main(int job_fd, const ZygoteConfig& cfg) {
   // The template ignores SIGCHLD so exited siblings self-reap; AltGroup
   // needs real waitpid semantics back before it can reap arms.
@@ -188,6 +202,11 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   // Own process group: the daemon tears down the whole cohort — worker
   // plus any live arms — with one kill(-pid).
   (void)::setpgid(0, 0);
+  g_job_fd = job_fd;
+  ::pthread_atfork(nullptr, nullptr, [] {
+    if (g_job_fd >= 0) ::close(g_job_fd);
+    g_job_fd = -1;
+  });
   // The worker's own arena: an arena made in the template would be one
   // memfd that every worker maps.
   const std::unique_ptr<posix::AltHeap> heap =
@@ -200,9 +219,9 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
     const ssize_t n = ::read(job_fd, buf, sizeof buf);
     if (n < 0) {
       if (errno == EINTR) continue;
-      ::_exit(0);
+      retire(0);
     }
-    if (n == 0) ::_exit(0);  // daemon closed the job fd: clean retirement
+    if (n == 0) retire(0);  // daemon closed the job fd: clean retirement
     dec.feed(buf, static_cast<std::size_t>(n));
     try {
       while (std::optional<Frame> f = dec.next()) {
@@ -214,7 +233,7 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
           posix::write_all(job_fd, pong.data(), pong.size());
           continue;
         }
-        if (f->type != FrameType::kSubmit) ::_exit(2);
+        if (f->type != FrameType::kSubmit) retire(2);
         // Adopt the client's trace id for the job's whole lifetime in this
         // process: the race's own records, the after-the-fact srv_queue
         // span, and — because the ambient id is inherited through fork —
@@ -238,11 +257,14 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
         const Bytes reply = encode_frame(reply_frame);
         obs::set_current_trace(0);
         posix::write_all(job_fd, reply.data(), reply.size());
+        // The reply is out; the job's eliminated arms are reaped now, off
+        // its latency, and their tokens go back before the next job.
+        posix::reap_eliminated();
       }
     } catch (const ProtocolError&) {
-      ::_exit(2);  // the daemon never sends garbage; treat as fatal
+      retire(2);  // the daemon never sends garbage; treat as fatal
     } catch (const std::exception&) {
-      ::_exit(2);
+      retire(2);
     }
   }
 }

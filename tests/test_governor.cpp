@@ -253,6 +253,7 @@ TEST(Governor, NarrowGrantRunsTheBlockInOneGroup) {
   EXPECT_EQ(log.attempts[0].race.aborted, 1);
   EXPECT_EQ(log.attempts[0].race.eliminated, 1);  // arm 3, unforked
   EXPECT_EQ(leaked, 0);  // the losing arm's write never escaped its fork
+  reap_eliminated();  // the winner holds its token until it is reaped
   const GovernorStats st = gov.stats();
   EXPECT_EQ(st.narrowed, 1u);
   EXPECT_EQ(st.overdrafts, 0u);
@@ -285,6 +286,7 @@ TEST(Governor, NarrowedRaceRunsEveryArmUnderTheCap) {
     EXPECT_EQ(r->winner, 3);
     EXPECT_EQ(rep.forked, 3);
     EXPECT_EQ(rep.aborted, 2);
+    reap_eliminated();  // the winner's token and sample come at its reap
     const GovernorStats st = gov.stats();
     EXPECT_LE(st.max_in_flight, tokens);
     EXPECT_EQ(st.overdrafts, 0u);
@@ -318,6 +320,7 @@ TEST(Governor, AwaitAllUnderOneTokenReturnsEveryResultInOrder) {
   });
   ASSERT_TRUE(all.has_value());
   EXPECT_EQ(*all, (std::vector<int>{1, 2, 3}));
+  reap_eliminated();  // a delivered child holds its token until reaped
   const GovernorStats st = gov->stats();
   EXPECT_EQ(st.max_in_flight, 1);
   EXPECT_EQ(st.overdrafts, 0u);

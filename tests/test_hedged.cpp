@@ -20,7 +20,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// Reaps the children the reap set holds, then counts what is left: any
+/// zombie found here is a leak.
 int sweep_zombies() {
+  reap_eliminated();
   int n = 0;
   while (::waitpid(-1, nullptr, WNOHANG) > 0) ++n;
   return n;

@@ -276,6 +276,7 @@ TEST(History, RaceWithSiteIdRecordsEveryReapedArm) {
       opts);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->winner, 1);
+  posix::reap_eliminated();  // the arms the verdict ended sample at reap
   const ArmStats* winner = h->find(opts.site_id, 1);
   const ArmStats* loser = h->find(opts.site_id, 2);
   ASSERT_NE(winner, nullptr);
@@ -304,6 +305,7 @@ TEST(History, ReplicasFoldIntoTheirAlternative) {
       },
       opts);
   ASSERT_TRUE(r.has_value());
+  posix::reap_eliminated();  // the arms the verdict ended sample at reap
   // 2 alternatives x 2 replicas = 4 children, attributed to 2 arms.
   const ArmStats* a1 = h->find(opts.site_id, 1);
   const ArmStats* a2 = h->find(opts.site_id, 2);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 #include "posix/alt_group.hpp"
 #include "posix/alt_heap.hpp"
 #include "posix/checkpoint.hpp"
@@ -233,6 +234,45 @@ TEST(AltGroup, AbortedChildrenAreCounted) {
   auto win = g.alt_wait(5s);
   ASSERT_TRUE(win.has_value());
   EXPECT_EQ(g.aborted_children(), 2);
+}
+
+TEST(AltGroup, WinnerReturnsBeforeItsLoserDies) {
+  // Elimination is asynchronous: the verdict kills the 30 s loser and
+  // returns; the reap set reaps it later and tells its fate and bill then.
+  obs::enable_for_test();
+  AltGroup g;
+  const int who = g.alt_spawn(2);
+  if (who == 1) g.child_commit(Bytes{1});
+  if (who == 2) {
+    ::sleep(30);
+    g.child_commit(Bytes{2});
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto win = g.alt_wait(60s);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
+  ASSERT_TRUE(win.has_value());
+  EXPECT_EQ(win->index, 1);
+  const ChildStatus loser = g.child_statuses()[1];
+  EXPECT_EQ(loser.fate, ChildFate::kEliminated);  // the verdict's view
+
+  reap_eliminated();
+  int fates = 0;
+  int bills = 0;
+  for (const obs::Record& r : obs::snapshot()) {
+    if (r.race_id != g.race_id() || r.child_index != 2) continue;
+    if (r.kind == obs::EventKind::kChildFate) {
+      ++fates;
+      EXPECT_EQ(static_cast<ChildFate>(r.a), ChildFate::kEliminated);
+    } else if (r.kind == obs::EventKind::kChildUsage) {
+      ++bills;
+      EXPECT_GT(r.b, 0u);  // wait4's bill: its peak RSS
+    }
+  }
+  EXPECT_EQ(fates, 1);
+  EXPECT_EQ(bills, 1);
+  // Reaped, not a zombie: the pid is no child of ours any more.
+  EXPECT_EQ(::waitpid(loser.pid, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Reaps every zombie this process has accumulated; returns how many there
-/// were. Zero after any fault-matrix cell is the no-leak invariant.
+/// Reaps the children the reap set holds, then every zombie this process
+/// has accumulated besides; returns how many of those there were. Zero
+/// after any fault-matrix cell is the no-leak invariant.
 int sweep_zombies() {
+  reap_eliminated();
   int n = 0;
   while (true) {
     const pid_t r = ::waitpid(-1, nullptr, WNOHANG);

@@ -8,7 +8,10 @@
 #include <dirent.h>
 #include <limits.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <string>
 
 #include "constrained.hpp"
 #include "obs/history.hpp"
@@ -168,6 +171,7 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   PredictorConfig pc;
   pc.enabled = true;
   SpeculationPlanner planner(pc, &store);
+  reap_eliminated();  // the warm-up's children hold descriptors till reaped
   const int before = open_fd_count();
   ASSERT_GT(before, 0);
   RaceOptions timeout;
@@ -289,6 +293,7 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
     EXPECT_EQ(heap.at<std::uint64_t>(2 * psz)[1],
               static_cast<std::uint64_t>(2 + i));
   }
+  reap_eliminated();
   EXPECT_EQ(open_fd_count(), before);
   EXPECT_EQ(thread_count(), threads_before);
   EXPECT_EQ(wall_gov.stats().kills_wall, 40u);
@@ -312,6 +317,53 @@ TEST(PosixStress, SixteenWayRace) {
   ASSERT_TRUE(r.has_value());
   EXPECT_NE(r->value % 4, 0);
   EXPECT_EQ(r->value, r->winner - 1);
+}
+
+/// The children of process `pid`, zombies included
+/// (/proc/<pid>/task/*/children).
+int child_count(pid_t pid) {
+  const std::string tasks = "/proc/" + std::to_string(pid) + "/task";
+  int n = 0;
+  DIR* d = ::opendir(tasks.c_str());
+  if (d == nullptr) return -1;
+  while (const dirent* e = ::readdir(d)) {
+    if (e->d_name[0] == '.') continue;
+    const std::string path = tasks + "/" + e->d_name + "/children";
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (f == nullptr) continue;
+    long child = 0;
+    while (std::fscanf(f, "%ld", &child) == 1) ++n;
+    std::fclose(f);
+  }
+  ::closedir(d);
+  return n;
+}
+
+TEST(PosixStress, DeferredReapsStayBounded) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
+  // Losers outlive their race until the reap set reaps them, but however
+  // many races run without a drain, the set holds at most one block's
+  // children when a block starts forking. Arm 1 counts its parent's
+  // children right after its fork: the set's leftovers, itself and maybe
+  // arm 2 — so at most 2 + 2.
+  reap_eliminated();
+  const int fds_before = open_fd_count();
+  ASSERT_EQ(child_count(::getpid()), 0);
+  int most = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto r = race<int>({
+        [] { return std::optional<int>(child_count(::getppid())); },
+        [] { ::sleep(30); return std::optional<int>(-1); },
+    });
+    ASSERT_TRUE(r.has_value());
+    ASSERT_EQ(r->winner, 1);
+    most = std::max(most, r->value);
+  }
+  EXPECT_GE(most, 1);
+  EXPECT_LE(most, 4);
+  reap_eliminated();
+  EXPECT_EQ(child_count(::getpid()), 0);
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 TEST(PosixStress, HeapAbsorptionWithManyDirtyPages) {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -585,6 +586,40 @@ TEST_F(ServerTest, JobLostWithItsWorkerIsCountedOnce) {
   }
   EXPECT_EQ(series(resp, "altx_jobs_completed_total"), st.completed);
   EXPECT_EQ(per_client, st.completed);
+}
+
+TEST_F(ServerTest, WorkerDeathTakesItsArmsWithIt) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // The arm kills its worker, then outlives it long enough for the daemon
+  // to tear the worker down, then leaves a mark. The teardown must take the
+  // arm with its worker: the mark must never appear.
+  const std::string mark =
+      "/tmp/altx_orphan_arm_" + std::to_string(::getpid()) + ".mark";
+  ::unlink(mark.c_str());
+  HandlerRegistry::global().add(
+      "kill_worker_then_mark",
+      [](const JobContext& ctx) -> std::optional<Bytes> {
+        ::kill(::getppid(), SIGKILL);
+        ::usleep(1'000'000);
+        const std::string path(ctx.args.begin(), ctx.args.end());
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        if (f != nullptr) std::fclose(f);
+        return std::nullopt;
+      });
+  ServerConfig cfg;
+  cfg.workers = 1;
+  start(cfg);
+
+  Client c = Client::connect_unix(sock_);
+  JobSpec job;
+  job.arms.push_back(
+      {"kill_worker_then_mark", Bytes(mark.begin(), mark.end())});
+  const JobOutcome out = c.wait(c.submit(job), 15'000ms);
+  EXPECT_EQ(out.status, JobStatus::kError) << out.error;
+  std::this_thread::sleep_for(2'000ms);  // twice the arm's sleep
+  EXPECT_NE(::access(mark.c_str(), F_OK), 0)
+      << "an arm of a dead worker ran on after its teardown";
+  ::unlink(mark.c_str());
 }
 
 TEST_F(ServerTest, MetricsEndpointServesPrometheusExposition) {

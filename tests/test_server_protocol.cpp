@@ -446,6 +446,22 @@ TEST_F(ServerHardening, TraceIdSurvivesSigkilledLoserAndWorkerTeardown) {
   ASSERT_EQ(out.status, JobStatus::kWon);
   EXPECT_EQ(out.winner, 2u);
 
+  // The worker reaps the job's eliminated loser once its reply is out, so
+  // the loser's fate record may land just after the reply.
+  const auto told_by = std::chrono::steady_clock::now() + 10s;
+  auto loser_told = [trace_b] {
+    for (const obs::Record& r : obs::snapshot()) {
+      if (r.trace_id == trace_b && r.kind == obs::EventKind::kChildFate &&
+          static_cast<posix::ChildFate>(r.a) == posix::ChildFate::kEliminated) {
+        return true;
+      }
+    }
+    return false;
+  };
+  while (!loser_told() && std::chrono::steady_clock::now() < told_by) {
+    std::this_thread::sleep_for(5ms);
+  }
+
   std::uint64_t gone_ns = 0;
   const auto recs = obs::snapshot();
   for (const obs::Record& r : recs) {

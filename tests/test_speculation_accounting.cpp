@@ -7,6 +7,12 @@
 // losing, and the ledger must bill it — including when the loser dies of
 // a fault-injected SIGKILL at its sync point, where only wait4 (for CPU)
 // and the pre-sync census (for pages) still know what it cost.
+//
+// The group's report is the block at its verdict: a child the verdict ended
+// before it exited (often the winner, which exits right after its frame) is
+// billed when the reap set reaps it, in its kChildUsage record and the
+// block's kSpecReport. The whole bill is read there, after
+// reap_eliminated().
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <time.h>
@@ -15,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "obs/trace.hpp"
 #include "posix/alt_group.hpp"
 #include "posix/alt_heap.hpp"
 #include "posix/fault.hpp"
@@ -58,14 +65,43 @@ constexpr int kLoser = 1;
 constexpr int kWinner = 2;
 constexpr std::size_t kDirtyPages = 6;
 
+/// A block's whole bill, as its records tell it once every child is reaped.
+struct SettledBill {
+  int billed = 0;  // kChildUsage records: children billed by wait4
+  bool reported = false;  // its kSpecReport was emitted
+  std::uint64_t wasted_cpu_ns = 0;
+  std::uint64_t discarded_pages = 0;
+  std::uint64_t winner_cpu_ns = 0;
+};
+
+/// Reaps what the reap set holds, then reads block `race_id`'s bill from
+/// the trace (tracing on: obs::enable_for_test).
+SettledBill settled_bill(std::uint32_t race_id) {
+  reap_eliminated();
+  SettledBill bill;
+  for (const obs::Record& r : obs::snapshot()) {
+    if (r.race_id != race_id) continue;
+    if (r.kind == obs::EventKind::kChildUsage) ++bill.billed;
+    if (r.kind == obs::EventKind::kSpecReport) {
+      bill.reported = true;
+      bill.wasted_cpu_ns = r.a;
+      bill.discarded_pages = r.b;
+      bill.winner_cpu_ns = r.c;
+    }
+  }
+  return bill;
+}
+
 struct BlockOutcome {
   SpeculationReport spec;
   ChildStatus loser;
   ChildStatus winner;
   WaitVerdict verdict = WaitVerdict::kUndecided;
+  SettledBill bill;
 };
 
 BlockOutcome run_block(AltHeap& heap, FaultInjector* fault) {
+  obs::enable_for_test();
   AltGroupOptions go;
   go.heap = &heap;
   go.fault = fault;
@@ -86,6 +122,7 @@ BlockOutcome run_block(AltHeap& heap, FaultInjector* fault) {
   out.loser = group.child_statuses()[kLoser - 1];
   out.winner = group.child_statuses()[kWinner - 1];
   out.verdict = group.verdict();
+  out.bill = settled_bill(group.race_id());
   EXPECT_TRUE(win.has_value());
   return out;
 }
@@ -105,7 +142,12 @@ TEST(SpeculationAccounting, LoserCpuAndPagesAreBilled) {
   EXPECT_EQ(out.spec.discarded_pages, kDirtyPages);
   EXPECT_EQ(out.spec.discarded_bytes,
             kDirtyPages * static_cast<std::uint64_t>(heap.page_size()));
-  EXPECT_EQ(out.spec.children_costed, 2);
+  // Both children are billed once reaped, the winner too if it was still
+  // exiting at the verdict; the block's report covers them both.
+  EXPECT_EQ(out.bill.billed, 2);
+  ASSERT_TRUE(out.bill.reported);
+  EXPECT_GT(out.bill.wasted_cpu_ns, 20'000'000u);
+  EXPECT_EQ(out.bill.discarded_pages, kDirtyPages);
 
   // Per-child views agree with the rollup.
   EXPECT_EQ(out.loser.dirty_pages, kDirtyPages);
@@ -180,6 +222,7 @@ TEST(SpeculationAccounting, WinnerPagesAreNotDiscarded) {
 }
 
 TEST(SpeculationAccounting, RaceReportCarriesTheLedger) {
+  obs::enable_for_test();
   RaceReport report;
   RaceOptions opts;
   opts.report = &report;
@@ -197,13 +240,21 @@ TEST(SpeculationAccounting, RaceReportCarriesTheLedger) {
       opts);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 7);
-  EXPECT_EQ(report.spec.children_costed, 2);
+  // The loser was reaped long before the verdict; the winner is billed in
+  // the report if it was reaped by the verdict, in the block's records
+  // either way.
+  EXPECT_GE(report.spec.children_costed, 1);
   EXPECT_GT(report.spec.wasted_cpu_ns, 10'000'000u);
   EXPECT_EQ(report.spec.total_cpu_ns,
             report.spec.winner_cpu_ns + report.spec.wasted_cpu_ns);
+  const SettledBill bill = settled_bill(report.race_id);
+  EXPECT_EQ(bill.billed, 2);
+  ASSERT_TRUE(bill.reported);
+  EXPECT_EQ(bill.wasted_cpu_ns, report.spec.wasted_cpu_ns);
 }
 
 TEST(SpeculationAccounting, NoWinnerMeansEverythingWasted) {
+  obs::enable_for_test();
   AltGroup group;
   const int who = group.alt_spawn(2);
   if (who != 0) {
@@ -216,8 +267,14 @@ TEST(SpeculationAccounting, NoWinnerMeansEverythingWasted) {
   const SpeculationReport rep = group.speculation_report();
   EXPECT_EQ(rep.winner_cpu_ns, 0u);
   EXPECT_EQ(rep.wasted_cpu_ns, rep.total_cpu_ns);
-  EXPECT_GT(rep.wasted_cpu_ns, 0u);
   EXPECT_EQ(rep.overhead_ratio(), 0.0);  // nothing to normalize by
+  // The FAIL lands at the second abort frame, maybe before either child is
+  // reaped; the block's report, complete once both are, bills them both.
+  const SettledBill bill = settled_bill(group.race_id());
+  EXPECT_EQ(bill.billed, 2);
+  ASSERT_TRUE(bill.reported);
+  EXPECT_EQ(bill.winner_cpu_ns, 0u);
+  EXPECT_GT(bill.wasted_cpu_ns, 0u);
 }
 
 }  // namespace

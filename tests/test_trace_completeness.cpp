@@ -34,7 +34,10 @@ using namespace std::chrono_literals;
 using obs::EventKind;
 using obs::Record;
 
+/// Reaps the children the reap set holds, then counts what is left: any
+/// zombie found here is a leak.
 int sweep_zombies() {
+  reap_eliminated();
   int n = 0;
   while (::waitpid(-1, nullptr, WNOHANG) > 0) ++n;
   return n;
@@ -126,6 +129,13 @@ void assert_agrees(const std::vector<Record>& recs, const RaceReport& rep) {
   }
 }
 
+/// The trace once every child the reap set holds has been reaped: a child
+/// a verdict ended is told (kChildFate, kChildUsage) when it is reaped.
+std::vector<Record> settled_snapshot() {
+  reap_eliminated();
+  return obs::snapshot();
+}
+
 class TraceCompleteness : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -146,7 +156,7 @@ TEST_F(TraceCompleteness, CleanRace) {
   const auto r = race<int>(one_viable_alts(), opts);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 7);
-  const auto recs = obs::snapshot();
+  const auto recs = settled_snapshot();
   assert_complete(recs);
   assert_agrees(recs, rep);
   // One race, three forks, one winner.
@@ -184,7 +194,7 @@ TEST_F(TraceCompleteness, EveryFaultKindLeavesACompleteTrace) {
       RaceReport rep;
       opts.report = &rep;
       (void)race<int>(one_viable_alts(), opts);
-      const auto recs = obs::snapshot();
+      const auto recs = settled_snapshot();
       assert_complete(recs);
       assert_agrees(recs, rep);
       EXPECT_EQ(sweep_zombies(), 0);
@@ -195,7 +205,7 @@ TEST_F(TraceCompleteness, EveryFaultKindLeavesACompleteTrace) {
       await_opts.timeout = 300ms;
       await_opts.fault = &inj;
       (void)await_all<int>(three_tasks(), await_opts);
-      const auto await_recs = obs::snapshot();
+      const auto await_recs = settled_snapshot();
       assert_complete(await_recs);
       EXPECT_EQ(TraceCensus(await_recs).forked.size(), 1u);  // it was traced
       EXPECT_EQ(sweep_zombies(), 0);
@@ -256,7 +266,7 @@ TEST_F(TraceCompleteness, PredictedKillsPairWithTerminalFatesUnderEveryFaultKind
       RaceReport rep;
       opts.report = &rep;
       (void)race<int>(one_viable_alts(), opts);
-      const auto recs = obs::snapshot();
+      const auto recs = settled_snapshot();
       assert_complete(recs);
       assert_agrees(recs, rep);
 
@@ -323,7 +333,7 @@ TEST_F(TraceCompleteness, SupervisedRetriesStayComplete) {
   for (int trial = 0; trial < 10; ++trial) {
     obs::reset();
     (void)supervised_race<int>(one_viable_alts(), policy, opts);
-    const auto recs = obs::snapshot();
+    const auto recs = settled_snapshot();
     assert_complete(recs);
 
     // Attempts pair up, and each forked race carries one attempt ordinal.
@@ -410,14 +420,14 @@ TEST_F(TraceCompleteness, PhaseSpansPairUnderEveryFaultKind) {
       opts.timeout = 300ms;
       opts.fault = &inj;
       (void)race<int>(one_viable_alts(), opts);
-      assert_phases_pair(obs::snapshot());
+      assert_phases_pair(settled_snapshot());
       EXPECT_EQ(sweep_zombies(), 0);
       obs::reset();
       AwaitOptions await_opts;
       await_opts.timeout = 300ms;
       await_opts.fault = &inj;
       (void)await_all<int>(three_tasks(), await_opts);
-      assert_phases_pair(obs::snapshot());
+      assert_phases_pair(settled_snapshot());
       EXPECT_EQ(sweep_zombies(), 0);
     }
   }
@@ -434,7 +444,7 @@ TEST_F(TraceCompleteness, ReplicatedRaceTracesEveryReplica) {
   RaceReport rep;
   opts.report = &rep;
   (void)race<int>(one_viable_alts(), opts);
-  const auto recs = obs::snapshot();
+  const auto recs = settled_snapshot();
   assert_complete(recs);
   assert_agrees(recs, rep);
   TraceCensus c(recs);
@@ -462,7 +472,7 @@ TEST_F(TraceCompleteness, TraceIdStampsEveryRecordIncludingKilledChildren) {
     opts.fault = &inj;
     (void)race<int>(one_viable_alts(), opts);
     obs::set_current_trace(0);
-    const auto recs = obs::snapshot();
+    const auto recs = settled_snapshot();
     ASSERT_FALSE(recs.empty());
     bool child_record = false;
     for (const Record& r : recs) {
@@ -482,7 +492,7 @@ TEST_F(TraceCompleteness, UntracedRacesStampZero) {
   RaceOptions opts;
   opts.timeout = 5'000ms;
   (void)race<int>(one_viable_alts(), opts);
-  const auto recs = obs::snapshot();
+  const auto recs = settled_snapshot();
   ASSERT_FALSE(recs.empty());
   for (const Record& r : recs) EXPECT_EQ(r.trace_id, 0u);
 }
@@ -517,7 +527,7 @@ TEST_F(TraceCompleteness, ProfilerSamplesSurviveElimination) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 1);
 
-  const auto recs = obs::snapshot();
+  const auto recs = settled_snapshot();
   std::set<int> eliminated;
   std::map<int, int> samples;  // child -> kProfSample fragments
   for (const Record& rec : recs) {
