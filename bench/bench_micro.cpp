@@ -119,6 +119,11 @@ void BM_RealForkRace(benchmark::State& state) {
 }
 BENCHMARK(BM_RealForkRace)->Unit(benchmark::kMillisecond);
 
+// The owner's own tracking over a 64-page arena, 16 pages written: the swap
+// of the private spare in over the shared view, the scan (twice: once for
+// serialize_dirty, once at end_tracking), the write-back into the shared
+// view and the swap back. No arm takes this path; an arm's scan is part of
+// every heap race below.
 void BM_AltHeapDirtyTracking(benchmark::State& state) {
   posix::AltHeap heap(64);
   for (auto _ : state) {
@@ -170,6 +175,42 @@ BENCHMARK(BM_HeapArmScatteredReads)
     ->Arg(0)
     ->Arg(64)
     ->Unit(benchmark::kMicrosecond);
+
+// The nested superset: one heap race whose arm first writes state.range(0)
+// pages of a 16 MiB arena, then runs a nested one-arm race whose arm writes
+// one page. The nested arm's scan returns its parent arm's copies too, so
+// the inner pull carries range(0) + 1 pages; the iteration time is the
+// whole outer race.
+void BM_HeapNestedArm(benchmark::State& state) {
+  constexpr std::size_t kPages = 4096;
+  const auto written = static_cast<std::size_t>(state.range(0));
+  posix::AltHeap heap(kPages);
+  const std::size_t psz = heap.page_size();
+  posix::RaceOptions ro;
+  ro.heap = &heap;
+  for (auto _ : state) {
+    auto r = posix::race<int>(
+        {[&]() -> std::optional<int> {
+          for (std::size_t p = 0; p < written; ++p) {
+            heap.at<std::uint64_t>(p * psz)[0] = p;
+          }
+          auto inner = posix::race<int>(
+              {[&]() -> std::optional<int> {
+                heap.at<std::uint64_t>((kPages - 1) * psz)[0] = 1;
+                return 1;
+              }},
+              ro);
+          if (!inner.has_value()) return std::nullopt;
+          return static_cast<int>(inner->pages_absorbed);
+        }},
+        ro);
+    if (!r.has_value() || r->value != static_cast<int>(written) + 1) {
+      state.SkipWithError("nested race lost or pulled the wrong pages");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_HeapNestedArm)->Arg(0)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_ConsensusRound(benchmark::State& state) {
   const int arbiters = static_cast<int>(state.range(0));

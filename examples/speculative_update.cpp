@@ -4,8 +4,7 @@
 // arena; two query plans race, each updating the pages it needs inside its
 // own forked world. The winner's dirty pages — its per-process descriptor
 // table, which the kernel keeps as the arm's private copies of the arena's
-// pages (read with PAGEMAP_SCAN, or tracked by mprotect + SIGSEGV on kernels
-// without it) — are absorbed into the parent, exactly the alt_wait
+// pages, read with one PAGEMAP_SCAN (Linux >= 6.7) — are absorbed into the parent, exactly the alt_wait
 // page-pointer swap at page granularity. The loser's writes never existed.
 #include <unistd.h>
 

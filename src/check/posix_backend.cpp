@@ -129,10 +129,12 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
 
 /// A block's verdict returns before its losers are reaped, so a commit that
 /// landed after the one the verdict took shows only when the reap set reaps
-/// its child: reaps them all, then checks the process-wide count.
-void check_late_commits(const Ctx& c) {
+/// its child: reaps them all, then checks whether the process-wide count
+/// moved past `before`, its value when the block started (the count never
+/// resets, and an earlier case's breach is not this block's).
+void check_late_commits(const Ctx& c, std::uint64_t before) {
   altx::posix::reap_eliminated();
-  if (altx::posix::second_commits() != 0) {
+  if (altx::posix::second_commits() != before) {
     c.score->report("at-most-once-commit");
   }
 }
@@ -175,6 +177,7 @@ altx::posix::AlternativeFn<std::uint64_t> make_alt(const Ctx& c, const Block& b,
 std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
                                        std::uint64_t path, bool* inconclusive) {
   const std::size_t n = b.alts.size();
+  const std::uint64_t late_before = altx::posix::second_commits();
   // Fork-order rotation: which alternative is spawned first (and so tends to
   // win ties) is a schedule decision, derived from the seed per block.
   const std::size_t rot =
@@ -216,7 +219,7 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     for (const altx::posix::AttemptReport& ar : log.attempts) {
       if (ar.race.committed > 1) c.score->report("at-most-once-commit");
     }
-    check_late_commits(c);
+    check_late_commits(c, late_before);
     if (r.has_value()) return ((r->winner - 1 + rot) % n) + 1;
     // A FAIL whose final attempt carried predicted kills is no verdict: the
     // planner may have shot the would-be winner (a safe thing to do — the
@@ -238,7 +241,7 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
     // FAIL means zero. Two commits is the paper's §3.2 invariant broken.
     c.score->report("at-most-once-commit");
   }
-  check_late_commits(c);
+  check_late_commits(c, late_before);
   if (r.has_value()) return ((r->winner - 1 + rot) % n) + 1;
   if (report.verdict != altx::posix::WaitVerdict::kAllFailed ||
       report.over_budget > 0 || report.predicted_losers > 0) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <ctime>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -33,6 +34,15 @@ constexpr std::uint8_t kReleaseSendPatch = 1;  // no pull: send a patch frame
 // parent is still there: EOF cannot tell it, since a child forked by
 // another thread of the parent may hold the pipe's write end.
 constexpr int kOrphanCheckMs = 100;
+
+// A child's standing at the commit token, kept in its census slot.
+constexpr std::uint32_t kTokenUnseen = 0;
+constexpr std::uint32_t kTokenTaken = 1;
+constexpr std::uint32_t kTokenPassed = 2;  // aborted, or too late
+
+// How long a sabotaged token holder waits for a second one: an arm that
+// crashed, hangs or was never forked never reaches the token.
+constexpr std::chrono::seconds kSecondHolderWait{1};
 
 // In-place fork() EAGAIN retries: transient pid exhaustion (a sibling
 // cohort mid-teardown, a fork storm elsewhere in the tree) usually clears
@@ -186,12 +196,14 @@ int AltGroup::spawn(int n) {
   // ALTX_TEST_BREAK_AT_MOST_ONCE is a test-only sabotage knob for the
   // equivalence checker (src/check/): it deposits a second token, so two
   // children can both "win" — the at-most-once-commit violation altx-check
-  // must catch, shrink, and replay. Never set it outside tests.
+  // must catch, shrink, and replay. Never set it outside tests. A holder
+  // then waits for the second holder (await_second_holder), so the double
+  // commit is on record at every verdict, not only when the second frame
+  // beats the verdict's kill.
   const std::uint8_t token = 1;
   write_all(token_.write_end.get(), &token, 1);
-  if (std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr) {
-    write_all(token_.write_end.get(), &token, 1);
-  }
+  second_token_ = std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr;
+  if (second_token_) write_all(token_.write_end.get(), &token, 1);
   // A heap group's winner waits for one byte on this pipe; only the token
   // holder ever reads it.
   if (opts_.heap != nullptr) release_ = Pipe::create();
@@ -316,13 +328,21 @@ bool AltGroup::fork_arm(std::size_t i) {
     slots_.clear();
     status_.clear();
     if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
-    if (opts_.heap != nullptr) opts_.heap->begin_tracking();
     obs::set_current_race(ids_.race_id);
     obs::prof_arm_child(ids_.race_id, arm);
     obs::emit(obs::EventKind::kGuardStart, ids_.race_id,
               static_cast<std::int16_t>(arm));
     child_run_t0_ = obs::phase_begin(obs::Phase::kArmRun, ids_.race_id,
                                      static_cast<std::int16_t>(arm));
+    if (opts_.heap != nullptr) {
+      // An arm that cannot track its pages aborts here: the exception must
+      // not unwind into the caller's code in this process.
+      try {
+        opts_.heap->begin_tracking();
+      } catch (...) {
+        child_abort();
+      }
+    }
     return true;
   }
   slot.spawned = Clock::now();
@@ -379,9 +399,10 @@ void AltGroup::hand_off() {
     ChildStatus& st = status_[i];
     read_census(i);
     // Every child still here has a frame out or a kill on its way.
-    st.fate = slot.delivered || slot.ready ? ChildFate::kCommitted
-              : slot.aborted               ? ChildFate::kAborted
-                                           : slot.kill_fate;
+    const bool committed = slot.delivered || slot.ready || took_token(i);
+    st.fate = committed      ? ChildFate::kCommitted
+              : slot.aborted ? ChildFate::kAborted
+                             : slot.kill_fate;
     st.reap_ns = now;
     slot.deferred = true;
     --running_;
@@ -438,6 +459,7 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
   }
   if (result == nullptr) {
     obs::emit(obs::EventKind::kGuardFail, ids_.race_id, me);
+    publish_token(kTokenPassed);
     // An empty frame tells the parent now: a FAIL verdict need not wait for
     // this process to exit.
     send_frame(out_.get(), Bytes{}, kExitAbort);
@@ -450,10 +472,13 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     std::uint8_t token = 0;
     if (::read(token_.read_end.get(), &token, 1) != 1) {
       obs::emit(obs::EventKind::kTooLate, ids_.race_id, me);
+      publish_token(kTokenPassed);
       exit_arm(kExitTooLate);
     }
+    publish_token(kTokenTaken);
     obs::emit(obs::EventKind::kCommitWon, ids_.race_id, me,
               static_cast<std::uint64_t>(result->size()));
+    if (second_token_) await_second_holder();
   }
   if (drop) {
     // Injected: the result is lost between synchronizing and publishing.
@@ -1053,7 +1078,7 @@ ReapNote AltGroup::note(std::size_t i) const {
   n.arm = static_cast<int>(i) + 1;
   n.ids = ids_;
   n.kill_fate = slot.kill_fate;
-  n.frame_out = slot.delivered || slot.ready;
+  n.frame_out = slot.delivered || slot.ready || took_token(i);
   n.site_id = opts_.site_id;
   const ArmLaunch* launch =
       i < opts_.launch.size() ? &opts_.launch[i] : nullptr;
@@ -1114,6 +1139,39 @@ void AltGroup::publish_census() {
   }
   obs::emit(obs::EventKind::kChildPages, ids_.race_id,
             static_cast<std::int16_t>(my_index_), pages, bytes);
+}
+
+void AltGroup::publish_token(std::uint32_t state) {
+  if (census_ != nullptr && my_index_ >= 1 &&
+      static_cast<std::size_t>(my_index_) <= census_slots_) {
+    census_[static_cast<std::size_t>(my_index_) - 1].token.store(
+        state, std::memory_order_release);
+  }
+}
+
+bool AltGroup::took_token(std::size_t i) const {
+  // One token exists outside the sabotage, and a won block's winner holds
+  // it: any other holder is a second commit, with or without a frame out.
+  return verdict_kind_ == WaitVerdict::kWinner && census_ != nullptr &&
+         i < census_slots_ &&
+         census_[i].token.load(std::memory_order_acquire) == kTokenTaken;
+}
+
+void AltGroup::await_second_holder() const {
+  if (census_ == nullptr) return;
+  const Clock::time_point deadline = Clock::now() + kSecondHolderWait;
+  const timespec nap{0, 50'000};
+  while (Clock::now() < deadline) {
+    std::size_t holders = 0;
+    std::size_t unseen = 0;
+    for (std::size_t i = 0; i < census_slots_; ++i) {
+      const std::uint32_t t = census_[i].token.load(std::memory_order_acquire);
+      if (t == kTokenTaken) ++holders;
+      if (t == kTokenUnseen) ++unseen;
+    }
+    if (holders >= 2 || unseen == 0) return;
+    ::nanosleep(&nap, nullptr);
+  }
 }
 
 SpeculationReport AltGroup::speculation_report() const {

@@ -218,6 +218,11 @@ class AltGroup {
   /// aborted (a deferred fork needs an arm body). On a fork() failure the
   /// partial cohort is killed and reaped before SystemError is thrown, so
   /// the caller can retry with a fresh group and no process leaks.
+  /// Precondition with a heap: the parent writes nothing to the arena
+  /// between alt_spawn and alt_wait — it is suspended there, as the paper's
+  /// ALTBEGIN suspends it. The absorb copies the winner's pages over the
+  /// parent's, and a nested winner's pages include every page its parent
+  /// arm wrote before the fork, as it stood then.
   int alt_spawn(int n);
 
   /// Runs n arms on the launch schedule: every forked child runs
@@ -291,11 +296,15 @@ class AltGroup {
   /// One census slot per child in a MAP_SHARED arena: the child writes its
   /// dirty-page count just before its sync point (where a fault injector
   /// may SIGKILL it), the parent reads it at rollup. `ready` is the
-  /// publication flag — a torn write is never read.
+  /// publication flag — a torn write is never read. `token` is where the
+  /// child stands at the commit token (kTokenUnseen / kTokenTaken /
+  /// kTokenPassed): a take is on record even if a kill ends the child
+  /// before its frame is out.
   struct CensusSlot {
     std::uint64_t dirty_pages;
     std::uint64_t dirty_bytes;
     std::atomic<std::uint32_t> ready;
+    std::atomic<std::uint32_t> token;
   };
 
   using Clock = std::chrono::steady_clock;
@@ -419,6 +428,12 @@ class AltGroup {
   void on_exit(std::size_t i, int status, const ChildUsage& usage);
   void read_census(std::size_t i);
   void publish_census();         // child side, before the sync point
+  void publish_token(std::uint32_t state);  // child side, at the token
+  /// Parent side: child i took a commit token in a block that has a winner.
+  [[nodiscard]] bool took_token(std::size_t i) const;
+  /// Child side, second_token_ only: holds a token holder until a second
+  /// arm takes the other token or every other arm passed it.
+  void await_second_holder() const;
   /// Parent side: emits the block's bill when the verdict reaped every
   /// child (hand_off gives it to the reap set otherwise).
   void finalize_accounting();
@@ -450,6 +465,7 @@ class AltGroup {
   std::uint64_t fault_attempt_ = 0;  // attempt id children consult
   bool spawned_ = false;
   bool decided_ = false;
+  bool second_token_ = false;  // ALTX_TEST_BREAK_AT_MOST_ONCE sabotage
   std::optional<AltWinner> verdict_;
   WaitVerdict verdict_kind_ = WaitVerdict::kUndecided;
 };

@@ -3,13 +3,11 @@
 #include <limits.h>
 #include <linux/fs.h>
 #include <pthread.h>
-#include <signal.h>
 #include <sys/ioctl.h>
 #include <sys/mman.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -31,39 +29,14 @@ namespace altx::posix {
 
 namespace {
 
-// Registry of live arenas, for the (process-wide) SIGSEGV handler, which
-// routes a fault to the arena that owns the address, and for the fork
-// handler, which gives every child its private view. Small and scanned
-// linearly; no locking needed — faults are handled on the faulting thread,
-// and arenas are made and destroyed by a backend that is single-threaded by
-// design (concurrency comes from processes).
+// Registry of live arenas, for the fork handler, which gives every child its
+// private view. Small and scanned linearly; no locking needed — arenas are
+// made and destroyed by a backend that is single-threaded by design
+// (concurrency comes from processes).
 std::vector<AltHeap*> g_heaps;
-struct sigaction g_prev_segv;
-bool g_handler_installed = false;
 
 // A scan returns at most this many regions per call.
 constexpr std::size_t kScanBatch = 256;
-
-void on_segv(int signo, siginfo_t* info, void* /*ctx*/) {
-  for (AltHeap* h : g_heaps) {
-    if (h->handle_fault(info->si_addr)) return;
-  }
-  // Not ours: restore the previous disposition and re-raise so genuine
-  // crashes still crash.
-  ::sigaction(SIGSEGV, &g_prev_segv, nullptr);
-  ::raise(signo);
-}
-
-void install_handler() {
-  if (g_handler_installed) return;
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_flags = SA_SIGINFO;
-  sa.sa_sigaction = &on_segv;
-  sigemptyset(&sa.sa_mask);
-  if (::sigaction(SIGSEGV, &sa, &g_prev_segv) != 0) throw_errno("sigaction");
-  g_handler_installed = true;
-}
 
 /// Maps all `bytes` of `fd` read-write.
 void* map_view(std::size_t bytes, int flags, int fd) {
@@ -72,9 +45,54 @@ void* map_view(std::size_t bytes, int flags, int fd) {
   return p;
 }
 
+/// Moves the `bytes`-long map at `from` to `to`, replacing what is there.
+/// With equal sizes mremap moves a map only when told where to.
+void move_view(void* from, std::size_t bytes, void* to) {
+  if (::mremap(from, bytes, bytes, MREMAP_MAYMOVE | MREMAP_FIXED, to) ==
+      MAP_FAILED) {
+    throw_errno("mremap");
+  }
+}
+
+/// Moves the `bytes`-long map at `from` to a fresh address, returned.
+void* move_aside(void* from, std::size_t bytes) {
+  void* to = ::mmap(nullptr, bytes, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (to == MAP_FAILED) throw_errno("mmap(PROT_NONE)");
+  try {
+    move_view(from, bytes, to);
+  } catch (...) {
+    ::munmap(to, bytes);
+    throw;
+  }
+  return to;
+}
+
+/// This process's /proc/self/pagemap, checked with an empty scan to take
+/// PAGEMAP_SCAN.
+Fd open_pagemap() {
+  Fd pagemap(::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC));
+  if (!pagemap.valid()) throw_errno("open(/proc/self/pagemap)");
+  pm_scan_arg probe{};
+  probe.size = sizeof probe;
+  if (::ioctl(pagemap.get(), PAGEMAP_SCAN, &probe) != 0) {
+    throw_errno("ioctl(PAGEMAP_SCAN), which needs Linux >= 6.7");
+  }
+  return pagemap;
+}
+
 }  // namespace
 
-AltHeap::AltHeap(std::size_t pages) : AltHeap(pages, Fd{}) {
+AltHeap::AltHeap(std::size_t pages) {
+  ALTX_REQUIRE(pages >= 1, "AltHeap: need at least one page");
+  page_size_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  pages_ = pages;
+  bytes_ = pages * page_size_;
+  open_pagemap();  // the kernel's dirty-page tracker is the only one
+  // Processes that never make an arena pay nothing at their forks.
+  static const bool fork_handler =
+      ::pthread_atfork(nullptr, nullptr, &after_fork_in_child) == 0;
+  if (!fork_handler) throw SystemError("pthread_atfork", ENOMEM);
   // The owner's view, and the private one each child moves in over it
   // (after_fork_in_child). The maps hold the memfd, so no descriptor stays
   // open. The spare is never touched here, so fork() copies none of its
@@ -85,72 +103,58 @@ AltHeap::AltHeap(std::size_t pages) : AltHeap(pages, Fd{}) {
     throw_errno("memfd_create");
   }
   base_ = map_view(bytes_, MAP_SHARED, memfd.get());
-  spare_ = map_view(bytes_, MAP_PRIVATE, memfd.get());
+  try {
+    spare_ = map_view(bytes_, MAP_PRIVATE, memfd.get());
+  } catch (...) {
+    ::munmap(base_, bytes_);
+    throw;
+  }
   regions_.resize(3 * kScanBatch);
-}
-
-AltHeap::AltHeap(std::size_t pages, Fd file) : backing_(std::move(file)) {
-  ALTX_REQUIRE(pages >= 1, "AltHeap: need at least one page");
-  page_size_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  pages_ = pages;
-  bytes_ = pages * page_size_;
-  if (backing_.valid()) base_ = map_view(bytes_, MAP_PRIVATE, backing_.get());
-  // Processes that never make an arena pay nothing at their forks.
-  static const bool fork_handler =
-      ::pthread_atfork(nullptr, nullptr, &after_fork_in_child) == 0;
-  if (!fork_handler) throw SystemError("pthread_atfork", ENOMEM);
-  install_handler();
   g_heaps.push_back(this);
 }
 
 AltHeap::~AltHeap() {
   std::erase(g_heaps, this);
-  if (base_ != nullptr) ::munmap(base_, bytes_);
-  if (spare_ != nullptr) ::munmap(spare_, bytes_);
-}
-
-void AltHeap::remap() {
-  ::munmap(base_, bytes_);
-  base_ = nullptr;
-  base_ = map_view(bytes_, MAP_PRIVATE, backing_.get());
-  dirty_.clear();
-  tracking_ = false;
+  for (void* view : {base_, spare_, shared_}) {
+    if (view != nullptr) ::munmap(view, bytes_);
+  }
 }
 
 void AltHeap::after_fork_in_child() {
   for (AltHeap* h : g_heaps) {
     h->pagemap_.reset();  // it reads the parent's pages, not ours
-    h->fresh_ = h->spare_ != nullptr;
-    if (!h->fresh_) continue;
-    // From here on this process's writes go to copies of its own. A child
-    // that cannot have that must not run on in the owner's arena.
-    if (::mremap(h->spare_, h->bytes_, h->bytes_,
-                 MREMAP_MAYMOVE | MREMAP_FIXED, h->base_) == MAP_FAILED) {
-      std::abort();
+    if (h->shared_ != nullptr) {
+      // Forked while the owner tracks: the private view is in place.
+      ::munmap(h->shared_, h->bytes_);
+      h->shared_ = nullptr;
+    } else if (h->spare_ != nullptr) {
+      // From here on this process's writes go to copies of its own. A child
+      // that cannot have that must not run on in the owner's arena.
+      if (::mremap(h->spare_, h->bytes_, h->bytes_,
+                   MREMAP_MAYMOVE | MREMAP_FIXED, h->base_) == MAP_FAILED) {
+        std::abort();
+      }
+      h->spare_ = nullptr;
     }
-    h->spare_ = nullptr;
   }
 }
 
 void AltHeap::begin_tracking() {
   dirty_.clear();
-  if (fresh_) {
-    // Every anonymous page of this map is a write of this process. An empty
-    // scan tells whether the kernel has the ioctl at all.
-    fresh_ = false;
-    Fd pagemap(::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC));
-    pm_scan_arg probe{};
-    probe.size = sizeof probe;
-    if (pagemap.valid() && ::ioctl(pagemap.get(), PAGEMAP_SCAN, &probe) == 0) {
-      pagemap_ = std::move(pagemap);
-      return;
-    }
+  pagemap_ = open_pagemap();
+  if (spare_ == nullptr) return;  // a child: its view is private already
+  // The owner: the shared view steps aside and the spare takes its place,
+  // so every page written from here on is an anonymous copy.
+  void* shared = move_aside(base_, bytes_);
+  try {
+    move_view(spare_, bytes_, base_);
+  } catch (...) {
+    move_view(shared, bytes_, base_);
+    pagemap_.reset();
+    throw;
   }
-  // Every page can be dirtied at most once, so the handler's push_back
-  // below never has to allocate.
-  dirty_.reserve(pages_);
-  if (::mprotect(base_, bytes_, PROT_READ) != 0) throw_errno("mprotect(READ)");
-  tracking_ = true;
+  shared_ = shared;
+  spare_ = nullptr;
 }
 
 std::size_t AltHeap::collect_dirty() {
@@ -158,8 +162,8 @@ std::size_t AltHeap::collect_dirty() {
   dirty_.clear();
   // A written page is an anonymous copy: present or swapped out, and
   // neither a page of the backing file nor the zero page. Each region comes
-  // back as {start, end, categories}; a scan that fills the buffer stops
-  // early, and the next one starts where it stopped.
+  // back as {start, end, categories}, in address order; a scan that fills
+  // the buffer stops early, and the next one starts where it stopped.
   const auto begin = reinterpret_cast<std::uintptr_t>(base_);
   for (std::uint64_t from = begin; from < begin + bytes_;) {
     pm_scan_arg arg{};
@@ -185,11 +189,20 @@ std::size_t AltHeap::collect_dirty() {
 }
 
 void AltHeap::end_tracking() {
+  collect_dirty();
   pagemap_.reset();
-  if (::mprotect(base_, bytes_, PROT_READ | PROT_WRITE) != 0) {
-    throw_errno("mprotect(RW)");
+  if (shared_ == nullptr) return;  // a child: nothing to write back
+  for (const PageRun& run : dirty_runs()) {
+    const std::size_t off = run.first * page_size_;
+    std::memcpy(static_cast<std::uint8_t*>(shared_) + off,
+                static_cast<const std::uint8_t*>(base_) + off,
+                run.count * page_size_);
   }
-  tracking_ = false;
+  // Dropping the copies leaves a clean spare; the shared view comes back.
+  if (::madvise(base_, bytes_, MADV_DONTNEED) != 0) throw_errno("madvise");
+  spare_ = move_aside(base_, bytes_);
+  move_view(shared_, bytes_, base_);
+  shared_ = nullptr;
 }
 
 void AltHeap::clear() {
@@ -197,27 +210,9 @@ void AltHeap::clear() {
   if (::madvise(base_, bytes_, MADV_REMOVE) != 0) throw_errno("madvise");
 }
 
-bool AltHeap::handle_fault(void* addr) {
-  if (!tracking_) return false;
-  auto a = reinterpret_cast<std::uintptr_t>(addr);
-  auto b = reinterpret_cast<std::uintptr_t>(base_);
-  if (a < b || a >= b + bytes_) return false;
-  const std::size_t page = (a - b) / page_size_;
-  // Async-signal-safety: mprotect is a plain syscall, and the push_back
-  // stays within the capacity begin_tracking reserved.
-  if (::mprotect(static_cast<std::uint8_t*>(base_) + page * page_size_,
-                 page_size_, PROT_READ | PROT_WRITE) != 0) {
-    return false;  // fall through to crash — cannot continue
-  }
-  dirty_.push_back(static_cast<std::uint32_t>(page));
-  return true;
-}
-
 std::vector<PageRun> AltHeap::dirty_runs() const {
-  std::vector<std::uint32_t> pages = dirty_;
-  std::sort(pages.begin(), pages.end());
   std::vector<PageRun> runs;
-  for (std::uint32_t page : pages) {
+  for (std::uint32_t page : dirty_) {
     if (!runs.empty() && runs.back().first + runs.back().count == page) {
       ++runs.back().count;
     } else {
@@ -244,22 +239,6 @@ std::optional<std::size_t> AltHeap::absorb_from(
                    run.count * page_size_});
     pages += run.count;
   }
-  if (tracking_) {
-    // This process is itself an arm: open the destination pages and record
-    // them, or its own commit would not carry them on.
-    std::vector<bool> recorded(pages_, false);
-    for (std::uint32_t page : dirty_) recorded[page] = true;
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      if (::mprotect(iov[k].iov_base, iov[k].iov_len,
-                     PROT_READ | PROT_WRITE) != 0) {
-        throw_errno("mprotect(RW)");
-      }
-      for (std::uint32_t p = runs[k].first; p < runs[k].first + runs[k].count;
-           ++p) {
-        if (!recorded[p]) dirty_.push_back(p);
-      }
-    }
-  }
   // Same address on both sides: each run is its own remote iovec too.
   const ssize_t got = ::process_vm_readv(
       winner, iov.data(), iov.size(), iov.data(), iov.size(), 0);
@@ -273,7 +252,8 @@ std::optional<std::size_t> AltHeap::absorb_from(
   return pages;
 }
 
-Bytes AltHeap::serialize_dirty() const {
+Bytes AltHeap::serialize_dirty() {
+  collect_dirty();
   Bytes out;
   ByteWriter w(out);
   w.u64(page_size_);

@@ -162,7 +162,7 @@ FaultKind FaultInjector::at_sync_point(std::uint64_t attempt,
     case FaultKind::kDropCommit:
       return kind;
     case FaultKind::kCrashSegv: {
-      // AltHeap installs a SIGSEGV handler for dirty-page tracking; restore
+      // The program may have installed a SIGSEGV handler of its own; restore
       // the default disposition first so the raise actually kills us. No
       // core: a fault matrix kills hundreds of children per run.
       struct rlimit rl{0, 0};

@@ -10,25 +10,40 @@ namespace altx::posix {
 
 namespace {
 
-/// Opens `path`, creating it and zero-extending it to `pages` pages.
-Fd open_backing(const std::string& path, std::size_t pages) {
-  ALTX_REQUIRE(pages >= 1, "FileHeap: need at least one page");
-  Fd fd(::open(path.c_str(), O_CREAT | O_RDWR, 0600));
+/// Opens `path`, creating it and zero-extending it to `bytes`.
+Fd open_backing(const std::string& path, std::size_t bytes) {
+  Fd fd(::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0600));
   if (!fd.valid()) throw_errno("open(FileHeap)");
-  const auto bytes = static_cast<off_t>(
-      pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
   struct stat st{};
   if (::fstat(fd.get(), &st) != 0) throw_errno("fstat(FileHeap)");
-  if (st.st_size < bytes && ::ftruncate(fd.get(), bytes) != 0) {
+  if (st.st_size < static_cast<off_t>(bytes) &&
+      ::ftruncate(fd.get(), static_cast<off_t>(bytes)) != 0) {
     throw_errno("ftruncate(FileHeap)");
   }
   return fd;
 }
 
+/// Moves `len` bytes between `buf` and `fd` at `off` with pread or pwrite,
+/// through short transfers and EINTR.
+template <typename Io, typename Byte>
+void transfer(Io io, const Fd& fd, Byte* buf, std::size_t len, off_t off,
+              const char* what) {
+  for (std::size_t done = 0; done < len;) {
+    const ssize_t n =
+        io(fd.get(), buf + done, len - done, off + static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw_errno(what);
+    if (n == 0) throw SystemError(what, EIO);  // the file was cut short
+    done += static_cast<std::size_t>(n);
+  }
+}
+
 }  // namespace
 
 FileHeap::FileHeap(const std::string& path, std::size_t pages)
-    : AltHeap(pages, open_backing(path, pages)) {}
+    : AltHeap(pages), file_(open_backing(path, size_bytes())) {
+  rollback();  // loads the file into the arena
+}
 
 std::size_t FileHeap::apply_patch(const Bytes& patch) {
   std::vector<std::uint32_t> patched;
@@ -51,27 +66,19 @@ void FileHeap::note_pending(std::uint32_t page) {
 std::size_t FileHeap::commit() {
   const std::size_t psz = page_size();
   for (std::uint32_t page : pending_) {
-    const auto off = static_cast<off_t>(static_cast<std::size_t>(page) * psz);
-    const auto* src = static_cast<const std::uint8_t*>(base()) + off;
-    std::size_t done = 0;
-    while (done < psz) {
-      const ssize_t w = ::pwrite(backing_fd(), src + done, psz - done,
-                                 off + static_cast<off_t>(done));
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("pwrite(FileHeap)");
-      }
-      done += static_cast<std::size_t>(w);
-    }
+    const std::size_t off = page * psz;
+    transfer(::pwrite, file_, static_cast<const std::uint8_t*>(base()) + off,
+             psz, static_cast<off_t>(off), "pwrite(FileHeap)");
   }
-  if (::fsync(backing_fd()) != 0) throw_errno("fsync(FileHeap)");
+  if (::fsync(file_.get()) != 0) throw_errno("fsync(FileHeap)");
   const std::size_t n = pending_.size();
   pending_.clear();
   return n;
 }
 
 void FileHeap::rollback() {
-  remap();
+  transfer(::pread, file_, static_cast<std::uint8_t*>(base()), size_bytes(), 0,
+           "pread(FileHeap)");
   pending_.clear();
 }
 

@@ -3,15 +3,16 @@
 // The paper's single-level store buries files under the page abstraction
 // ("files are named sets of pages"), so the same copy-on-write machinery
 // that isolates alternatives over memory also isolates them over files.
-// FileHeap maps a file MAP_PRIVATE: every process (and every forked
-// alternative) reads the file's pages directly, writes go to private copies,
-// and nothing touches the disk until the parent — after absorbing the
-// winner — explicitly commits, making the block a transaction on the file
-// (all of the winner's updates or none).
+// A FileHeap is an ordinary AltHeap arena loaded from the file at open:
+// every process (and every forked alternative) reads the file's pages out
+// of the arena, an alternative's writes go to its private copies and are
+// read with PAGEMAP_SCAN like any arm's (Linux >= 6.7), and nothing touches
+// the disk until the parent — after absorbing the winner — explicitly
+// commits, making the block a transaction on the file (all of the winner's
+// updates or none).
 //
-// The copy-on-write tracking is AltHeap's own: a FileHeap is an AltHeap
-// mapped over the file's descriptor, plus the transaction — the pending
-// list, commit() and rollback().
+// What it adds to the arena is the file's descriptor and the transaction:
+// the pending list, commit() and rollback().
 #pragma once
 
 #include <cstddef>
@@ -21,13 +22,14 @@
 
 #include "common/bytes.hpp"
 #include "posix/alt_heap.hpp"
+#include "posix/fd.hpp"
 
 namespace altx::posix {
 
 class FileHeap : private AltHeap {
  public:
-  /// Opens (creating and zero-extending if needed) `path` and maps `pages`
-  /// system pages of it copy-on-write.
+  /// Opens (creating and zero-extending if needed) `path` and reads its
+  /// first `pages` system pages into a fresh arena.
   FileHeap(const std::string& path, std::size_t pages);
 
   using AltHeap::at;
@@ -36,8 +38,7 @@ class FileHeap : private AltHeap {
   using AltHeap::pages;
   using AltHeap::size_bytes;
 
-  /// Child side: AltHeap's mprotect/SIGSEGV descriptor table. A FileHeap's
-  /// map is never shared, so it never scans.
+  /// Child side: AltHeap's scanned dirty set.
   using AltHeap::begin_tracking;
   using AltHeap::dirty_pages;
   using AltHeap::end_tracking;
@@ -52,8 +53,8 @@ class FileHeap : private AltHeap {
   /// fsyncs — the transaction's commit point. Returns pages written.
   std::size_t commit();
 
-  /// Discards in-memory modifications: remaps the file, restoring the
-  /// on-disk state (the transaction's abort).
+  /// Discards in-memory modifications: reads the whole file into the arena
+  /// again, restoring the on-disk state (the transaction's abort).
   void rollback();
 
   /// Marks a page modified directly by the caller (apply_patch marks its
@@ -63,6 +64,7 @@ class FileHeap : private AltHeap {
  private:
   void note_pending(std::uint32_t page);
 
+  Fd file_;
   std::vector<std::uint32_t> pending_;  // parent-side pages awaiting commit
 };
 

@@ -236,7 +236,8 @@ struct ReapNote {
   int arm = 0;  // 1-based arm index
   BlockIds ids;
   ChildFate kill_fate = ChildFate::kRunning;  // the kill we sent, if any
-  bool frame_out = false;       // its commit frame was out before it died
+  bool frame_out = false;  // it committed before it died: its frame was
+                           // out, or a won block's second token was its
   std::uint64_t site_id = 0;    // history key; 0 = no sample
   std::uint32_t history_arm = 0;  // the arm's entry under site_id
   bool censored = false;        // a hedged arm: only a commit is a sample

@@ -9,6 +9,7 @@
 #include <linux/seccomp.h>
 #include <signal.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/prctl.h>
 #include <sys/syscall.h>
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -390,6 +392,47 @@ TEST(AltHeap, NestedWinnerPagesReachTheTopParent) {
   EXPECT_EQ(word(6)[0], 0u);
 }
 
+TEST(AltHeap, NestedBlockKeepsTheParentArmsEarlierWrites) {
+  // A nested arm's private map holds its parent arm's copies, so its scan
+  // returns them too, and it sends that superset. The parent arm wrote
+  // nothing since the fork, so the copies come back byte-identical.
+  AltHeap heap(16);
+  auto word = [&heap](std::size_t p) {
+    return heap.at<std::uint64_t>(p * heap.page_size());
+  };
+  RaceOptions opts;
+  opts.heap = &heap;
+  auto r = race<int>(
+      {
+          [&]() -> std::optional<int> {
+            word(3)[0] = 33;  // before the inner block
+            auto inner = race<int>(
+                {
+                    [&]() -> std::optional<int> {
+                      word(3)[0] = 666;
+                      ::usleep(300'000);
+                      return 1;
+                    },
+                    [&]() -> std::optional<int> {
+                      word(5)[0] = 55;
+                      return 2;
+                    },
+                },
+                opts);
+            if (!inner.has_value() || inner->winner != 2 ||
+                inner->pages_absorbed != 2) {
+              return std::nullopt;
+            }
+            return 1;
+          },
+      },
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->pages_absorbed, 2u);
+  EXPECT_EQ(word(3)[0], 33u);
+  EXPECT_EQ(word(5)[0], 55u);
+}
+
 /// Makes every later process_vm_readv of this process fail with EPERM, the
 /// way a seccomp policy can. False where the filter cannot be installed.
 bool deny_process_vm_readv() {
@@ -573,6 +616,49 @@ TEST(AltHeap, PlainForkChildCannotWriteTheParentsArena) {
   EXPECT_EQ(word[0], 7u);
 }
 
+TEST(AltHeap, OwnerTrackingWritesBackAndLeavesACleanSpare) {
+  // The owner's own tracking runs on its private spare: a child forked
+  // meanwhile writes only copies of its own, end_tracking() writes the
+  // owner's pages back into the memfd, and the next arm's scan holds only
+  // that arm's page.
+  AltHeap heap(32);
+  auto word = [&heap](std::size_t p) {
+    return heap.at<std::uint64_t>(p * heap.page_size());
+  };
+  auto child_sees = [&](auto check) {
+    const pid_t pid = ::fork();
+    if (pid == 0) _exit(check() ? 0 : 1);
+    int status = 0;
+    return pid > 0 && ::waitpid(pid, &status, 0) == pid &&
+           WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  };
+  heap.begin_tracking();
+  word(2)[0] = 42;
+  word(5)[0] = 43;
+  EXPECT_TRUE(child_sees([&] {
+    word(8)[0] = 88;
+    return word(2)[0] == 42;
+  }));
+  heap.end_tracking();
+  EXPECT_EQ(heap.dirty_pages(), (std::vector<std::uint32_t>{2, 5}));
+  EXPECT_EQ(word(8)[0], 0u);
+  RaceOptions opts;
+  opts.heap = &heap;
+  auto r = race<int>({[&]() -> std::optional<int> {
+                       word(13)[0] = 13;
+                       return 1;
+                     }},
+                     opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->pages_absorbed, 1u);
+  // A fresh child reads the memfd through its private map: every page the
+  // owner holds is in it.
+  EXPECT_TRUE(child_sees([&] {
+    return word(2)[0] == 42 && word(5)[0] == 43 && word(8)[0] == 0 &&
+           word(13)[0] == 13;
+  }));
+}
+
 TEST(AltHeap, ArmDirtySetIsExactlyTheWrittenPages) {
   // Reading a page maps the owner's copy; only a write makes a page the
   // arm's own, and only those pages are absorbed.
@@ -635,15 +721,25 @@ bool deny_pagemap_scan() {
          ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) == 0;
 }
 
-TEST(AltHeap, ArmsFallBackToFaultTrackingWithoutPagemapScan) {
+TEST(AltHeap, ArmsFailWithoutPagemapScan) {
   // As AbsorbFallsBackWhenThePullIsDenied: a forked helper installs the
-  // filter and runs the race; its exit code is the verdict.
+  // filter and runs the race; its exit code is the verdict. Every process
+  // that leaves the race writes one byte to `returned`: an arm whose
+  // tracking fails must abort, not unwind into the caller's code.
   enum : int { kOk = 0, kWrong = 1, kNoFilter = 2, kThrew = 3 };
+  int returned[2];
+  ASSERT_EQ(::pipe(returned), 0);
   const pid_t helper = ::fork();
   ASSERT_GE(helper, 0);
   if (helper == 0) {
+    ::close(returned[0]);
     int code = kThrew;
     try {
+      AltHeap heap(32);  // made before the filter
+      const std::size_t psz = heap.page_size();
+      for (std::size_t p = 0; p < heap.pages(); ++p) {
+        heap.at<std::uint64_t>(p * psz)[0] = p;
+      }
       if (!deny_pagemap_scan()) _exit(kNoFilter);
       std::uint64_t arg[12] = {sizeof arg};
       const int pagemap = ::open("/proc/self/pagemap", O_RDONLY);
@@ -652,52 +748,66 @@ TEST(AltHeap, ArmsFallBackToFaultTrackingWithoutPagemapScan) {
         _exit(kNoFilter);
       }
       ::close(pagemap);
-      AltHeap heap(32);
-      const std::size_t psz = heap.page_size();
-      for (std::size_t p = 0; p < heap.pages(); ++p) {
-        heap.at<std::uint64_t>(p * psz)[0] = p;
+      bool ok = false;
+      try {
+        AltHeap refused(4);
+      } catch (const SystemError& e) {
+        const std::string what = e.what();
+        ok = what.find("PAGEMAP_SCAN") != std::string::npos &&
+             what.find("6.7") != std::string::npos;
       }
+      RaceReport report;
       RaceOptions opts;
       opts.heap = &heap;
-      const std::vector<std::size_t> written = {0, 4, 5, 9, 31};
-      auto r = race<int>(
-          {
-              [&]() -> std::optional<int> {
-                std::uint64_t sum = 0;
-                for (std::size_t p = 0; p < heap.pages(); ++p) {
-                  sum += heap.at<std::uint64_t>(p * psz)[0];
-                }
-                for (std::size_t p : written) {
-                  heap.at<std::uint64_t>(p * psz)[0] = 1000 + p;
-                }
-                return static_cast<int>(sum);
-              },
-              [&]() -> std::optional<int> {
-                heap.at<std::uint64_t>(2 * psz)[0] = 666;
-                ::usleep(300'000);
-                return 2;
-              },
-          },
-          opts);
-      bool ok = r.has_value() && r->winner == 1 && r->value == 31 * 32 / 2 &&
-                r->pages_absorbed == written.size();
+      opts.report = &report;
+      std::optional<RaceResult<int>> r;
+      try {
+        r = race<int>(
+            {
+                [&]() -> std::optional<int> {
+                  heap.at<std::uint64_t>(4 * psz)[0] = 1004;
+                  return 1;
+                },
+                [&]() -> std::optional<int> {
+                  heap.at<std::uint64_t>(9 * psz)[0] = 1009;
+                  return 2;
+                },
+            },
+            opts);
+      } catch (...) {
+        // Leaving the race by an exception counts as returning from it.
+      }
+      const char byte = 1;
+      if (::write(returned[1], &byte, 1) != 1) _exit(kThrew);
+      ok = ok && !r.has_value() && report.verdict == WaitVerdict::kAllFailed;
       for (std::size_t p = 0; ok && p < heap.pages(); ++p) {
-        const bool dirty =
-            std::find(written.begin(), written.end(), p) != written.end();
-        ok = heap.at<std::uint64_t>(p * psz)[0] == (dirty ? 1000 + p : p);
+        ok = heap.at<std::uint64_t>(p * psz)[0] == p;
       }
       code = ok ? kOk : kWrong;
     } catch (...) {
     }
+    reap_eliminated();
     _exit(code);
   }
+  ::close(returned[1]);
   int status = 0;
   ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  // EOF once every process holding the write end is gone.
+  int returns = 0;
+  pollfd pfd{returned[0], POLLIN, 0};
+  char buf[16];
+  ssize_t got = 0;
+  while (::poll(&pfd, 1, 10'000) == 1 &&
+         (got = ::read(returned[0], buf, sizeof buf)) > 0) {
+    returns += static_cast<int>(got);
+  }
+  ::close(returned[0]);
   ASSERT_TRUE(WIFEXITED(status));
   if (WEXITSTATUS(status) == kNoFilter) {
     GTEST_SKIP() << "cannot install a seccomp filter here";
   }
   EXPECT_EQ(WEXITSTATUS(status), kOk);
+  EXPECT_EQ(returns, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ int open_fd_count() { return dir_entry_count("/proc/self/fd"); }
 int thread_count() { return dir_entry_count("/proc/self/task"); }
 
 TEST(PosixStress, CrashingAlternativeIsJustAFailure) {
-  // A child dying of SIGSEGV (no AltHeap installed, so no handler rescues
+  // A child dying of SIGSEGV (the library installs no handler to rescue
   // it) must count as a failed alternative, not poison the block.
   auto r = race<int>({
       []() -> std::optional<int> {
