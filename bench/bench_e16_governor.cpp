@@ -12,8 +12,8 @@
 // Two arm mixes per row:
 //   fast      — all four arms viable, 2-4 ms each. Contention cost only.
 //   runaway   — every 6th block's only viable arm sleeps past the 80 ms wall
-//               budget; the cohort wait must kill it (SIGTERM→SIGKILL, 1 ms
-//               grace), the supervisor retries once, and the block is lost.
+//               budget; the cohort wait must kill it (SIGKILL), the
+//               supervisor retries once, and the block is lost.
 //
 // The invariant on display: max_in_flight never exceeds the token budget
 // except by sanctioned single-arm overdrafts, no matter how much work is
@@ -118,9 +118,9 @@ Run run_row(int threads, bool with_runaways, SpeculationGovernor* gov) {
 int main() {
   std::printf("E16: admission control and arm containment under overload\n\n");
   std::printf("T threads × %d blocks each, 4 arms per fast block, against a\n"
-              "budget of %d child tokens (80 ms wall budget, 1 ms SIGTERM\n"
-              "grace). A block granted k < 4 tokens runs k arms at a time;\n"
-              "runaway arms are killed by the governed wait.\n\n",
+              "budget of %d child tokens (80 ms wall budget). A block\n"
+              "granted k < 4 tokens runs k arms at a time; runaway arms\n"
+              "are killed by the governed wait.\n\n",
               kBlocksPerThread, kTokens);
 
   Table t({"mix", "threads", "success", "narrowed", "p50", "p95", "blocks/s",
@@ -132,7 +132,6 @@ int main() {
       gc.tokens = kTokens;
       gc.serial_admit_wait = 200ms;
       gc.arm_wall_budget = 80ms;
-      gc.kill_grace = 1ms;
       SpeculationGovernor gov(gc);
       const Run r = run_row(threads, runaways, &gov);
       const int blocks = threads * kBlocksPerThread;
@@ -157,8 +156,6 @@ int main() {
           .metric("max_in_flight", r.gov.max_in_flight)
           .metric("overdrafts", static_cast<double>(r.gov.overdrafts))
           .metric("kills_wall", static_cast<double>(r.gov.kills_wall))
-          .metric("term_escalations",
-                  static_cast<double>(r.gov.term_escalations))
           .latency(r.latency_ms);
     }
   }

@@ -51,7 +51,7 @@ struct RunOutcome {
 ///
 /// `governed` additionally runs the whole trial under a seed-derived
 /// SpeculationGovernor (a tight token budget, admission waits, a generous
-/// per-arm wall budget, sometimes a SIGTERM grace): blocks granted fewer
+/// per-arm wall budget): blocks granted fewer
 /// tokens than arms run k arms at a time without ever changing the set of
 /// admissible outcomes or committing twice, and the token cap must hold
 /// (overdrafts excepted) — checked as "governor-cap-exceeded".

@@ -269,10 +269,9 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
 
   // Governed trials: a deliberately tight token budget (1..3 across the
   // whole trial, nested blocks included) so narrowed grants, arms forked as
-  // slots free and overdrafts actually happen, a wall budget far above any legitimate
-  // arm's runtime so it only fires on a stalled machine, and sometimes a
-  // SIGTERM grace so the escalation ladder gets exercised too. Built before
-  // any fork so every child shares the MAP_SHARED pool.
+  // slots free and overdrafts actually happen, and a wall budget far above
+  // any legitimate arm's runtime so it only fires on a stalled machine.
+  // Built before any fork so every child shares the MAP_SHARED pool.
   std::unique_ptr<altx::posix::SpeculationGovernor> governor;
   if (governed || predicted) {
     altx::posix::GovernorConfig gc;
@@ -283,7 +282,6 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
       // the enclosing arm's wall budget.
       gc.serial_admit_wait = std::chrono::milliseconds(100);
       gc.arm_wall_budget = std::chrono::milliseconds(5'000);
-      gc.kill_grace = std::chrono::milliseconds((schedule_seed >> 2) % 2 == 0 ? 0 : 2);
     }
     // Predicted trials are governed: only a governed group's cohort wait
     // enforces predicted-kill deadlines.

@@ -60,7 +60,7 @@ enum class EventKind : std::uint16_t {
   kGovAdmitWait = 20, // a: tokens requested, b: in flight, c: effective budget
   kGovAdmit = 21,     // a: tokens granted, b: in flight after, c: waited ns
   kGovKill = 23,      // governed wait: a: pid, b: reason (0 wall, 1 cpu, 2 shed),
-                      //   c: stage (0 = SIGTERM, 1 = SIGKILL)
+                      //   c: unused (it was the SIGTERM/SIGKILL stage)
   kGovBudget = 25,    // a: new effective budget, b: base budget,
                       //   c: pressure stall pct x100
   kGovOverdraft = 27, // single-token liveness overdraft; a: in flight after
@@ -105,7 +105,7 @@ enum class EventKind : std::uint16_t {
                       //   deadline ns from launch (0 = none)
   kPredKill = 47,     // governed wait: arm overran its historical kill quantile;
                       //   a: pid, b: predicted kill quantile ns,
-                      //   c: stage (0 = SIGTERM, 1 = SIGKILL)
+                      //   c: unused (it was the SIGTERM/SIGKILL stage)
 
   // Distributed block (dist::DistributedBlock; timestamps are sim time).
   kDistSpawn = 48,    // a: alternative index, b: checkpoint bytes

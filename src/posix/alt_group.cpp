@@ -50,10 +50,6 @@ constexpr std::chrono::seconds kSecondHolderWait{1};
 // much slower backoff for it would be out of proportion.
 constexpr int kForkRetries = 3;
 
-// Poll bound while some live child has no pidfd: its exit can only be
-// found by wait4(WNOHANG), so the cohort wait must wake up to look.
-constexpr std::chrono::milliseconds kBlindPoll{10};
-
 /// How often a governed wait reads a live arm's CPU from /proc: a tenth of
 /// the budget, so an overrun is caught within 10 % of it, bounded so tiny
 /// budgets do not spin and huge ones are still looked at.
@@ -80,17 +76,6 @@ void absorb_first_clone() {
     int status = 0;
     wait4_eintr(pid, &status, 0);
   }
-}
-
-/// SIGTERM -> SIGKILL grace for survivor elimination, from
-/// ALTX_KILL_GRACE_MS, read once per process (0 = straight SIGKILL).
-std::chrono::milliseconds kill_grace() {
-  static const std::chrono::milliseconds grace = [] {
-    const char* s = std::getenv("ALTX_KILL_GRACE_MS");
-    const long long ms = s != nullptr ? std::strtoll(s, nullptr, 0) : 0;
-    return std::chrono::milliseconds(std::max(0LL, ms));
-  }();
-  return grace;
 }
 
 /// Whether a frame's bytes are waiting in `fd` (not merely EOF).
@@ -348,6 +333,15 @@ bool AltGroup::fork_arm(std::size_t i) {
   slot.spawned = Clock::now();
   slot.result.write_end.reset();
   slot.pidfd = Fd(open_pidfd(pid));
+  if (!slot.pidfd.valid()) {
+    // A child the cohort wait cannot watch is a failed fork.
+    const int err = errno;
+    ::kill(pid, SIGKILL);
+    wait4_eintr(pid, nullptr, 0);
+    slot.result = Pipe{};
+    end_cohort();
+    throw SystemError("pidfd_open", err);
+  }
   if (obs::enabled()) {
     const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
     obs::emit(obs::EventKind::kFork, ids_.race_id,
@@ -733,7 +727,7 @@ std::optional<std::size_t> AltGroup::absorb_winner(
     Slot& slot = slots_[i];
     slot.delivered = false;
     if (slot.kill_fate == ChildFate::kRunning && Clock::now() >= deadline) {
-      kill_child(i, ChildFate::kHung, std::chrono::milliseconds(0));
+      kill_child(i, ChildFate::kHung);
     }
     return std::nullopt;
   }
@@ -750,7 +744,7 @@ std::optional<Bytes> AltGroup::await_patch(std::size_t i, const Fd& result,
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw_errno("fcntl(O_NONBLOCK)");
   }
-  const Fd& pidfd = slots_[i].pidfd;
+  const int pidfd = slots_[i].pidfd.get();
   std::uint64_t len = 0;
   Bytes patch;
   bool header = true;
@@ -776,24 +770,13 @@ std::optional<Bytes> AltGroup::await_patch(std::size_t i, const Fd& result,
     if (errno != EAGAIN) throw_errno("read");
     // The pipe is drained; a winner that has exited wrote all it ever will.
     if (exited || Clock::now() >= deadline) return std::nullopt;
-    pollfd fds[2] = {{fd, POLLIN, 0}, {pidfd.get(), POLLIN, 0}};
-    const nfds_t nfds = pidfd.valid() ? 2 : 1;
-    auto wait = std::chrono::ceil<std::chrono::milliseconds>(deadline -
-                                                             Clock::now());
-    if (!pidfd.valid()) wait = std::min(wait, kBlindPoll);
+    pollfd fds[2] = {{fd, POLLIN, 0}, {pidfd, POLLIN, 0}};
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
     const int timeout_ms = static_cast<int>(std::clamp<long long>(
         wait.count(), 0, std::numeric_limits<int>::max()));
-    if (::poll(fds, nfds, timeout_ms) < 0 && errno != EINTR) {
-      throw_errno("poll");
-    }
-    if (pidfd.valid()) {
-      exited = fds[1].revents != 0;
-    } else {
-      siginfo_t info{};
-      exited = ::waitid(P_PID, static_cast<id_t>(status_[i].pid), &info,
-                        WEXITED | WNOHANG | WNOWAIT) == 0 &&
-               info.si_pid != 0;
-    }
+    if (::poll(fds, 2, timeout_ms) < 0 && errno != EINTR) throw_errno("poll");
+    exited = fds[1].revents != 0;
   }
 }
 
@@ -834,7 +817,6 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
   // per unreaped child's pidfd; `owner` maps each back to (child, is_pidfd).
   std::vector<pollfd> fds;
   std::vector<std::pair<std::size_t, bool>> owner;
-  bool blind = false;  // some live child has no pidfd
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (status_[i].pid < 0) continue;  // never forked
@@ -843,16 +825,11 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
       owner.emplace_back(i, false);
     }
     if (reaped(i)) continue;
-    if (slot.pidfd.valid()) {
-      fds.push_back({slot.pidfd.get(), POLLIN, 0});
-      owner.emplace_back(i, true);
-    } else {
-      blind = true;
-    }
+    fds.push_back({slot.pidfd.get(), POLLIN, 0});
+    owner.emplace_back(i, true);
   }
-  auto wait = std::chrono::ceil<std::chrono::milliseconds>(deadline -
-                                                           Clock::now());
-  if (blind) wait = std::min(wait, kBlindPoll);
+  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - Clock::now());
   const int timeout_ms = static_cast<int>(std::clamp<long long>(
       wait.count(), 0, std::numeric_limits<int>::max()));
   const int r = ::poll(fds.data(), fds.size(), timeout_ms);
@@ -863,18 +840,10 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
     Slot& slot = slots_[i];
     if (is_pidfd) {
       reap(i, WNOHANG);
-      // Readable but not reapable (SIGCHLD ignored, say): stop polling the
-      // pidfd, or it would spin, and find the exit the blind way.
-      if (!reaped(i)) slot.pidfd.reset();
     } else if ((fds[k].revents & POLLIN) != 0) {
       slot.ready = true;
     } else {
       slot.result.read_end.reset();  // EOF: the child left without a frame
-    }
-  }
-  if (blind) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!reaped(i) && !slots_[i].pidfd.valid()) reap(i, WNOHANG);
     }
   }
 }
@@ -887,23 +856,13 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
     next = std::min(next, at);
     return false;
   };
+  SpeculationGovernor* const gov = opts_.governor;
+  if (gov == nullptr) return next;
   int live_arms = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
     if (live(i)) ++live_arms;
-    if (reaped(i) || slot.term_deadline == kNever || !due(slot.term_deadline)) {
-      continue;
-    }
-    ::kill(status_[i].pid, SIGKILL);  // the SIGTERM's grace expired
-    slot.term_deadline = kNever;
-    if (slot.kill_fate == ChildFate::kOverBudget ||
-        slot.kill_fate == ChildFate::kPredictedLoser) {
-      opts_.governor->note_kill(slot.gov_reason, /*escalation=*/true);
-      emit_governed_kill(i, /*stage=*/1);
-    }
   }
-  SpeculationGovernor* const gov = opts_.governor;
-  if (gov == nullptr || live_arms == 0) return next;
+  if (live_arms == 0) return next;
 
   const GovernorConfig& cfg = gov->config();
   bool frames_polled = false;
@@ -917,7 +876,6 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
     }
     governed_kill(i, reason);
     --live_arms;
-    next = std::min(next, slots_[i].term_deadline);
   };
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!live(i) || pending(i)) continue;  // budgets count from the fork
@@ -963,7 +921,7 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
         if (!live(i)) continue;
         if (pending(i)) {
           cancel(i, ChildFate::kOverBudget);
-          gov->note_kill(GovKillReason::kShed, /*escalation=*/false);
+          gov->note_kill(GovKillReason::kShed);
         } else {
           kill_arm(i, GovKillReason::kShed);
         }
@@ -974,31 +932,22 @@ AltGroup::Clock::time_point AltGroup::enforce_deadlines() {
   return next;
 }
 
-void AltGroup::kill_child(std::size_t i, ChildFate fate,
-                          std::chrono::milliseconds grace) {
+void AltGroup::kill_child(std::size_t i, ChildFate fate) {
   ALTX_REQUIRE(status_[i].pid > 0, "AltGroup: kill of an arm never forked");
-  Slot& slot = slots_[i];
-  slot.kill_fate = fate;
-  if (grace.count() > 0) {
-    ::kill(status_[i].pid, SIGTERM);
-    slot.term_deadline = Clock::now() + grace;
-  } else {
-    ::kill(status_[i].pid, SIGKILL);
-  }
+  slots_[i].kill_fate = fate;
+  kill_pidfd(slots_[i].pidfd);
 }
 
 void AltGroup::governed_kill(std::size_t i, GovKillReason reason) {
-  const std::chrono::milliseconds grace = opts_.governor->config().kill_grace;
-  kill_child(i,
-             reason == GovKillReason::kPredicted ? ChildFate::kPredictedLoser
-                                                 : ChildFate::kOverBudget,
-             grace);
+  kill_child(i, reason == GovKillReason::kPredicted
+                    ? ChildFate::kPredictedLoser
+                    : ChildFate::kOverBudget);
   slots_[i].gov_reason = reason;
-  opts_.governor->note_kill(reason, /*escalation=*/false);
-  emit_governed_kill(i, grace.count() > 0 ? 0 : 1);
+  opts_.governor->note_kill(reason);
+  emit_governed_kill(i);
 }
 
-void AltGroup::emit_governed_kill(std::size_t i, std::uint64_t stage) const {
+void AltGroup::emit_governed_kill(std::size_t i) const {
   // Predicted kills get their own event kind (the trace ties them back to
   // the arm's history quantile); every other reason keeps kGovKill.
   const bool predicted = slots_[i].gov_reason == GovKillReason::kPredicted;
@@ -1006,16 +955,20 @@ void AltGroup::emit_governed_kill(std::size_t i, std::uint64_t stage) const {
             ids_.race_id, static_cast<std::int16_t>(i + 1),
             static_cast<std::uint64_t>(status_[i].pid),
             predicted ? opts_.launch[i].kill_ns
-                      : static_cast<std::uint64_t>(slots_[i].gov_reason),
-            stage);
+                      : static_cast<std::uint64_t>(slots_[i].gov_reason));
 }
 
 void AltGroup::reap(std::size_t i, int flags) {
   if (status_[i].pid < 0) return;  // never forked: nothing to wait for
   int status = 0;
   struct rusage ru {};
-  if (wait4_eintr(status_[i].pid, &status, flags, &ru) == status_[i].pid) {
+  const pid_t r = wait4_eintr(status_[i].pid, &status, flags, &ru);
+  if (r == status_[i].pid) {
     on_exit(i, status, decode_rusage(ru));
+  } else if (r < 0 && errno == ECHILD) {
+    // Gone, and reaped by someone else (SIGCHLD ignored, a waitpid(-1)):
+    // no status, no bill.
+    on_exit(i, std::nullopt, ChildUsage{});
   }
 }
 
@@ -1031,28 +984,15 @@ void AltGroup::kill_survivors(ChildFate fate) {
   // Children that delivered or aborted are on their way out through _exit
   // and are only reaped; children already killed keep the fate of that
   // first kill.
-  const std::chrono::milliseconds grace = kill_grace();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
     if (pending(i)) {
       cancel(i, fate);  // ends unforked: no process to signal
     } else if (!reaped(i) && !slot.delivered && !slot.aborted &&
                slot.kill_fate == ChildFate::kRunning) {
-      kill_child(i, fate, grace);
+      kill_child(i, fate);
     }
   }
-  // Graceful elimination: SIGTERM first, so a loser with cleanup to do
-  // (flush a log, drop a lock file) gets the grace window, and the cohort
-  // wait SIGKILLs whatever still stands when its window ends — a governed
-  // kill's window included. Children reaped meanwhile keep the normal fate
-  // pipeline: a SIGTERM death is still "we killed it".
-  auto term_pending = [this] {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!reaped(i) && slots_[i].term_deadline != kNever) return true;
-    }
-    return false;
-  };
-  while (term_pending()) wait_cohort(kNever);
 }
 
 bool AltGroup::all_reaped() const {
@@ -1079,6 +1019,7 @@ ReapNote AltGroup::note(std::size_t i) const {
   n.ids = ids_;
   n.kill_fate = slot.kill_fate;
   n.frame_out = slot.delivered || slot.ready || took_token(i);
+  n.aborted = slot.aborted;
   n.site_id = opts_.site_id;
   const ArmLaunch* launch =
       i < opts_.launch.size() ? &opts_.launch[i] : nullptr;
@@ -1089,7 +1030,8 @@ ReapNote AltGroup::note(std::size_t i) const {
   return n;
 }
 
-void AltGroup::on_exit(std::size_t i, int status, const ChildUsage& usage) {
+void AltGroup::on_exit(std::size_t i, std::optional<int> status,
+                       const ChildUsage& usage) {
   Slot& slot = slots_[i];
   slot.pidfd.reset();
   // The child is gone, so whatever it wrote is in the pipe in full: either

@@ -19,17 +19,17 @@
 //                   out the TIMEOUT once no child can win, nor a failed
 //                   child's exit. In a child: attempts the synchronization.
 //
-// Elimination: the verdict sends the kills (and waits out a SIGTERM grace
-// window, when one is configured), writes a heap winner's release byte,
-// reaps whatever has already exited, and hands every other child to the
-// process-wide reap set (posix/reap.hpp), which reaps it later and delivers
-// what a reap owes — its kChildFate and kChildUsage records under the
-// block's ids, its history sample, its governor token, its share of the
-// block's kSpecReport. The group's own view (child_statuses,
-// speculation_report, race<T>'s RaceReport) is the block at its verdict: a
-// child not yet reaped then reads as committed if its frame was out, as
-// aborted if its abort frame was, and otherwise as the fate of the kill the
-// verdict sent it; its bill is not in that view.
+// Elimination: the verdict SIGKILLs the losers — no loser runs another
+// instruction, not even a signal handler of its own — writes a heap
+// winner's release byte, reaps whatever has already exited, and hands every
+// other child to the process-wide reap set (posix/reap.hpp), which reaps it
+// later and delivers what a reap owes — its kChildFate and kChildUsage
+// records under the block's ids, its history sample, its governor token,
+// its share of the block's kSpecReport. The group's own view
+// (child_statuses, speculation_report, race<T>'s RaceReport) is the block
+// at its verdict: a child not yet reaped then reads as committed if its
+// frame was out, as aborted if its abort frame was, and otherwise as the
+// fate of the kill the verdict sent it; its bill is not in that view.
 //
 // At-most-once synchronization is a 0-1 semaphore built from a pipe: the
 // parent deposits a single token byte; the first child to read it commits;
@@ -56,22 +56,24 @@
 // without a heap writes its frame and exits as it always did.
 //
 // The cohort wait: each child has a result pipe of its own and, in the
-// parent, a pidfd. One poll(2) set over those descriptors wakes the parent
-// when a result arrives or a child exits, and every wait the group does —
-// alt_wait, the deadline kill, the SIGTERM grace window, the fork-EAGAIN
-// backoff — is that one wait. Where pidfd_open is unavailable the poll
-// timeout is bounded and exits are found by wait4(WNOHANG) instead.
+// parent, a pidfd — a child whose pidfd cannot be opened is a failed fork.
+// One poll(2) set over those descriptors wakes the parent when a result
+// arrives or a child exits, and every wait the group does — alt_wait, the
+// deadline kill, the fork-EAGAIN backoff — is that one wait. Every kill is
+// one SIGKILL sent through the child's pidfd. A child whose pidfd is
+// readable but that wait4 no longer finds (ECHILD: SIGCHLD ignored, or a
+// waitpid(-1) elsewhere) has exited all the same: its frame or our kill
+// gives its fate, crashed when there is neither, and it has no bill.
 //
 // The same wait enforces every per-child deadline, its poll timeout being
-// the earliest of them: the SIGKILL that ends a SIGTERM's grace window
-// and, in a governed group (posix/governor.hpp), the per-arm wall and CPU
-// budgets, the plan's predicted-kill deadlines (posix/predictor.hpp) and
-// pressure shedding. A kill records its fate in the child's slot, so the
-// reaper classifies from one source; the live-arm count the predicted and
-// pressure kills spare the last of is this group's own. There is no other
-// thread or process involved, so a block run inside a forked arm is held
-// to its budgets exactly like one run in the process that built the
-// governor.
+// the earliest of them: in a governed group (posix/governor.hpp), the
+// per-arm wall and CPU budgets, the plan's predicted-kill deadlines
+// (posix/predictor.hpp) and pressure shedding. A kill records its fate in
+// the child's slot, so the reaper classifies from one source; the live-arm
+// count the predicted and pressure kills spare the last of is this group's
+// own. There is no other thread or process involved, so a block run inside
+// a forked arm is held to its budgets exactly like one run in the process
+// that built the governor.
 //
 // Collect-all (section 5.2's AND-parallelism, posix::await_all): children
 // finish with child_deliver, which ships the result without taking the
@@ -314,14 +316,13 @@ class AltGroup {
   struct Slot {
     Pipe result;  // child -> parent: payload + heap page runs, one frame
                   // (a heap winner refused the pull sends a patch after it)
-    Fd pidfd;     // readable once the child exits; invalid = poll blind
+    Fd pidfd;     // readable once the child exits; every kill goes here
     Clock::time_point spawned;  // fork returned; budgets count from here
     // What our kill means: kHung (deadline), kEliminated, or — governed —
     // kOverBudget / kPredictedLoser for `gov_reason`; kRunning = not killed
     // by us.
     ChildFate kill_fate = ChildFate::kRunning;
     GovKillReason gov_reason{};
-    Clock::time_point term_deadline = kNever;  // SIGTERM sent; SIGKILL due
     bool ready = false;      // a frame is waiting in the result pipe
     std::uint64_t frame_len = 0;  // its length word, once read (0: unread)
     bool delivered = false;  // its frame was taken (winner / collect-all)
@@ -392,16 +393,14 @@ class AltGroup {
   /// `deadline` passes or the next kill falls due, marks frames ready, and
   /// reaps every child that exited.
   void wait_cohort(Clock::time_point deadline);
-  /// Sends the kills that are due — the SIGKILL ending a SIGTERM's grace
-  /// and, governed, budget, predicted and pressure kills — and returns when
-  /// the next one falls due (kNever: none).
+  /// Sends the kills that are due — governed: budget, predicted and
+  /// pressure kills — and returns when the next one falls due (kNever:
+  /// none).
   Clock::time_point enforce_deadlines();
-  /// Signals child i (SIGTERM with a grace window, else SIGKILL) and
-  /// records what the kill means.
-  void kill_child(std::size_t i, ChildFate fate,
-                  std::chrono::milliseconds grace);
+  /// SIGKILLs child i and records what the kill means.
+  void kill_child(std::size_t i, ChildFate fate);
   void governed_kill(std::size_t i, GovKillReason reason);
-  void emit_governed_kill(std::size_t i, std::uint64_t stage) const;
+  void emit_governed_kill(std::size_t i) const;
   void reap(std::size_t i, int flags);
   [[nodiscard]] bool reaped(std::size_t i) const {
     return status_[i].fate != ChildFate::kRunning;
@@ -424,8 +423,9 @@ class AltGroup {
   /// What record_exit needs to know about child i besides its status.
   [[nodiscard]] ReapNote note(std::size_t i) const;
   /// A reap of child i by the group: frees its slot, reads its census and
-  /// hands it to record_exit.
-  void on_exit(std::size_t i, int status, const ChildUsage& usage);
+  /// hands it to record_exit. No status: it was reaped elsewhere (ECHILD).
+  void on_exit(std::size_t i, std::optional<int> status,
+               const ChildUsage& usage);
   void read_census(std::size_t i);
   void publish_census();         // child side, before the sync point
   void publish_token(std::uint32_t state);  // child side, at the token

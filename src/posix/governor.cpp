@@ -121,7 +121,6 @@ GovernorConfig GovernorConfig::from_env() {
       env_ms("ALTX_GOV_SERIAL_WAIT_MS", c.serial_admit_wait.count());
   c.arm_wall_budget = env_ms("ALTX_GOV_WALL_MS", 0);
   c.arm_cpu_budget = env_ms("ALTX_GOV_CPU_MS", 0);
-  c.kill_grace = env_ms("ALTX_KILL_GRACE_MS", 0);
   c.rlimit_cpu_s = env_u64("ALTX_GOV_RLIMIT_CPU_S", 0);
   c.rlimit_as_mb = env_u64("ALTX_GOV_RLIMIT_AS_MB", 0);
   if (const char* p = std::getenv("ALTX_PSI_PATH")) c.psi_path = p;
@@ -161,7 +160,6 @@ struct SpeculationGovernor::SharedPool {
   std::atomic<std::uint64_t> overdrafts;
   std::atomic<std::uint64_t> reclaimed;
   std::atomic<std::uint64_t> kills[4];  // indexed by GovKillReason
-  std::atomic<std::uint64_t> term_escalations;
   std::atomic<std::uint64_t> pressure_shrinks;
   std::atomic<std::uint64_t> sampled_ns;
   std::atomic<std::uint32_t> last_stall_pct_x100;
@@ -358,8 +356,6 @@ GovernorStats SpeculationGovernor::stats() const {
   s.kills_cpu = kills(GovKillReason::kCpu);
   s.kills_shed = kills(GovKillReason::kShed);
   s.kills_predicted = kills(GovKillReason::kPredicted);
-  s.term_escalations =
-      pool_->term_escalations.load(std::memory_order_relaxed);
   s.pressure_shrinks =
       pool_->pressure_shrinks.load(std::memory_order_relaxed);
   return s;
@@ -423,11 +419,7 @@ bool SpeculationGovernor::shedding() {
   return stall >= cfg_.psi_kill_pct;
 }
 
-void SpeculationGovernor::note_kill(GovKillReason reason, bool escalation) {
-  if (escalation) {
-    pool_->term_escalations.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+void SpeculationGovernor::note_kill(GovKillReason reason) {
   pool_->kills[static_cast<int>(reason)].fetch_add(1,
                                                    std::memory_order_relaxed);
   if (obs::enabled()) {

@@ -10,9 +10,9 @@
 //   1. Per-arm quotas. Children get RLIMIT_CPU / RLIMIT_AS at fork, and the
 //      governor holds the per-arm wall-clock and CPU budgets that every
 //      governed AltGroup enforces in its own cohort wait (alt_group.hpp):
-//      an arm past a budget is escalated SIGTERM → SIGKILL (live CPU read
-//      from /proc/<pid>/stat; the final bill still comes from wait4 at
-//      reap, as in the speculation ledger). The group reports each kill
+//      an arm past a budget is SIGKILLed (live CPU read from
+//      /proc/<pid>/stat; the final bill still comes from wait4 at reap, as
+//      in the speculation ledger). The group reports each kill
 //      back through note_kill, for the stats.
 //
 //   2. Global admission control. A token budget caps concurrent speculative
@@ -52,7 +52,6 @@
 //   ALTX_GOV_CPU_MS         per-arm CPU budget (0 = none)
 //   ALTX_GOV_RLIMIT_CPU_S   child RLIMIT_CPU seconds (0 = unset)
 //   ALTX_GOV_RLIMIT_AS_MB   child RLIMIT_AS MiB (0 = unset)
-//   ALTX_KILL_GRACE_MS      SIGTERM → SIGKILL escalation grace (default 0)
 //   ALTX_PSI_PATH           read PSI from this file instead of /proc
 //   ALTX_GOV_PSI_SHED       stall %% where the budget starts shrinking
 //   ALTX_GOV_PSI_KILL       stall %% where live arms are shed
@@ -78,10 +77,6 @@ struct GovernorConfig {
   std::chrono::milliseconds arm_wall_budget{0};
   std::chrono::milliseconds arm_cpu_budget{0};
 
-  /// SIGTERM → SIGKILL escalation window for budget, shed and predicted
-  /// kills (0 = straight SIGKILL, the pre-governor behavior).
-  std::chrono::milliseconds kill_grace{0};
-
   /// Hard kernel-side backstops applied in the child right after fork.
   std::uint64_t rlimit_cpu_s = 0;   // RLIMIT_CPU, seconds (0 = leave alone)
   std::uint64_t rlimit_as_mb = 0;   // RLIMIT_AS, MiB (0 = leave alone)
@@ -95,7 +90,7 @@ struct GovernorConfig {
 
   std::chrono::milliseconds pressure_interval{100}; // PSI sample cadence
 
-  /// Reads the ALTX_GOV_* / ALTX_KILL_GRACE_MS / ALTX_PSI_PATH knobs.
+  /// Reads the ALTX_GOV_* / ALTX_PSI_PATH knobs.
   static GovernorConfig from_env();
 
   /// True when any duty (admission, budgets, rlimits) is configured.
@@ -144,7 +139,6 @@ struct GovernorStats {
   std::uint64_t kills_cpu = 0;
   std::uint64_t kills_shed = 0;
   std::uint64_t kills_predicted = 0;
-  std::uint64_t term_escalations = 0;  // SIGTERMs that needed the SIGKILL
   std::uint64_t pressure_shrinks = 0;  // budget reductions applied
   int in_flight = 0;
   int max_in_flight = 0;       // high-water mark, including overdrafts
@@ -194,9 +188,8 @@ class SpeculationGovernor {
   /// shed arms.
   [[nodiscard]] bool shedding();
 
-  /// Counts a kill a governed group sent one of its arms: the kill itself
-  /// (`escalation` false) or the SIGKILL that followed an ignored SIGTERM.
-  void note_kill(GovKillReason reason, bool escalation);
+  /// Counts a kill a governed group sent one of its arms.
+  void note_kill(GovKillReason reason);
 
   /// The token budget after pressure shrink (floor 1; = tokens when calm).
   [[nodiscard]] int effective_tokens() const;

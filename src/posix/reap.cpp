@@ -55,24 +55,29 @@ ChildFate classify(const ExitInfo& info, const ReapNote& note) {
       default: return ChildFate::kCrashed;  // an exit no protocol path makes
     }
   }
-  if (!info.signaled || note.kill_fate == ChildFate::kRunning) {
+  if (info.signaled && note.kill_fate == ChildFate::kRunning) {
     return ChildFate::kCrashed;  // a signal we did not send
   }
-  // A kill we sent caught a child between writing its result and _exit(0):
-  // the result stands, so this is a commit — anything else would bill the
-  // winner's CPU and pages as speculation waste. Otherwise the kill's fate
-  // says why we sent it: hung past the TIMEOUT; routine elimination; or,
-  // governed, over budget, shed under pressure, or past its own historical
-  // kill quantile. A child that died of its own SIGKILL between our poll and
-  // our kill is indistinguishable — attributed to us.
-  return note.frame_out ? ChildFate::kCommitted : note.kill_fate;
+  // Killed by us, or gone with no status (reaped elsewhere). A kill we sent
+  // caught a child between writing its result and _exit(0): the result
+  // stands, so this is a commit — anything else would bill the winner's CPU
+  // and pages as speculation waste. Otherwise the kill's fate says why we
+  // sent it: hung past the TIMEOUT; routine elimination; or, governed, over
+  // budget, shed under pressure, or past its own historical kill quantile.
+  // A child that died of its own SIGKILL between our poll and our kill is
+  // indistinguishable — attributed to us. With no status and no kill, an
+  // abort frame says it aborted, and no frame at all that it crashed.
+  if (note.frame_out) return ChildFate::kCommitted;
+  if (note.kill_fate != ChildFate::kRunning) return note.kill_fate;
+  return note.aborted ? ChildFate::kAborted : ChildFate::kCrashed;
 }
 
 }  // namespace
 
-void record_exit(ChildStatus& st, const ReapNote& note, int wait_status,
-                 const ChildUsage& usage) {
-  const ExitInfo info = decode_wait_status(wait_status);
+void record_exit(ChildStatus& st, const ReapNote& note,
+                 std::optional<int> wait_status, const ChildUsage& usage) {
+  const ExitInfo info =
+      wait_status.has_value() ? decode_wait_status(*wait_status) : ExitInfo{};
   if (info.exited) st.exit_code = info.exit_code;
   if (info.signaled) st.signal = info.signal;
   if (st.fate == ChildFate::kRunning) st.fate = classify(info, note);
@@ -168,7 +173,8 @@ ReapSet& reap_set() {
 }
 
 /// Delivers what a reap of `c` owes, under the set's lock.
-void finish(DeferredChild& c, int status, const ChildUsage& usage) {
+void finish(DeferredChild& c, std::optional<int> status,
+            const ChildUsage& usage) {
   pollfd pfd{c.result.get(), POLLIN, 0};
   if (c.block_won && c.result.valid() && ::poll(&pfd, 1, 0) > 0 &&
       (pfd.revents & POLLIN) != 0) {
@@ -193,7 +199,8 @@ void reap_blocking(DeferredChild& c) {
   struct rusage ru {};
   const bool ok = wait4_eintr(c.st.pid, &status, 0, &ru) == c.st.pid;
   std::lock_guard<std::mutex> lock(reap_set().mu);
-  finish(c, status, ok ? decode_rusage(ru) : ChildUsage{});
+  finish(c, ok ? std::optional(status) : std::nullopt,
+         ok ? decode_rusage(ru) : ChildUsage{});
 }
 
 }  // namespace
@@ -231,7 +238,8 @@ void sweep_eliminated(bool at_spawn) {
       }
       // r < 0: someone else reaped it (a waitpid(-1), SIGCHLD ignored); its
       // verdict fate stands, with no bill.
-      finish(*it, status, r > 0 ? decode_rusage(ru) : ChildUsage{});
+      finish(*it, r > 0 ? std::optional(status) : std::nullopt,
+             r > 0 ? decode_rusage(ru) : ChildUsage{});
       it = s.children.erase(it);
     }
   }
@@ -244,7 +252,7 @@ void await_eliminated(std::chrono::microseconds timeout) {
   {
     std::lock_guard<std::mutex> lock(s.mu);
     for (const DeferredChild& c : s.children) {
-      if (c.pidfd.valid()) fds.push_back({c.pidfd.get(), POLLIN, 0});
+      fds.push_back({c.pidfd.get(), POLLIN, 0});
     }
   }
   // A descriptor a sweep in another thread closes meanwhile at worst wakes

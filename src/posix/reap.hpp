@@ -23,6 +23,7 @@
 // altxd worker after each reply. A forked child drops the set it inherited.
 #pragma once
 
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -76,16 +77,16 @@ inline pid_t wait4_eintr(pid_t pid, int* status, int flags,
 
 /// A pidfd for `pid`: a descriptor that turns readable once the process
 /// exits, so child exits can sit in the same poll(2) set as pipes and
-/// timers. -1 where pidfd_open is unavailable (kernel < 5.3, a seccomp
-/// filter); callers then fall back to a bounded poll plus wait4(WNOHANG).
+/// timers. -1 with errno set where pidfd_open fails (a seccomp filter);
+/// AltGroup then treats the fork as failed.
 [[nodiscard]] inline int open_pidfd(pid_t pid) {
-#ifdef SYS_pidfd_open
-  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
-  return fd >= 0 ? static_cast<int>(fd) : -1;
-#else
-  (void)pid;
-  return -1;
-#endif
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+}
+
+/// SIGKILLs the process `pidfd` names — never one that took its pid over
+/// after it was reaped elsewhere.
+inline void kill_pidfd(const Fd& pidfd) {
+  ::syscall(SYS_pidfd_send_signal, pidfd.get(), SIGKILL, nullptr, 0);
 }
 
 /// Live CPU (user + system, ns) of a still-running child from
@@ -238,6 +239,7 @@ struct ReapNote {
   ChildFate kill_fate = ChildFate::kRunning;  // the kill we sent, if any
   bool frame_out = false;  // it committed before it died: its frame was
                            // out, or a won block's second token was its
+  bool aborted = false;    // its abort frame was read
   std::uint64_t site_id = 0;    // history key; 0 = no sample
   std::uint32_t history_arm = 0;  // the arm's entry under site_id
   bool censored = false;        // a hedged arm: only a commit is a sample
@@ -247,9 +249,11 @@ struct ReapNote {
 /// `st` its fate from the wait status (a fate the verdict already gave it
 /// stands), its bill, and reap_ns when unset; emits kChildFate and
 /// kChildUsage under the note's ids and the fate_* metric; and folds the
-/// history sample in.
-void record_exit(ChildStatus& st, const ReapNote& note, int wait_status,
-                 const ChildUsage& usage);
+/// history sample in. No wait status (ECHILD: the child was reaped
+/// elsewhere): its frame or our kill gives the fate, crashed when there is
+/// neither.
+void record_exit(ChildStatus& st, const ReapNote& note,
+                 std::optional<int> wait_status, const ChildUsage& usage);
 
 /// One block's speculation bill, completed by whoever reaps its last child:
 /// then it emits kSpecReport and rolls the spec_* metrics up.

@@ -35,6 +35,10 @@ namespace altx::server {
 
 namespace {
 
+/// How long a clean retirement waits for an idle worker to exit on EOF
+/// before it is torn down by force.
+constexpr std::chrono::milliseconds kRetireWait{50};
+
 void set_nonblock(int fd) {
   const int flags = ::fcntl(fd, F_GETFL);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -495,12 +499,11 @@ struct Server::Impl {
 
   // ---- worker teardown -------------------------------------------------
 
-  /// Takes one worker out of the pool. forced = kill the whole cohort
-  /// (worker plus live arms, by process group): TERM → grace for a live
-  /// worker, then KILL to the group whether or not the worker is still
-  /// there; !forced = close the job fd and let it retire after EOF. Either
-  /// way the governor ledger is reconciled so a killed cohort cannot leak
-  /// tokens.
+  /// Takes one worker out of the pool. forced = SIGKILL the whole cohort
+  /// (worker plus live arms, by process group) at once, whether or not the
+  /// worker is still there; !forced = close the job fd and let it retire
+  /// after EOF, forcing it after kRetireWait. Either way the governor
+  /// ledger is reconciled so a killed cohort cannot leak tokens.
   void teardown_worker(std::size_t idx, bool forced) {
     std::unique_ptr<WorkerState> w = std::move(workers[idx]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -511,7 +514,7 @@ struct Server::Impl {
     if (!forced) {
       // Clean retirement: EOF makes the worker _exit(0) after its current
       // read. It should be idle, so this is fast; escalate if it is not.
-      if (!wait_pid_gone(pid, cfg.kill_grace)) was_forced = true;
+      if (!wait_pid_gone(pid, kRetireWait)) was_forced = true;
     }
     if (was_forced) {
       // kill(-pid) takes the worker's process group — the worker put itself
@@ -520,11 +523,6 @@ struct Server::Impl {
       // when the worker is already gone: a worker that died on its own (a
       // crash, an OOM kill) leaves its arms running in it, and arms its
       // verdicts eliminated may not have been reaped yet.
-      if (!pid_gone(pid)) {
-        ::kill(-pid, SIGTERM);
-        ::kill(pid, SIGTERM);
-        wait_pid_gone(pid, cfg.kill_grace);
-      }
       ::kill(-pid, SIGKILL);
       ::kill(pid, SIGKILL);
       wait_pid_gone(pid, std::chrono::milliseconds(2000));

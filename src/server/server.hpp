@@ -73,9 +73,6 @@ struct ServerConfig {
   /// thread. Host defaults to 127.0.0.1.
   std::string metrics_addr;
 
-  /// SIGTERM → SIGKILL grace when destroying a worker cohort.
-  std::chrono::milliseconds kill_grace{50};
-
   std::size_t max_clients = 256;
 };
 

@@ -88,8 +88,11 @@ int recv_fd(int sock) {
   ::_exit(code);
 }
 
+/// Runs one job. The worker's arena is made on the first job that wants
+/// one, so a worker that serves none maps none, and an arena that cannot be
+/// made fails only the job that asked for it.
 JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
-                   posix::AltHeap* heap) {
+                   std::unique_ptr<posix::AltHeap>& heap) {
   JobOutcome out;
   out.queue_ns = spec.queue_ns;
 
@@ -110,14 +113,18 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
 
   posix::AltHeap* job_heap = nullptr;
   if (spec.heap_pages > 0) {
-    if (heap == nullptr || spec.heap_pages > heap->pages()) {
+    if (spec.heap_pages > cfg.heap_pages) {
       out.status = JobStatus::kError;
       out.error = "job wants " + std::to_string(spec.heap_pages) +
-                  " arena pages, worker has " +
-                  std::to_string(heap == nullptr ? 0 : heap->pages());
+                  " arena pages, worker has " + std::to_string(cfg.heap_pages);
       return out;
     }
-    job_heap = heap;
+    // Made here, not in the template: an arena made there would be one
+    // memfd that every worker maps.
+    if (heap == nullptr) {
+      heap = std::make_unique<posix::AltHeap>(cfg.heap_pages);
+    }
+    job_heap = heap.get();
   }
 
   std::vector<posix::AlternativeFn<Bytes>> alts;
@@ -194,7 +201,9 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
 /// long its arms live on.
 int g_job_fd = -1;
 
-[[noreturn]] void worker_main(int job_fd, const ZygoteConfig& cfg) {
+/// No exception may leave a forked server process: it would unwind into
+/// the embedding program's code, inside the worker or the template.
+[[noreturn]] void worker_main(int job_fd, const ZygoteConfig& cfg) try {
   // The template ignores SIGCHLD so exited siblings self-reap; AltGroup
   // needs real waitpid semantics back before it can reap arms.
   ::signal(SIGCHLD, SIG_DFL);
@@ -207,11 +216,7 @@ int g_job_fd = -1;
     if (g_job_fd >= 0) ::close(g_job_fd);
     g_job_fd = -1;
   });
-  // The worker's own arena: an arena made in the template would be one
-  // memfd that every worker maps.
-  const std::unique_ptr<posix::AltHeap> heap =
-      cfg.heap_pages > 0 ? std::make_unique<posix::AltHeap>(cfg.heap_pages)
-                         : nullptr;
+  std::unique_ptr<posix::AltHeap> heap;  // run_job makes it on demand
 
   FrameDecoder dec;
   std::uint8_t buf[64 << 10];
@@ -243,7 +248,7 @@ int g_job_fd = -1;
         obs::set_current_trace(f->trace_id);
         JobOutcome out;
         try {
-          out = run_job(decode_job(f->payload), cfg, heap.get());
+          out = run_job(decode_job(f->payload), cfg, heap);
         } catch (const std::exception& e) {
           out.status = JobStatus::kError;
           out.error = e.what();
@@ -267,9 +272,11 @@ int g_job_fd = -1;
       retire(2);
     }
   }
+} catch (...) {
+  ::_exit(2);
 }
 
-[[noreturn]] void zygote_main(int control_fd, ZygoteConfig cfg) {
+[[noreturn]] void zygote_main(int control_fd, const ZygoteConfig& cfg) try {
   // Exited workers self-reap: the template never waits on them, and a
   // zombie pile-up in the template would defeat its whole quiescent point.
   ::signal(SIGCHLD, SIG_IGN);
@@ -287,6 +294,8 @@ int g_job_fd = -1;
     std::int64_t reply = pid > 0 ? pid : -1;
     posix::write_all(control_fd, &reply, sizeof reply);
   }
+} catch (...) {
+  ::_exit(2);
 }
 
 }  // namespace

@@ -23,9 +23,11 @@
 // SIGCHLD before racing (AltGroup must be able to waitpid its arms). A
 // worker puts itself in its own process group so the daemon can take down
 // the whole cohort — worker plus live arms — with one kill(-pid). A worker
-// makes its own AltHeap arena when it starts (the template holds none: an
-// arena there would be one memfd that every worker maps) and punches it
-// clear between jobs.
+// makes its own AltHeap arena on its first job that asks for one (the
+// template holds none: an arena there would be one memfd that every worker
+// maps; a worker that runs no heap job maps none) and punches it clear
+// between jobs; an arena that cannot be made fails that job with kError. No
+// exception leaves the template or a worker: either ends in _exit.
 //
 // A job carries its client's site_id over the hop, and a worker plans it as
 // any race<T> does: with ALTX_PRED=1 in the daemon's environment, through

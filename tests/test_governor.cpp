@@ -1,6 +1,6 @@
 // Tests for the SpeculationGovernor (src/posix/governor.*): per-arm wall and
 // CPU budgets enforced by the governed cohort wait (in a nested, forked
-// block too), SIGTERM→SIGKILL grace escalation, global admission control
+// block too), global admission control
 // with k-of-n grants and single-token overdrafts, blocks granted fewer
 // tokens than arms running k arms at a time in one group, PSI-driven budget
 // shrinking and arm shedding (through an ALTX_PSI_PATH-style fixture file),
@@ -76,52 +76,6 @@ TEST(Governor, CpuBudgetCatchesASpinningArm) {
   EXPECT_FALSE(r.has_value());
   EXPECT_EQ(report.over_budget, 1);
   EXPECT_GE(gov.stats().kills_cpu, 1u);
-}
-
-TEST(Governor, SigtermGraceEscalatesToSigkillForDeafArms) {
-  ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = default_config();
-  gc.arm_wall_budget = 40ms;
-  gc.kill_grace = 15ms;
-  SpeculationGovernor gov(gc);
-
-  RaceOptions opts;
-  opts.governor = &gov;
-  opts.timeout = 5'000ms;
-  const auto r = race<int>({[]() -> std::optional<int> {
-                             ::signal(SIGTERM, SIG_IGN);
-                             ::usleep(5'000'000);
-                             return 1;
-                           }},
-                           opts);
-  EXPECT_FALSE(r.has_value());
-  const GovernorStats st = gov.stats();
-  EXPECT_GE(st.kills_wall, 1u);
-  EXPECT_GE(st.term_escalations, 1u);  // the SIGTERM was ignored
-}
-
-TEST(Governor, CooperativeArmDiesInsideTheGraceWindow) {
-  ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  GovernorConfig gc = default_config();
-  gc.arm_wall_budget = 40ms;
-  gc.kill_grace = 200ms;
-  SpeculationGovernor gov(gc);
-
-  RaceReport report;
-  RaceOptions opts;
-  opts.governor = &gov;
-  opts.report = &report;
-  opts.timeout = 5'000ms;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto r = race<int>(
-      {[]() -> std::optional<int> { ::usleep(5'000'000); return 1; }}, opts);
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(r.has_value());
-  EXPECT_EQ(report.over_budget, 1);
-  // SIGTERM's default disposition kills the sleeping child immediately, so
-  // the generous grace window must not delay the verdict to its full width.
-  EXPECT_LT(dt, 1'000ms);
-  EXPECT_EQ(gov.stats().term_escalations, 0u);
 }
 
 TEST(Governor, WallBudgetHoldsInsideANestedArm) {
@@ -471,17 +425,14 @@ TEST(Governor, ForkStormIsAbsorbedByInPlaceRetries) {
 TEST(Governor, EnvConfigRoundTrip) {
   ::setenv("ALTX_GOV_TOKENS", "6", 1);
   ::setenv("ALTX_GOV_WALL_MS", "1500", 1);
-  ::setenv("ALTX_KILL_GRACE_MS", "25", 1);
   ::setenv("ALTX_GOV_PSI_SHED", "50", 1);
   const GovernorConfig gc = GovernorConfig::from_env();
   EXPECT_EQ(gc.tokens, 6);
   EXPECT_EQ(gc.arm_wall_budget, 1'500ms);
-  EXPECT_EQ(gc.kill_grace, 25ms);
   EXPECT_DOUBLE_EQ(gc.psi_shed_pct, 50.0);
   EXPECT_TRUE(gc.any_enabled());
   ::unsetenv("ALTX_GOV_TOKENS");
   ::unsetenv("ALTX_GOV_WALL_MS");
-  ::unsetenv("ALTX_KILL_GRACE_MS");
   ::unsetenv("ALTX_GOV_PSI_SHED");
   EXPECT_FALSE(GovernorConfig::from_env().any_enabled());
 }

@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/prctl.h>
+#include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/uio.h>
 #include <sys/wait.h>
@@ -275,6 +276,120 @@ TEST(AltGroup, WinnerReturnsBeforeItsLoserDies) {
   // Reaped, not a zombie: the pid is no child of ours any more.
   EXPECT_EQ(::waitpid(loser.pid, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
+}
+
+/// Dies of a signal nobody sent it, without a core file.
+std::optional<int> crash_arm() {
+  const rlimit no_core{0, 0};
+  ::setrlimit(RLIMIT_CORE, &no_core);
+  ::signal(SIGSEGV, SIG_DFL);
+  ::raise(SIGSEGV);
+  return 1;
+}
+
+TEST(AltGroup, CrashedArmsFailAtOnceWhenSigchldIsIgnored) {
+  // With SIGCHLD ignored the kernel reaps each child itself: its pidfd turns
+  // readable at its exit, but wait4 finds no child (ECHILD). Such a child
+  // has exited all the same. The disposition is process-wide, so a forked
+  // helper runs both races; its exit code is the verdict.
+  enum : int { kOk = 0, kAllFailedWrong = 1, kNarrowedWrong = 2, kThrew = 3 };
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int code = kThrew;
+    try {
+      ::signal(SIGCHLD, SIG_IGN);
+      RaceReport crashed;
+      RaceOptions both;
+      both.timeout = 10s;
+      both.report = &crashed;
+      const auto r1 = race<int>({crash_arm, crash_arm}, both);
+      // One token: arm 2 is forked only once arm 1's exit frees the slot.
+      GovernorConfig gc;
+      gc.tokens = 1;
+      SpeculationGovernor gov(gc);
+      RaceReport narrowed;
+      RaceOptions one;
+      one.timeout = 10s;
+      one.governor = &gov;
+      one.report = &narrowed;
+      const auto r2 =
+          race<int>({crash_arm, [] { return std::optional<int>(2); }}, one);
+      if (r1.has_value() || crashed.verdict != WaitVerdict::kAllFailed ||
+          crashed.crashed != 2 || crashed.hung != 0) {
+        code = kAllFailedWrong;
+      } else if (!r2.has_value() || r2->winner != 2 || r2->value != 2 ||
+                 narrowed.crashed != 1) {
+        code = kNarrowedWrong;
+      } else {
+        code = kOk;
+      }
+    } catch (...) {
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kOk);
+}
+
+int g_sigterm_effect_fd = -1;  // LoserSigtermHandlerNeverRuns' handler
+
+TEST(AltGroup, LoserSigtermHandlerNeverRuns) {
+  // Elimination is one SIGKILL: a loser runs no code of its own after the
+  // verdict, not even a SIGTERM handler, whatever the environment asks for.
+  // The loser's handler writes one byte to `effects`; once the loser is
+  // reaped, none may be there. A forked helper sets the variable before its
+  // first race, and its exit code is the verdict.
+  enum : int { kOk = 0, kNoWinner = 1, kEffectSeen = 2, kThrew = 3 };
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int code = kThrew;
+    try {
+      ::setenv("ALTX_KILL_GRACE_MS", "500", 1);
+      int effects[2];
+      int ready[2];
+      if (::pipe2(effects, O_NONBLOCK) != 0 || ::pipe(ready) != 0) _exit(code);
+      g_sigterm_effect_fd = effects[1];
+      const auto r = race<int>(
+          {
+              // The winner commits only once the loser's handler is in.
+              [&]() -> std::optional<int> {
+                char b = 0;
+                if (::read(ready[0], &b, 1) != 1) return std::nullopt;
+                return 1;
+              },
+              [&]() -> std::optional<int> {
+                ::signal(SIGTERM, [](int) {
+                  const char b = 1;
+                  (void)::write(g_sigterm_effect_fd, &b, 1);
+                });
+                const char b = 1;
+                if (::write(ready[1], &b, 1) != 1) return std::nullopt;
+                ::sleep(30);
+                return 2;
+              },
+          },
+          RaceOptions{});
+      reap_eliminated();
+      char b = 0;
+      if (!r.has_value() || r->winner != 1) {
+        code = kNoWinner;
+      } else if (::read(effects[0], &b, 1) != -1 || errno != EAGAIN) {
+        code = kEffectSeen;
+      } else {
+        code = kOk;
+      }
+    } catch (...) {
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kOk);
 }
 
 // ---------------------------------------------------------------------------
@@ -808,6 +923,67 @@ TEST(AltHeap, ArmsFailWithoutPagemapScan) {
   }
   EXPECT_EQ(WEXITSTATUS(status), kOk);
   EXPECT_EQ(returns, 1);
+}
+
+/// Installs a seccomp filter under which pidfd_open fails with ENOSYS. False
+/// where no filter can be installed.
+bool deny_pidfd_open() {
+#if defined(__x86_64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_AARCH64;
+#else
+  return false;
+#endif
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_pidfd_open, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K,
+               SECCOMP_RET_ERRNO | (ENOSYS & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog prog{static_cast<unsigned short>(std::size(filter)), filter};
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) == 0;
+}
+
+TEST(AltGroup, ArmWithoutAPidfdIsAFailedFork) {
+  // The cohort wait learns of every exit from a pidfd, so a child whose
+  // pidfd cannot be opened is killed and reaped, and alt_spawn throws as for
+  // a failed fork. A forked helper installs the filter; its exit code is the
+  // verdict.
+  enum : int { kOk = 0, kNoThrow = 1, kNoFilter = 2, kLeftAChild = 3 };
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    if (!deny_pidfd_open()) _exit(kNoFilter);
+    int code = kNoThrow;
+    try {
+      AltGroup g;
+      if (g.alt_spawn(2) > 0) {
+        ::sleep(5);  // forked before its pidfd failed: lingers until killed
+        _exit(0);
+      }
+    } catch (const SystemError& e) {
+      code = e.code() == ENOSYS ? kOk : kNoThrow;
+    }
+    reap_eliminated();
+    if (code == kOk &&
+        (::waitpid(-1, nullptr, WNOHANG) != -1 || errno != ECHILD)) {
+      code = kLeftAChild;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == kNoFilter) {
+    GTEST_SKIP() << "cannot install a seccomp filter here";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/256);
   // Warm up, then assert the fd count is stable across 40 rounds of every
   // block shape — winner, all-fail, timeout, await_all (won and failed),
-  // governed kills (wall budget, predicted, SIGTERM grace), a narrowed
+  // governed kills (wall budget, predicted), a narrowed
   // grant whose pending arm the verdict cancels unforked, and heap blocks
   // (a bulk pull, a zero-dirty win, a timeout, and the patch fallback past
   // IOV_MAX runs) — so every result pipe, every pidfd and the heap group's
@@ -157,9 +157,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   GovernorConfig wall_cfg;
   wall_cfg.arm_wall_budget = 5ms;
   SpeculationGovernor wall_gov(wall_cfg);
-  GovernorConfig grace_cfg = wall_cfg;
-  grace_cfg.kill_grace = 20ms;
-  SpeculationGovernor grace_gov(grace_cfg);
   GovernorConfig pred_cfg;
   SpeculationGovernor pred_gov(pred_cfg);
   GovernorConfig narrow_cfg;
@@ -178,8 +175,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   timeout.timeout = 5ms;
   RaceOptions wall;
   wall.governor = &wall_gov;
-  RaceOptions grace;
-  grace.governor = &grace_gov;
   RaceOptions pred;
   pred.governor = &pred_gov;
   pred.site_id = kSite;
@@ -227,9 +222,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
                      .has_value());
     EXPECT_FALSE(
         race<int>({[] { ::sleep(10); return std::optional<int>(1); }}, wall)
-            .has_value());
-    EXPECT_FALSE(
-        race<int>({[] { ::sleep(10); return std::optional<int>(1); }}, grace)
             .has_value());
     // Arm 1's history says 1 ms; it sleeps instead and is predicted-killed
     // while the cold arm 2 lives on to win.
@@ -297,7 +289,6 @@ TEST(PosixStress, ManyConsecutiveRacesLeakNoDescriptors) {
   EXPECT_EQ(open_fd_count(), before);
   EXPECT_EQ(thread_count(), threads_before);
   EXPECT_EQ(wall_gov.stats().kills_wall, 40u);
-  EXPECT_EQ(grace_gov.stats().kills_wall, 40u);
   EXPECT_EQ(pred_gov.stats().kills_predicted, 40u);
   EXPECT_EQ(narrow_gov.stats().narrowed, 40u);
   EXPECT_EQ(narrow_gov.stats().in_flight, 0);

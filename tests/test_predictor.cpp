@@ -406,44 +406,6 @@ TEST_F(PredictorRace, LastLiveArmIsSparedWhileAnotherRaceRuns) {
   obs::detail::g_enabled = true;
 }
 
-TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
-  ALTX_SKIP_IF_CONSTRAINED(8, 256);
-  obs::HistoryStore store(64);
-  teach(store, 1, 2 * kMs, true);  // kill deadline ~2 ms; the run takes 20
-  SpeculationPlanner planner(test_config(), &store);
-
-  GovernorConfig gc;
-  gc.kill_grace = 500ms;  // wide TERM→KILL window for the commit to land in
-  SpeculationGovernor gov(gc);
-
-  RaceOptions opts;
-  opts.timeout = 5'000ms;
-  opts.site_id = kSite;
-  opts.planner = &planner;
-  opts.governor = &gov;
-  RaceReport rep;
-  opts.report = &rep;
-  // Arm 1 shrugs off the SIGTERM and commits inside the grace window; the
-  // cold arm 2 keeps the census at two so the kill is even attempted. Same
-  // precedence rule as kOverBudget: a commit that won the token is a
-  // commit, whatever the governed wait was doing.
-  const auto r = race<int>(
-      {[]() -> std::optional<int> {
-         ::signal(SIGTERM, SIG_IGN);
-         ::usleep(20'000);
-         return 1;
-       },
-       []() -> std::optional<int> {
-         ::usleep(300'000);
-         return std::nullopt;
-       }},
-      opts);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->winner, 1);
-  EXPECT_EQ(rep.committed, 1);
-  EXPECT_EQ(rep.predicted_losers, 0);
-}
-
 TEST_F(PredictorRace, ColdStoreRunsIdenticallyToPredictOff) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   obs::HistoryStore store(64);  // empty: every plan inactive

@@ -333,7 +333,6 @@ TEST_F(ServerTest, CancelQueuedAndRunningReleasesEverything) {
   cfg.workers = 1;
   cfg.per_client_running = 1;
   cfg.gov_tokens = 8;
-  cfg.kill_grace = 20ms;
   start(cfg);
 
   Client c = Client::connect_unix(sock_);
@@ -373,7 +372,6 @@ TEST_F(ServerTest, GracefulShutdownReapsEveryCohort) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
   ServerConfig cfg;
   cfg.workers = 3;
-  cfg.kill_grace = 20ms;
   start(cfg);
 
   Client c = Client::connect_unix(sock_);
@@ -508,6 +506,26 @@ TEST_F(ServerTest, HeapJobsOnTwoWorkersDoNotShareAnArena) {
     EXPECT_NE(worker_of(b), 0u);
     EXPECT_NE(worker_of(out), worker_of(b));
   }
+}
+
+TEST_F(ServerTest, UnmappableArenaFailsOnlyHeapJobs) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // An arena larger than any address space: the worker makes it on the
+  // first job that asks for one, and that job, not the worker, fails.
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.heap_pages = std::size_t{1} << 36;
+  start(cfg);
+  Client c = Client::connect_unix(sock_);
+  JobSpec heap_job = echo_job(2);
+  heap_job.heap_pages = 1;
+  for (int round = 0; round < 2; ++round) {
+    const JobOutcome echo = c.wait(c.submit(echo_job(1)), 15'000ms);
+    EXPECT_EQ(echo.status, JobStatus::kWon) << echo.error;
+    const JobOutcome heap = c.wait(c.submit(heap_job), 15'000ms);
+    EXPECT_EQ(heap.status, JobStatus::kError);
+  }
+  EXPECT_EQ(server_->stats().worker_respawns, 0u);  // no worker died
 }
 
 // One plain HTTP GET against the daemon's metrics listener; returns the full

@@ -353,7 +353,6 @@ TEST_F(ServerHardening, MidJobDisconnectReapsCohortAndReleasesTokens) {
   ServerConfig cfg;
   cfg.workers = 2;
   cfg.gov_tokens = 8;
-  cfg.kill_grace = 20ms;
   start(cfg);
 
   posix::SpeculationGovernor* gov = server_->governor();
@@ -403,7 +402,6 @@ TEST_F(ServerHardening, TraceIdSurvivesSigkilledLoserAndWorkerTeardown) {
   obs::enable_for_test(1 << 14);
   ServerConfig cfg;
   cfg.workers = 1;
-  cfg.kill_grace = 20ms;
   start(cfg);
 
   // Job A: a hanging arm from a client that vanishes mid-job. The daemon

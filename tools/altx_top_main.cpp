@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -77,16 +76,10 @@ struct GovPanel {
   std::uint64_t kills_wall = 0;
   std::uint64_t kills_cpu = 0;
   std::uint64_t kills_shed = 0;
-  std::uint64_t term_escalations = 0;  // kGovKill stage 1 (SIGTERM→SIGKILL)
 };
 
 GovPanel fold_governor(const std::vector<Record>& records) {
   GovPanel g;
-  // A graced kill emits stage 0 (SIGTERM) and, if the arm ignores it,
-  // stage 1 again at escalation; a straight kill emits only stage 1. Count
-  // the kill at its first event per pid, and the stage-1 repeat of a
-  // SIGTERMed pid as an escalation.
-  std::set<std::uint64_t> termed;
   for (const Record& r : records) {
     switch (r.kind) {
       case EventKind::kGovAdmitWait:
@@ -113,12 +106,6 @@ GovPanel fold_governor(const std::vector<Record>& records) {
         break;
       case EventKind::kGovKill:
         g.active = true;
-        if (r.c == 0) {
-          termed.insert(r.a);
-        } else if (termed.count(r.a) != 0) {
-          ++g.term_escalations;
-          break;  // the kill itself was counted at its SIGTERM
-        }
         if (r.b == 0) {
           ++g.kills_wall;
         } else if (r.b == 1) {
@@ -267,12 +254,10 @@ void render(const altx::obs::TraceRingReader& reader, bool clear) {
                 static_cast<unsigned long long>(gov.waits),
                 static_cast<unsigned long long>(gov.narrowed),
                 static_cast<unsigned long long>(gov.overdrafts));
-    std::printf("          kills: wall %llu  cpu %llu  shed %llu  "
-                "(term→kill escalations %llu)\n\n",
+    std::printf("          kills: wall %llu  cpu %llu  shed %llu\n\n",
                 static_cast<unsigned long long>(gov.kills_wall),
                 static_cast<unsigned long long>(gov.kills_cpu),
-                static_cast<unsigned long long>(gov.kills_shed),
-                static_cast<unsigned long long>(gov.term_escalations));
+                static_cast<unsigned long long>(gov.kills_shed));
   }
   PhasePanel phases = fold_phases(records);
   render_phases(phases);

@@ -151,10 +151,9 @@ std::string describe(const Record& r) {
       break;
     case EventKind::kPredKill:
       std::snprintf(buf, sizeof buf,
-                    "predicted loser: pid %llu past its p-kill %.1f ms (%s)",
+                    "predicted loser: pid %llu past its p-kill %.1f ms",
                     static_cast<unsigned long long>(r.a),
-                    static_cast<double>(r.b) / 1e6,
-                    r.c == 0 ? "SIGTERM" : "SIGKILL");
+                    static_cast<double>(r.b) / 1e6);
       break;
     case EventKind::kAwaitBegin:
       std::snprintf(buf, sizeof buf, "await_all begins, %llu tasks",
