@@ -156,6 +156,8 @@ int main() {
           .metric("max_in_flight", r.gov.max_in_flight)
           .metric("overdrafts", static_cast<double>(r.gov.overdrafts))
           .metric("kills_wall", static_cast<double>(r.gov.kills_wall))
+          .metric("pressure_shrinks",
+                  static_cast<double>(r.gov.pressure_shrinks))
           .latency(r.latency_ms);
     }
   }

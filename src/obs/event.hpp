@@ -88,7 +88,7 @@ enum class EventKind : std::uint16_t {
   kSrvConnect = 35,   // a: client id, b: 1 = tcp, 0 = unix
   kSrvSubmit = 36,    // a: client id, b: job id, c: alternatives in the job
   kSrvDeny = 37,      // a: client id, b: job id, c: retry-after ms
-  kSrvAssign = 38,    // a: job id, b: worker pid, c: queue wait ns
+  kSrvAssign = 38,    // a: job id, b: worker pid, c: queue wait so far ns
   kSrvResult = 39,    // a: job id, b: JobStatus, c: worker exec ns
   kSrvCancel = 40,    // a: job id, b: 1 = was running (cohort torn down)
   kSrvClientGone = 41,// a: client id, b: queued jobs dropped, c: running reaped

@@ -374,14 +374,16 @@ void AltGroup::end_cohort() {
   // forget to send: EOF never comes while a child forked elsewhere in this
   // process holds a copy of the write end.
   release_winner(kReleaseExit);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!reaped(i)) reap(i, WNOHANG);
-  }
-  hand_off();
+  // Every token goes back now: a killed child runs no more code, and a
+  // released winner only exits. None waits for its child's reap.
   if (opts_.governor != nullptr && tokens_released_ < tokens_held_) {
     opts_.governor->release(tokens_held_ - tokens_released_);
     tokens_released_ = tokens_held_;
   }
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!reaped(i)) reap(i, WNOHANG);
+  }
+  hand_off();
 }
 
 void AltGroup::hand_off() {
@@ -408,10 +410,6 @@ void AltGroup::hand_off() {
       d.result = std::move(slot.result.read_end);  // a killed child's
     }
     d.block_won = verdict_kind_ == WaitVerdict::kWinner;
-    if (tokens_released_ < tokens_held_) {  // its token goes with it
-      d.governor = opts_.governor;
-      ++tokens_released_;
-    }
     out.push_back(std::move(d));
   }
   if (out.empty()) return;

@@ -21,11 +21,12 @@
 //
 // Elimination: the verdict SIGKILLs the losers — no loser runs another
 // instruction, not even a signal handler of its own — writes a heap
-// winner's release byte, reaps whatever has already exited, and hands every
-// other child to the process-wide reap set (posix/reap.hpp), which reaps it
-// later and delivers what a reap owes — its kChildFate and kChildUsage
-// records under the block's ids, its history sample, its governor token,
-// its share of the block's kSpecReport. The group's own view
+// winner's release byte, returns every governor token the block still
+// holds (tokens are block-scoped: none waits for a dying loser), reaps
+// whatever has already exited, and hands every other child to the
+// process-wide reap set (posix/reap.hpp), which reaps it later and delivers
+// what a reap owes — its kChildFate and kChildUsage records under the
+// block's ids, its history sample, its share of the block's kSpecReport. The group's own view
 // (child_statuses, speculation_report, race<T>'s RaceReport) is the block
 // at its verdict: a child not yet reaped then reads as committed if its
 // frame was out, as aborted if its abort frame was, and otherwise as the
@@ -352,9 +353,9 @@ class AltGroup {
   /// Ends pending arm i unforked, with `fate`.
   void cancel(std::size_t i, ChildFate fate);
   /// The cohort's one teardown (verdict, failed fork, destructor): ends
-  /// pending arms unforked, kills the survivors as eliminated, reaps what
-  /// has exited, hands the rest to the reap set with one token each, and
-  /// returns the other tokens still held. Idempotent.
+  /// pending arms unforked, kills the survivors as eliminated, returns
+  /// every token still held, reaps what has exited and hands the rest to
+  /// the reap set. Idempotent.
   void end_cohort();
   /// end_cohort's hand-off of every unreaped child to the reap set, with
   /// the block's bill when any is handed over.

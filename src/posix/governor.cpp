@@ -1,12 +1,15 @@
 #include "posix/governor.hpp"
 
+#include <linux/futex.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "posix/predictor.hpp"
-#include "posix/reap.hpp"
 
 namespace altx::posix {
 
@@ -69,6 +71,21 @@ double meminfo_available_pct() {
   const double avail = field("MemAvailable:");
   if (total <= 0 || avail < 0) return -1.0;
   return avail / total * 100.0;
+}
+
+/// Sleeps while `*word` still reads `expect`, at most `ns`. The futex is
+/// shared (no FUTEX_PRIVATE_FLAG): the word lives in a MAP_SHARED pool, so
+/// a wake from any process that maps it reaches the sleeper.
+void futex_wait(std::atomic<int>* word, int expect, std::uint64_t ns) {
+  timespec ts{static_cast<time_t>(ns / 1'000'000'000ULL),
+              static_cast<long>(ns % 1'000'000'000ULL)};
+  ::syscall(SYS_futex, reinterpret_cast<int*>(word), FUTEX_WAIT, expect, &ts,
+            nullptr, 0);
+}
+
+void futex_wake_all(std::atomic<int>* word) {
+  ::syscall(SYS_futex, reinterpret_cast<int*>(word), FUTEX_WAKE, INT_MAX,
+            nullptr, nullptr, 0);
 }
 
 }  // namespace
@@ -134,11 +151,16 @@ GovernorConfig GovernorConfig::from_env() {
 /// nested block racing inside a forked arm draws from the same pool its
 /// parent does, and a kill any process's group sends is counted once for
 /// all of them. `sampled_ns` stamps the last pressure sample, so the tree
-/// samples at most once per pressure_interval.
+/// samples at most once per pressure_interval. `in_flight` is also the
+/// futex word a waiting admission sleeps on, and `waiters` counts those
+/// sleepers, so a release wakes them only when there are any, and an
+/// admission leaves the sleepers their share of the free tokens. Each
+/// process's sleepers are in its ledger entry too, so reconcile takes a
+/// sleeper SIGKILLed in its wait off the count.
 ///
 /// The holder ledger tracks how many tokens each *process* currently holds.
-/// A process normally returns its tokens as it reaps; one SIGKILLed
-/// mid-block (altxd destroying a worker cohort) never does, so
+/// A process normally returns its tokens by its blocks' verdicts; one
+/// SIGKILLed mid-block (altxd destroying a worker cohort) never does, so
 /// reconcile_dead_holders() uses the ledger to give a dead holder's tokens
 /// back. Slots are claimed on first admit and recycled only by reconcile,
 /// so the ledger stays single-writer per slot; when all kMaxHolders slots
@@ -149,9 +171,11 @@ struct SpeculationGovernor::SharedPool {
   struct Holder {
     std::atomic<std::int32_t> pid;
     std::atomic<std::int32_t> held;
+    std::atomic<std::int32_t> asleep;
   };
 
   std::atomic<int> in_flight;
+  std::atomic<int> waiters;     // admissions asleep on in_flight
   std::atomic<int> max_in_flight;
   std::atomic<int> effective;   // budget after pressure shrink
   std::atomic<std::uint64_t> admitted;
@@ -165,23 +189,45 @@ struct SpeculationGovernor::SharedPool {
   std::atomic<std::uint32_t> last_stall_pct_x100;
   Holder holders[kMaxHolders];
 
-  /// Adjusts the calling process's ledger entry by `delta` tokens.
-  void note_held(int delta) noexcept {
+  /// Returns n tokens and wakes every sleeping admission. Sequentially
+  /// consistent with the waiter's raise of `waiters` and its re-read of
+  /// in_flight: either the waiter sees these tokens back, or this sees the
+  /// waiter and wakes it.
+  void give_back(int n) noexcept {
+    in_flight.fetch_sub(n);
+    if (waiters.load() > 0) futex_wake_all(&in_flight);
+  }
+
+  /// The calling process's ledger entry, claimed on first use when
+  /// `claim`; nullptr when it has none (or all slots are taken).
+  Holder* self_entry(bool claim) noexcept {
     const std::int32_t self = static_cast<std::int32_t>(::getpid());
     for (Holder& h : holders) {
-      if (h.pid.load(std::memory_order_acquire) == self) {
-        h.held.fetch_add(delta, std::memory_order_relaxed);
-        return;
-      }
+      if (h.pid.load(std::memory_order_acquire) == self) return &h;
     }
-    if (delta <= 0) return;  // released after our slot was reconciled away
+    if (!claim) return nullptr;  // released after it was reconciled away
     for (Holder& h : holders) {
       std::int32_t expect = 0;
       if (h.pid.compare_exchange_strong(expect, self,
                                         std::memory_order_acq_rel)) {
-        h.held.fetch_add(delta, std::memory_order_relaxed);
-        return;
+        return &h;
       }
+    }
+    return nullptr;
+  }
+
+  /// Adjusts the calling process's ledger entry by `delta` tokens.
+  void note_held(int delta) noexcept {
+    if (Holder* h = self_entry(delta > 0)) {
+      h->held.fetch_add(delta, std::memory_order_relaxed);
+    }
+  }
+
+  /// Counts the caller in (+1) or out (-1) of the sleeping admissions.
+  void note_asleep(int delta) noexcept {
+    waiters.fetch_add(delta);
+    if (Holder* h = self_entry(delta > 0)) {
+      h->asleep.fetch_add(delta, std::memory_order_relaxed);
     }
   }
 };
@@ -198,8 +244,6 @@ SpeculationGovernor::SpeculationGovernor(GovernorConfig cfg) : cfg_(cfg) {
 }
 
 SpeculationGovernor::~SpeculationGovernor() {
-  // Children the reap set holds may carry this governor's tokens back.
-  reap_eliminated();
   // Unmapping affects only this process's view; a forked sibling keeps its
   // own mapping of the pool.
   ::munmap(pool_, sizeof(SharedPool));
@@ -236,7 +280,11 @@ Admission SpeculationGovernor::admit(int n, int* granted) {
     const int eff = pool_->effective.load(std::memory_order_relaxed);
     int cur = pool_->in_flight.load(std::memory_order_relaxed);
     while (cur < eff) {
-      const int k = std::min(n, eff - cur);
+      // While other admissions sleep, take only a fair share of the free
+      // tokens, so the ones a verdict returns spread over the blocks that
+      // wait for them instead of going whole to the first that runs.
+      const int others = pool_->waiters.load(std::memory_order_relaxed);
+      const int k = std::min(n, std::max(1, (eff - cur) / (others + 1)));
       if (pool_->in_flight.compare_exchange_weak(cur, cur + k)) {
         take(k, cur + k);
         pool_->admitted.fetch_add(1, std::memory_order_relaxed);
@@ -253,7 +301,8 @@ Admission SpeculationGovernor::admit(int n, int* granted) {
         return Admission::kGranted;
       }
     }
-    if (obs::now_ns() - t0 >= wait_ns) {
+    const std::uint64_t waited_ns = obs::now_ns() - t0;
+    if (waited_ns >= wait_ns) {
       // The liveness overdraft: one child is the paper's own sequential
       // semantics — refusing it would wedge the program, so one arm runs
       // and the pool goes briefly over budget.
@@ -273,16 +322,22 @@ Admission SpeculationGovernor::admit(int n, int* granted) {
                 static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(cur),
                 static_cast<std::uint64_t>(eff));
     }
-    // Losers this process's verdicts ended hold their tokens until reaped:
-    // the wait ends early when one of them dies.
-    await_eliminated(std::chrono::microseconds(500));
+    // Asleep until a release() wakes us. `waiters` is raised before
+    // in_flight is read again, so a release in between either shows here or
+    // changes the word, and then the futex returns at once.
+    pool_->note_asleep(1);
+    const int seen = pool_->in_flight.load();
+    if (seen >= pool_->effective.load(std::memory_order_relaxed)) {
+      futex_wait(&pool_->in_flight, seen, wait_ns - waited_ns);
+    }
+    pool_->note_asleep(-1);
   }
 }
 
 void SpeculationGovernor::release(int n) {
   if (!admission_enabled() || n <= 0) return;
-  pool_->in_flight.fetch_sub(n, std::memory_order_relaxed);
   pool_->note_held(-n);
+  pool_->give_back(n);
 }
 
 int SpeculationGovernor::reconcile_dead_holders() {
@@ -303,9 +358,12 @@ int SpeculationGovernor::reconcile_dead_holders() {
                                        std::memory_order_acq_rel)) {
       continue;
     }
+    const std::int32_t asleep =
+        h.asleep.exchange(0, std::memory_order_relaxed);
+    if (asleep > 0) pool_->waiters.fetch_sub(asleep);
     const std::int32_t held = h.held.exchange(0, std::memory_order_relaxed);
     if (held > 0) {
-      pool_->in_flight.fetch_sub(held, std::memory_order_relaxed);
+      pool_->give_back(held);
       reclaimed += held;
     }
   }
@@ -380,6 +438,9 @@ void SpeculationGovernor::apply_pressure(const PressureSample& s) {
   }
   eff = std::clamp(eff, 1, cfg_.tokens);
   const int old = pool_->effective.exchange(eff, std::memory_order_relaxed);
+  if (eff > old && pool_->waiters.load() > 0) {
+    futex_wake_all(&pool_->in_flight);  // a larger budget may admit them
+  }
   if (eff != old) {
     if (eff < old) {
       pool_->pressure_shrinks.fetch_add(1, std::memory_order_relaxed);

@@ -19,12 +19,21 @@
 //      children across *all* blocks of the process tree (the pool lives in
 //      MAP_SHARED memory, so nested blocks inside forked arms draw from the
 //      same pool). A block asking for n tokens is granted k = min(n, free
-//      tokens), and its AltGroup runs at most k arms at once: the rest are
-//      forked, in index order, as earlier arms are reaped. A block that
-//      finds no token free waits for one; past the admission wait it
-//      overdrafts one. One arm is the paper's own sequential semantics —
-//      the floor, never zero — so the governor can throttle speculation to
-//      sequential but never denies a block and never wedges the program.
+//      tokens) — while other admissions sleep, at most its even share of
+//      the free tokens, at least one — and its AltGroup runs at most k arms
+//      at once: the rest are
+//      forked, in index order, as earlier arms are reaped. Tokens are
+//      block-scoped: a block holds them from its admission to its verdict,
+//      returns those no running or pending arm needs as it goes, and
+//      returns every one it still holds at the verdict — the losers the
+//      verdict SIGKILLs can run no more code, so a token never waits for a
+//      dying loser to be reaped. A block that finds no token free sleeps on
+//      a futex on the pool's in_flight word (a futex on a MAP_SHARED word
+//      wakes across processes) until a release() wakes it; past the
+//      admission wait it overdrafts one. One arm is the paper's own
+//      sequential semantics — the floor, never zero — so the governor can
+//      throttle speculation to sequential but never denies a block and
+//      never wedges the program.
 //
 //   3. Pressure-driven shedding. /proc/pressure/{memory,cpu} PSI (fallback:
 //      /proc/meminfo MemAvailable; fake-able via ALTX_PSI_PATH for tests)
@@ -156,23 +165,28 @@ class SpeculationGovernor {
   [[nodiscard]] const GovernorConfig& config() const { return cfg_; }
   [[nodiscard]] bool admission_enabled() const { return cfg_.tokens > 0; }
 
-  /// Takes k = min(n, free tokens) tokens and stores k in `*granted`. With
-  /// no token free it waits up to serial_admit_wait for one, then
-  /// overdrafts one (kOverdraft, k = 1), so sequential progress is always
-  /// possible. Admission off: every request is granted in full.
+  /// Takes k = min(n, free tokens) tokens and stores k in `*granted`; while
+  /// W other admissions sleep, k = min(n, max(1, free / (W + 1))), so the
+  /// tokens one verdict returns go to several waiting blocks, not all to the
+  /// first that runs. With no token free it sleeps on a futex on the
+  /// pool's in_flight word, woken
+  /// by release(), up to serial_admit_wait in all, then overdrafts one
+  /// (kOverdraft, k = 1), so sequential progress is always possible.
+  /// Admission off: every request is granted in full.
   Admission admit(int n, int* granted = nullptr);
 
-  /// Returns n tokens to the pool.
+  /// Returns n tokens to the pool and wakes the admissions waiting for one,
+  /// in whichever process they sleep.
   void release(int n);
 
   /// Returns the tokens held by processes that no longer exist. Normally a
-  /// process releases what it admitted as it reaps; a process SIGKILLed
-  /// mid-block (altxd tearing down a worker cohort) never does, and its
-  /// tokens would leak from the shared pool forever. Each admit records the
-  /// caller's holding in a per-pid ledger inside the MAP_SHARED pool; this
-  /// scans the ledger, probes each holder with kill(pid, 0), and returns
-  /// dead holders' tokens. Call it from the pool's supervisor after any
-  /// forced teardown (and periodically). Returns the tokens reclaimed.
+  /// process releases what it admitted by its blocks' verdicts; a process
+  /// SIGKILLed mid-block (altxd tearing down a worker cohort) never does,
+  /// and its tokens would leak from the shared pool forever. Each admit
+  /// records the caller's holding in a per-pid ledger inside the MAP_SHARED
+  /// pool; this scans the ledger, probes each holder with kill(pid, 0), and
+  /// returns dead holders' tokens. Call it from the pool's supervisor after
+  /// any forced teardown (and periodically). Returns the tokens reclaimed.
   int reconcile_dead_holders();
 
   /// Child side, right after fork: applies RLIMIT_CPU / RLIMIT_AS.

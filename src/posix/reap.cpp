@@ -6,12 +6,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <new>
 #include <string>
 
 #include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "posix/governor.hpp"
 
 namespace altx::posix {
 
@@ -153,17 +153,20 @@ thread_local const std::uint64_t t_thread = ++g_threads;
 thread_local std::uint64_t t_last_handoff = 0;  // this thread's latest
 
 ReapSet& reap_set() {
-  // Leaked: the exit drain and late destructors (a governor's) use it.
+  // Leaked: the exit drain and late destructors use it.
   static ReapSet* const set = [] {
     auto* s = new ReapSet;
-    // A forked child drops what it inherited without waiting: those
-    // children are its parent's to reap. Holding the lock across fork keeps
-    // the child's copy whole.
+    // A forked child forgets what it inherited: those children are its
+    // parent's to reap. It builds an empty vector over the inherited one
+    // without destroying it, so no entry is touched — no descriptor closed,
+    // no bill dropped — and the cost does not grow with what it inherited;
+    // the descriptors close when the child exits. Holding the lock across
+    // fork keeps the child's copy whole.
     ::pthread_atfork([] { reap_set().mu.lock(); },
                      [] { reap_set().mu.unlock(); },
                      [] {
                        ReapSet& r = reap_set();
-                       r.children.clear();
+                       new (&r.children) std::vector<DeferredChild>();
                        r.mu.unlock();
                      });
     std::atexit(reap_eliminated);
@@ -189,7 +192,6 @@ void finish(DeferredChild& c, std::optional<int> status,
     }
   }
   record_exit(c.st, c.note, status, usage);
-  if (c.governor != nullptr) c.governor->release(1);
   if (c.bill != nullptr) c.bill->add(c.st);
 }
 
@@ -244,22 +246,6 @@ void sweep_eliminated(bool at_spawn) {
     }
   }
   for (DeferredChild& c : late) reap_blocking(c);
-}
-
-void await_eliminated(std::chrono::microseconds timeout) {
-  ReapSet& s = reap_set();
-  std::vector<pollfd> fds;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const DeferredChild& c : s.children) {
-      fds.push_back({c.pidfd.get(), POLLIN, 0});
-    }
-  }
-  // A descriptor a sweep in another thread closes meanwhile at worst wakes
-  // this poll early; the sweep below reaps by pid, not by descriptor.
-  timespec ts{0, static_cast<long>(timeout.count()) * 1000};
-  (void)::ppoll(fds.data(), fds.size(), &ts, nullptr);
-  sweep_eliminated();
 }
 
 void reap_eliminated() {

@@ -13,14 +13,18 @@
 // Asynchronous elimination (paper section 3.2.1): once a block's verdict is
 // in, no child of it can commit any more, and a loser's pages are private,
 // so the block does not wait for its children to die. Its verdict kills the
-// losers, releases a heap winner and hands every child that has not exited
-// yet to the reap set, which later bills, traces and samples each one
-// through the same classifier as a reap before the verdict — under the fate
-// the verdict gave it — and returns its governor token. The set is swept without blocking at every spawn (before
-// admission) and in every cohort wait — a spawn waits only for what its own
-// thread handed over before its latest verdict — and drained, blocking, by
+// losers, releases a heap winner, returns the block's governor tokens (a
+// SIGKILLed loser can run no more code, so none waits for its reap) and
+// hands every child that has not exited yet to the reap set, which later
+// bills, traces and samples each one through the same classifier as a reap
+// before the verdict — under the fate the verdict gave it. The set holds
+// and returns no tokens. It is swept without blocking at every spawn and in
+// every cohort wait — a spawn waits only for what its own thread handed
+// over before its latest verdict — and drained, blocking, by
 // reap_eliminated(): at process exit, by an arm before its _exit, and by an
-// altxd worker after each reply. A forked child drops the set it inherited.
+// altxd worker whose socket holds no next job. A forked child forgets the
+// set it inherited without touching its entries: those children are its
+// parent's to reap, and their descriptors close when the child exits.
 #pragma once
 
 #include <signal.h>
@@ -220,8 +224,6 @@ struct SpeculationReport {
   }
 };
 
-class SpeculationGovernor;
-
 /// A block's trace ids, stamped on its records whoever emits them and
 /// whenever: a child reaped after its block returned is still told under
 /// that block's race, trace and supervisor attempt.
@@ -270,7 +272,7 @@ struct BlockBill {
 
 /// A child its block's verdict ended before it exited, as the reap set
 /// holds it: its fate (the verdict's), its pidfd, and whom its bill,
-/// records, sample and token belong to.
+/// records and sample belong to.
 struct DeferredChild {
   ChildStatus st;
   ReapNote note;
@@ -279,7 +281,6 @@ struct DeferredChild {
   /// had a winner, a frame found here at reap is a second commit.
   Fd result;
   bool block_won = false;
-  SpeculationGovernor* governor = nullptr;  // returns one token at reap
   std::shared_ptr<BlockBill> bill;
   std::uint64_t thread = 0;      // the thread that handed it over, and
   std::uint64_t generation = 0;  //   in which hand-off (set by the set)
@@ -295,13 +296,8 @@ void defer_reap(std::vector<DeferredChild> children);
 /// block's children in the set when the next one starts.
 void sweep_eliminated(bool at_spawn = false);
 
-/// Waits up to `timeout` for a child in the set to exit (all of them may
-/// still be dying), then sweeps: a governed admission waiting for a token
-/// gets it back the moment the loser holding it dies.
-void await_eliminated(std::chrono::microseconds timeout);
-
-/// Blocks until every child in the reap set is reaped, its fate, bill,
-/// history sample and governor token delivered. Runs at process exit too.
+/// Blocks until every child in the reap set is reaped, its fate, bill and
+/// history sample delivered. Runs at process exit too.
 void reap_eliminated();
 
 /// Frames found when the reap set reaped a child whose block had a winner:

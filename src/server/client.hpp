@@ -84,7 +84,7 @@ struct RemoteAlt {
 /// Extra remote-only detail a caller may want alongside the RaceResult.
 struct RemoteRaceInfo {
   JobStatus status = JobStatus::kError;
-  std::uint64_t queue_ns = 0;        // daemon queue wait
+  std::uint64_t queue_ns = 0;        // submit to the job's start
   std::uint64_t exec_ns = 0;         // worker race wall time
   std::uint32_t retry_after_ms = 0;  // kDenied backoff hint
   std::string error;

@@ -139,6 +139,7 @@ Bytes encode_job(const JobSpec& spec) {
   w.u64(spec.site_id);
   w.u32(spec.heap_pages);
   w.u64(spec.queue_ns);
+  w.u64(spec.claim);
   w.u32(static_cast<std::uint32_t>(spec.arms.size()));
   for (const JobArm& arm : spec.arms) {
     w.str(arm.handler);
@@ -155,6 +156,7 @@ JobSpec decode_job(const Bytes& payload) {
     spec.site_id = r.u64();
     spec.heap_pages = r.u32();
     spec.queue_ns = r.u64();
+    spec.claim = r.u64();
     const std::uint32_t n = r.u32();
     if (n == 0 || n > kMaxArms) {
       throw ProtocolError("job spec: " + std::to_string(n) +

@@ -117,7 +117,15 @@ struct JobSpec {
   std::uint32_t timeout_ms = 10'000;
   std::uint64_t site_id = 0;     // per-arm history identity (0 = none)
   std::uint32_t heap_pages = 0;  // >0: run with the worker's AltHeap arena
-  std::uint64_t queue_ns = 0;    // stamped by the daemon at assignment
+  /// Daemon to worker only: the submit's CLOCK_MONOTONIC time (obs::now_ns,
+  /// one clock for every process on the host), stamped at assignment. The
+  /// worker reports the span from it to the job's start as
+  /// JobOutcome::queue_ns, so a job queued ahead behind a running one
+  /// counts its time in the worker's socket as queue wait, not rpc.
+  std::uint64_t queue_ns = 0;
+  /// Daemon to worker only: nonzero on a job sent ahead to a busy worker,
+  /// which starts it only if it takes this claim (server::ClaimBoard).
+  std::uint64_t claim = 0;
   std::vector<JobArm> arms;
 };
 
@@ -140,7 +148,7 @@ struct JobOutcome {
   JobStatus status = JobStatus::kError;
   std::uint32_t winner = 0;          // 1-based arm index when kWon
   Bytes value;
-  std::uint64_t queue_ns = 0;        // daemon queue wait
+  std::uint64_t queue_ns = 0;        // submit to the job's start
   std::uint64_t exec_ns = 0;         // worker race wall time
   std::uint32_t retry_after_ms = 0;  // kDenied backoff hint
   std::string error;                 // kDenied / kError detail, or the

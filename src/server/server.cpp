@@ -39,6 +39,10 @@ namespace {
 /// before it is torn down by force.
 constexpr std::chrono::milliseconds kRetireWait{50};
 
+/// Jobs a worker holds at once: the one it runs, and one queued ahead in
+/// its socket so that it starts the next the moment it replies.
+constexpr std::size_t kJobsPerWorker = 2;
+
 void set_nonblock(int fd) {
   const int flags = ::fcntl(fd, F_GETFL);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -164,18 +168,24 @@ struct ClientState {
   std::uint64_t id = 0;
   bool tcp = false;
   Conn conn;
-  int running = 0;
+  int assigned = 0;  // jobs on workers, running or queued ahead
   std::deque<QueuedJob> queue;
+};
+
+/// A job sent to a worker. Kept whole, so a job sent ahead that the daemon
+/// withdraws can go to another worker or back to its client's queue.
+struct Dispatched {
+  std::uint64_t client_id = 0;
+  QueuedJob job;  // job.spec.claim: nonzero when it was sent ahead
 };
 
 struct WorkerState {
   pid_t pid = -1;
+  std::size_t slot = 0;  // its word on the claim board
   Conn conn;
-  bool busy = false;
-  std::uint64_t client_id = 0;
-  std::uint64_t job_id = 0;
-  std::uint64_t trace_id = 0;  // of the running job, for teardown replies
-  std::uint64_t span_id = 0;
+  /// In the order the worker runs them: the front one is running, a second
+  /// is queued ahead. The worker is idle when this is empty.
+  std::deque<Dispatched> jobs;
 };
 
 }  // namespace
@@ -195,6 +205,7 @@ struct Server::Impl {
 
   std::unique_ptr<posix::SpeculationGovernor> owned_gov;
   posix::SpeculationGovernor* gov = nullptr;
+  std::unique_ptr<ClaimBoard> claims;  // one slot per worker
   std::optional<Zygote> zygote;
 
   std::map<std::uint64_t, std::unique_ptr<ClientState>> clients;
@@ -443,6 +454,12 @@ struct Server::Impl {
     set_nonblock(h.job_fd.get());
     auto w = std::make_unique<WorkerState>();
     w->pid = h.pid;
+    // The lowest slot no live worker holds: the pool never exceeds
+    // cfg.workers, the board's size.
+    while (std::any_of(workers.begin(), workers.end(),
+                       [&](const auto& o) { return o->slot == w->slot; })) {
+      ++w->slot;
+    }
     w->conn.fd = std::move(h.job_fd);
     const std::uint64_t spawn_ns = obs::now_ns() - t0;
     obs::emit(obs::EventKind::kSrvWorkerSpawn, 0, 0,
@@ -488,13 +505,48 @@ struct Server::Impl {
     return it == clients.end() ? nullptr : it->second.get();
   }
 
-  WorkerState* find_running(std::uint64_t client_id, std::uint64_t job_id) {
+  /// The worker holding a client's job not yet answered.
+  WorkerState* find_dispatched(std::uint64_t client_id, std::uint64_t job_id) {
     for (auto& w : workers) {
-      if (w->busy && w->client_id == client_id && w->job_id == job_id) {
-        return w.get();
+      for (const Dispatched& d : w->jobs) {
+        if (d.client_id == client_id && d.job.job_id == job_id) return w.get();
       }
     }
     return nullptr;
+  }
+
+  /// Takes job k of `w`, about to be answered, off the gauges — running
+  /// when it is the front one, queued when it waits ahead — and off its
+  /// client's count.
+  void settle(const WorkerState& w, std::size_t k) {
+    (k == 0 ? running_g : queued_g).fetch_sub(1);
+    if (ClientState* c = find_client(w.jobs[k].client_id)) c->assigned -= 1;
+  }
+
+  /// Makes the daemon's view of `w` exact before it acts on it. A job
+  /// queued ahead is withdrawn — it can then never start — and returned,
+  /// off its client's count but still counted as queued. If the worker has
+  /// taken it already, it wrote its reply to the job before first, and that
+  /// reply is read now. Either way `w` then holds the one job it runs, if
+  /// any.
+  std::optional<Dispatched> take_back(WorkerState& w) {
+    if (w.jobs.size() < kJobsPerWorker) return std::nullopt;
+    if (!claims->take(w.jobs.back().job.spec.claim)) {
+      read_worker(w);
+      return std::nullopt;
+    }
+    Dispatched d = std::move(w.jobs.back());
+    w.jobs.pop_back();
+    if (ClientState* c = find_client(d.client_id)) c->assigned -= 1;
+    return d;
+  }
+
+  /// A job taken back goes to the head of its client's queue: it never
+  /// started, and was submitted before anything queued there.
+  void requeue(Dispatched d) {
+    if (ClientState* c = find_client(d.client_id)) {
+      c->queue.push_front(std::move(d.job));
+    }
   }
 
   // ---- worker teardown -------------------------------------------------
@@ -503,10 +555,24 @@ struct Server::Impl {
   /// (worker plus live arms, by process group) at once, whether or not the
   /// worker is still there; !forced = close the job fd and let it retire
   /// after EOF, forcing it after kRetireWait. Either way the governor
-  /// ledger is reconciled so a killed cohort cannot leak tokens.
+  /// ledger is reconciled so a killed cohort cannot leak tokens. A job the
+  /// worker still holds is lost with it: its owner is answered kError.
   void teardown_worker(std::size_t idx, bool forced) {
     std::unique_ptr<WorkerState> w = std::move(workers[idx]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(idx));
+    for (std::size_t k = 0; k < w->jobs.size(); ++k) {
+      const Dispatched& d = w->jobs[k];
+      settle(*w, k);
+      completed.fetch_add(1);
+      client_counters[d.client_id].completed += 1;
+      note_replied();
+      if (ClientState* c = find_client(d.client_id)) {
+        JobOutcome out;
+        out.status = JobStatus::kError;
+        out.error = "worker died while running the job";
+        reply_outcome(*c, d.job.job_id, out, d.job.trace_id, d.job.span_id);
+      }
+    }
     workers_g.store(static_cast<std::uint32_t>(workers.size()));
     const pid_t pid = w->pid;
     w->conn.fd.reset();
@@ -528,6 +594,7 @@ struct Server::Impl {
       wait_pid_gone(pid, std::chrono::milliseconds(2000));
     }
     reap_orphans();
+    claims->clear(w->slot);  // a claim the dead worker left untaken
     if (gov != nullptr) {
       gov->reconcile_dead_holders();
     }
@@ -545,11 +612,15 @@ struct Server::Impl {
 
   // ---- scheduling ------------------------------------------------------
 
-  WorkerState* idle_worker() {
+  /// An idle worker, else a running one with no job queued ahead yet.
+  WorkerState* free_worker() {
+    WorkerState* ahead = nullptr;
     for (auto& w : workers) {
-      if (!w->busy && !w->conn.dead) return w.get();
+      if (w->conn.dead) continue;
+      if (w->jobs.empty()) return w.get();
+      if (ahead == nullptr && w->jobs.size() < kJobsPerWorker) ahead = w.get();
     }
-    return nullptr;
+    return ahead;
   }
 
   /// Round-robin over client ids: resume after the last client served so a
@@ -557,7 +628,7 @@ struct Server::Impl {
   ClientState* next_eligible_client() {
     auto eligible = [&](ClientState& c) {
       return !c.conn.dead && !c.queue.empty() &&
-             c.running < cfg.per_client_running;
+             c.assigned < cfg.per_client_running;
     };
     auto it = clients.upper_bound(rr_last);
     for (std::size_t seen = 0; seen < clients.size(); ++seen) {
@@ -568,36 +639,58 @@ struct Server::Impl {
     return nullptr;
   }
 
-  void assign(ClientState& c, WorkerState& w) {
-    QueuedJob job = std::move(c.queue.front());
-    c.queue.pop_front();
-    queued_g.fetch_sub(1);
+  /// Sends a job to `w`: to run now when `w` is idle, else queued ahead
+  /// behind the job it runs, on a claim the daemon can withdraw until the
+  /// worker takes it. The job counts as queued until it starts, and its
+  /// worker measures its queue wait from the submit stamp it carries
+  /// (JobSpec::queue_ns) to that start.
+  void dispatch(WorkerState& w, Dispatched d) {
+    QueuedJob& job = d.job;
     const std::uint64_t now = obs::now_ns();
-    job.spec.queue_ns = now > job.submit_ns ? now - job.submit_ns : 0;
+    job.spec.queue_ns = job.submit_ns;
+    job.spec.claim = w.jobs.empty() ? 0 : claims->offer(w.slot);
     w.conn.queue(make_frame(FrameType::kSubmit, job.job_id,
                             encode_job(job.spec), job.trace_id, job.span_id));
-    w.busy = true;
-    w.client_id = c.id;
-    w.job_id = job.job_id;
-    w.trace_id = job.trace_id;
-    w.span_id = job.span_id;
-    c.running += 1;
-    running_g.fetch_add(1);
+    if (ClientState* c = find_client(d.client_id)) c->assigned += 1;
     obs::emit_trace(job.trace_id, obs::EventKind::kSrvAssign, 0, 0, job.job_id,
-                    static_cast<std::uint64_t>(w.pid), job.spec.queue_ns);
-    obs::MetricsRegistry::global()
-        .histogram("srv_queue_wait_ns")
-        .record(job.spec.queue_ns);
+                    static_cast<std::uint64_t>(w.pid),
+                    now > job.submit_ns ? now - job.submit_ns : 0);
+    w.jobs.push_back(std::move(d));
+    if (w.jobs.size() == 1) note_started();
+  }
+
+  /// An idle worker takes the job queued ahead behind another worker's
+  /// running one, submitted before anything still in a client's queue, so
+  /// a long job holds up no job queued behind it while a worker is free.
+  bool steal_for(WorkerState& idle) {
+    for (auto& v : workers) {
+      if (v->conn.dead) continue;
+      if (std::optional<Dispatched> d = take_back(*v)) {
+        dispatch(idle, std::move(*d));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// A worker's front job has started: it leaves the queued gauge for the
+  /// running one.
+  void note_started() {
+    queued_g.fetch_sub(1);
+    running_g.fetch_add(1);
   }
 
   void schedule() {
     for (;;) {
-      WorkerState* w = idle_worker();
+      WorkerState* w = free_worker();
       if (w == nullptr) return;
+      if (w->jobs.empty() && steal_for(*w)) continue;
       ClientState* c = next_eligible_client();
       if (c == nullptr) return;
       rr_last = c->id;
-      assign(*c, *w);
+      Dispatched d{c->id, std::move(c->queue.front())};
+      c->queue.pop_front();
+      dispatch(*w, std::move(d));
     }
   }
 
@@ -658,22 +751,40 @@ struct Server::Impl {
         return;
       }
     }
-    // Running: the worker is mid-race with no cancel channel of its own —
-    // tear the cohort down and replace the worker.
-    if (WorkerState* w = find_running(c.id, job_id)) {
-      const auto idx = worker_index(w);
-      const std::uint64_t trace = w->trace_id;
-      const std::uint64_t span = w->span_id;
-      c.running -= 1;
-      running_g.fetch_sub(1);
-      canceled.fetch_add(1);
-      client_counters[c.id].canceled += 1;
-      note_replied();
-      obs::emit_trace(trace, obs::EventKind::kSrvCancel, 0, 0, job_id, 1);
-      if (idx.has_value()) teardown_worker(*idx, /*forced=*/true);
-      JobOutcome out;
-      out.status = JobStatus::kCanceled;
-      reply_outcome(c, job_id, out, trace, span);
+    // On a worker. A job queued ahead that the worker has not taken is
+    // withdrawn and answered like a queued one: it never runs. Any other
+    // job the worker holds it has taken back too, back to its client's
+    // queue. A running job's worker has no cancel channel of its own, so
+    // its cohort is torn down and the worker replaced.
+    if (WorkerState* w = find_dispatched(c.id, job_id)) {
+      if (std::optional<Dispatched> back = take_back(*w)) {
+        if (back->client_id != c.id || back->job.job_id != job_id) {
+          requeue(std::move(*back));
+        } else {
+          c.queue.push_front(std::move(back->job));
+          handle_cancel(c, job_id);
+          return;
+        }
+      }
+      if (!w->jobs.empty() && w->jobs.front().client_id == c.id &&
+          w->jobs.front().job.job_id == job_id) {
+        const std::uint64_t trace = w->jobs.front().job.trace_id;
+        const std::uint64_t span = w->jobs.front().job.span_id;
+        settle(*w, 0);
+        w->jobs.pop_front();
+        canceled.fetch_add(1);
+        client_counters[c.id].canceled += 1;
+        note_replied();
+        obs::emit_trace(trace, obs::EventKind::kSrvCancel, 0, 0, job_id, 1);
+        if (const auto idx = worker_index(w)) {
+          teardown_worker(*idx, /*forced=*/true);
+        }
+        JobOutcome out;
+        out.status = JobStatus::kCanceled;
+        reply_outcome(c, job_id, out, trace, span);
+        return;
+      }
+      // It finished: take_back read its result, which is on its way.
       return;
     }
     // Unknown id (already completed, or never existed): idempotent no-op.
@@ -786,21 +897,18 @@ struct Server::Impl {
   }
 
   void on_worker_result(WorkerState& w, const Frame& f) {
-    if (!w.busy || f.job_id != w.job_id) return;  // stale/unknown: drop
-    ClientState* c = find_client(w.client_id);
-    w.busy = false;
-    const std::uint64_t job_id = w.job_id;
-    const std::uint64_t client_id = w.client_id;
-    w.job_id = 0;
-    w.client_id = 0;
-    w.trace_id = 0;
-    w.span_id = 0;
-    running_g.fetch_sub(1);
+    // A worker runs its jobs in the order it was sent them.
+    if (w.jobs.empty() || f.job_id != w.jobs.front().job.job_id) {
+      return;  // stale/unknown: drop
+    }
+    const std::uint64_t job_id = f.job_id;
+    const std::uint64_t client_id = w.jobs.front().client_id;
+    settle(w, 0);
+    w.jobs.pop_front();
     completed.fetch_add(1);
     client_counters[client_id].completed += 1;
     note_replied();
-    if (c != nullptr) {
-      c->running -= 1;
+    if (ClientState* c = find_client(client_id)) {
       // Echo the worker's header ids so the client-side frame carries the
       // same trace the records do.
       c->conn.queue(make_frame(FrameType::kResult, job_id, f.payload,
@@ -812,34 +920,27 @@ struct Server::Impl {
       const JobOutcome out = decode_outcome(f.payload);
       exec_ns = out.exec_ns;
       status = static_cast<std::uint8_t>(out.status);
-      obs::MetricsRegistry::global().histogram("srv_exec_ns").record(
-          out.exec_ns);
+      auto& m = obs::MetricsRegistry::global();
+      m.histogram("srv_exec_ns").record(out.exec_ns);
+      m.histogram("srv_queue_wait_ns").record(out.queue_ns);
     } catch (const ProtocolError&) {
       // Forwarded verbatim anyway; the client will see the same error.
     }
     obs::emit_trace(f.trace_id, obs::EventKind::kSrvResult, 0, 0, job_id,
                     status, exec_ns);
+    // The worker has taken its job queued ahead, if any, as it replied.
+    if (!w.jobs.empty()) note_started();
   }
 
-  /// A busy worker's fd died (crash, kill, protocol garbage): the job it
-  /// held is lost — tell the owner, then replace the worker.
+  /// A worker's fd died (crash, kill, protocol garbage): the job it ran is
+  /// lost with it — tell the owner once, then replace the worker. A job it
+  /// held queued ahead and had not taken goes back to its client's queue.
   void sweep_dead_workers() {
     for (std::size_t i = workers.size(); i-- > 0;) {
       WorkerState& w = *workers[i];
       if (!w.conn.dead) continue;
-      if (w.busy) {
-        ClientState* c = find_client(w.client_id);
-        running_g.fetch_sub(1);
-        completed.fetch_add(1);
-        client_counters[w.client_id].completed += 1;
-        note_replied();
-        if (c != nullptr) {
-          c->running -= 1;
-          JobOutcome out;
-          out.status = JobStatus::kError;
-          out.error = "worker died while running the job";
-          reply_outcome(*c, w.job_id, out, w.trace_id, w.span_id);
-        }
+      if (std::optional<Dispatched> back = take_back(w)) {
+        requeue(std::move(*back));  // it never started: it runs elsewhere
       }
       teardown_worker(i, /*forced=*/true);
     }
@@ -849,8 +950,29 @@ struct Server::Impl {
     const auto it = clients.find(id);
     if (it == clients.end()) return;
     ClientState& c = *it->second;
-    const std::uint64_t dropped_queued = c.queue.size();
     std::uint64_t reaped_running = 0;
+    // Kill every cohort still racing for this client: the results have no
+    // recipient, and speculative children must not outlive their reason. A
+    // job queued ahead that its worker has not taken goes back to its
+    // client's queue instead — this one's is dropped with the rest below.
+    for (std::size_t i = workers.size(); i-- > 0;) {
+      WorkerState& w = *workers[i];
+      const auto ours = [&](const Dispatched& d) { return d.client_id == id; };
+      if (std::none_of(w.jobs.begin(), w.jobs.end(), ours)) continue;
+      if (std::optional<Dispatched> back = take_back(w)) {
+        requeue(std::move(*back));
+      }
+      if (!w.jobs.empty() && w.jobs.front().client_id == id) {
+        settle(w, 0);
+        canceled.fetch_add(1);
+        client_counters[id].canceled += 1;
+        note_replied();
+        ++reaped_running;
+        w.jobs.pop_front();
+        teardown_worker(i, /*forced=*/true);
+      }
+    }
+    const std::uint64_t dropped_queued = c.queue.size();
     for (std::size_t n = c.queue.size(); n > 0; --n) {
       queued_g.fetch_sub(1);
       canceled.fetch_add(1);
@@ -858,19 +980,6 @@ struct Server::Impl {
     }
     client_counters[id].canceled += dropped_queued;
     c.queue.clear();
-    // Kill every cohort still racing for this client: the results have no
-    // recipient, and speculative children must not outlive their reason.
-    for (std::size_t i = workers.size(); i-- > 0;) {
-      WorkerState& w = *workers[i];
-      if (w.busy && w.client_id == id) {
-        running_g.fetch_sub(1);
-        canceled.fetch_add(1);
-        client_counters[id].canceled += 1;
-        note_replied();
-        ++reaped_running;
-        teardown_worker(i, /*forced=*/true);
-      }
-    }
     obs::emit(obs::EventKind::kSrvClientGone, 0, 0, id, dropped_queued,
               reaped_running);
     clients.erase(it);
@@ -921,24 +1030,26 @@ struct Server::Impl {
       c->queue.clear();
     }
 
-    // Tear down every in-flight cohort and answer its owner.
+    // Tear down every in-flight cohort and answer the owner of every job
+    // a worker holds.
     for (std::size_t i = workers.size(); i-- > 0;) {
       WorkerState& w = *workers[i];
-      const bool busy = w.busy;
-      if (busy) {
-        if (ClientState* c = find_client(w.client_id)) {
+      const bool busy = !w.jobs.empty();
+      for (std::size_t k = 0; k < w.jobs.size(); ++k) {
+        const Dispatched& d = w.jobs[k];
+        if (ClientState* c = find_client(d.client_id)) {
           JobOutcome out;
           out.status = JobStatus::kCanceled;
           out.error = "daemon shutting down";
-          reply_outcome(*c, w.job_id, out, w.trace_id, w.span_id);
-          c->running -= 1;
+          reply_outcome(*c, d.job.job_id, out, d.job.trace_id, d.job.span_id);
         }
-        running_g.fetch_sub(1);
+        settle(w, k);
         canceled.fetch_add(1);
-        client_counters[w.client_id].canceled += 1;
+        client_counters[d.client_id].canceled += 1;
         note_replied();
         ++reaped_jobs;
       }
+      w.jobs.clear();
       teardown_worker(i, /*forced=*/busy);
     }
 
@@ -1031,6 +1142,9 @@ void Server::start() {
   ZygoteConfig zc;
   zc.heap_pages = s.cfg.heap_pages;
   zc.governor = s.gov;
+  s.claims =
+      std::make_unique<ClaimBoard>(static_cast<std::size_t>(s.cfg.workers));
+  zc.claims = s.claims.get();
   s.zygote.emplace(Zygote::spawn(zc));
 
   const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);

@@ -9,8 +9,13 @@
 //   * admission is per client, layered on the SpeculationGovernor: each
 //     client gets a running-job quota and a bounded queue; past the queue
 //     cap the daemon answers with an explicit RETRY-AFTER denial instead of
-//     buffering without bound, and idle workers drain the client queues
-//     round-robin so one greedy client cannot starve the rest;
+//     buffering without bound, and workers drain the client queues
+//     round-robin so one greedy client cannot starve the rest — an idle
+//     worker first, then one more job queued ahead behind each running
+//     one, so a worker never waits a round trip for its next job. A job
+//     queued ahead that its worker has not started is withdrawn (on the
+//     worker.hpp ClaimBoard) and sent to a worker that falls idle, or
+//     answered at once when it is canceled;
 //   * the governor's token pool is shared with every worker through the
 //     zygote fork, so arm-level admission spans the whole daemon, and
 //     reconcile_dead_holders() runs after every forced teardown so a
@@ -48,12 +53,14 @@ struct ServerConfig {
   /// port back with Server::tcp_port()), else the port to bind.
   int tcp_port = 0;
 
-  /// Pre-warmed worker pool size (also the daemon's running-job capacity —
-  /// one job per worker at a time).
+  /// Pre-warmed worker pool size, and the daemon's running-job capacity: a
+  /// worker runs one job at a time (the jobs_running gauge counts those)
+  /// and holds at most one more queued ahead in its socket, which counts as
+  /// queued until it starts.
   int workers = 4;
 
-  /// Per-client admission: concurrent running jobs, and how many more may
-  /// queue before submits are denied with RETRY-AFTER.
+  /// Per-client admission: jobs on workers (running or queued ahead), and
+  /// how many more may queue before submits are denied with RETRY-AFTER.
   int per_client_running = 8;
   int per_client_queue = 64;
   std::uint32_t retry_after_ms = 50;

@@ -2,6 +2,7 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -94,7 +95,10 @@ int recv_fd(int sock) {
 JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
                    std::unique_ptr<posix::AltHeap>& heap) {
   JobOutcome out;
-  out.queue_ns = spec.queue_ns;
+  // The daemon stamped the submit; the wait runs to this start, so a job
+  // sent ahead to a busy worker counts its time in the socket as queueing.
+  const std::uint64_t start_ns = obs::now_ns();
+  out.queue_ns = start_ns > spec.queue_ns ? start_ns - spec.queue_ns : 0;
 
   const HandlerRegistry& registry = HandlerRegistry::global();
   std::vector<const Handler*> handlers;
@@ -162,12 +166,12 @@ JobOutcome run_job(const JobSpec& spec, const ZygoteConfig& cfg,
   // Attribute the daemon-side queue wait to the race the job became: a
   // self-contained span pair (ends carry their duration), emitted after
   // the fact because the race id does not exist until the block runs.
-  if (spec.queue_ns > 0 && report.race_id != 0 && obs::enabled()) {
+  if (out.queue_ns > 0 && report.race_id != 0 && obs::enabled()) {
     obs::emit(obs::EventKind::kPhaseBegin, report.race_id, 0,
               static_cast<std::uint64_t>(obs::Phase::kSrvQueue));
     obs::emit(obs::EventKind::kPhaseEnd, report.race_id, 0,
               static_cast<std::uint64_t>(obs::Phase::kSrvQueue),
-              spec.queue_ns);
+              out.queue_ns);
   }
 
   // Reset the arena for the next job — the warm-worker equivalent of a
@@ -221,6 +225,12 @@ int g_job_fd = -1;
   FrameDecoder dec;
   std::uint8_t buf[64 << 10];
   for (;;) {
+    // The arms the last job's verdict eliminated are reaped by the next
+    // job's spawn; only a worker with no next job waiting waits for them
+    // to die, off every job's latency.
+    if (dec.buffered() == 0 && !posix::wait_readable(job_fd, 0)) {
+      posix::reap_eliminated();
+    }
     const ssize_t n = ::read(job_fd, buf, sizeof buf);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -239,16 +249,24 @@ int g_job_fd = -1;
           continue;
         }
         if (f->type != FrameType::kSubmit) retire(2);
-        // Adopt the client's trace id for the job's whole lifetime in this
-        // process: the race's own records, the after-the-fact srv_queue
-        // span, and — because the ambient id is inherited through fork —
-        // every record the speculative arms emit, including the last gasp
-        // of a loser that dies by SIGKILL. Cleared after the reply so a
-        // recycled worker cannot leak one job's id into the next.
-        obs::set_current_trace(f->trace_id);
         JobOutcome out;
         try {
-          out = run_job(decode_job(f->payload), cfg, heap);
+          const JobSpec spec = decode_job(f->payload);
+          // A job sent ahead runs only on its claim; one the daemon has
+          // withdrawn is answered there, not here.
+          if (spec.claim != 0 && cfg.claims != nullptr &&
+              !cfg.claims->take(spec.claim)) {
+            continue;
+          }
+          // Adopt the client's trace id for the job's whole lifetime in
+          // this process: the race's own records, the after-the-fact
+          // srv_queue span, and — because the ambient id is inherited
+          // through fork — every record the speculative arms emit,
+          // including the last gasp of a loser that dies by SIGKILL.
+          // Cleared after the reply so a recycled worker cannot leak one
+          // job's id into the next.
+          obs::set_current_trace(f->trace_id);
+          out = run_job(spec, cfg, heap);
         } catch (const std::exception& e) {
           out.status = JobStatus::kError;
           out.error = e.what();
@@ -262,9 +280,6 @@ int g_job_fd = -1;
         const Bytes reply = encode_frame(reply_frame);
         obs::set_current_trace(0);
         posix::write_all(job_fd, reply.data(), reply.size());
-        // The reply is out; the job's eliminated arms are reaped now, off
-        // its latency, and their tokens go back before the next job.
-        posix::reap_eliminated();
       }
     } catch (const ProtocolError&) {
       retire(2);  // the daemon never sends garbage; treat as fatal
@@ -299,6 +314,57 @@ int g_job_fd = -1;
 }
 
 }  // namespace
+
+namespace {
+constexpr unsigned kClaimWordShift = 48;  // claim = word << 48 | sequence
+constexpr std::size_t kWordsPerSlot = 2;
+}  // namespace
+
+ClaimBoard::ClaimBoard(std::size_t slots) : slots_(slots) {
+  ALTX_REQUIRE(slots > 0 && slots <= (std::size_t{1} << 15),
+               "claim board: 1..32768 slots");
+  void* p = ::mmap(nullptr,
+                   slots * kWordsPerSlot * sizeof(std::atomic<std::uint64_t>),
+                   PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw_errno("claim board: mmap");
+  words_ = static_cast<std::atomic<std::uint64_t>*>(p);  // zero-filled
+}
+
+ClaimBoard::~ClaimBoard() {
+  ::munmap(words_, slots_ * kWordsPerSlot * sizeof(std::atomic<std::uint64_t>));
+}
+
+std::uint64_t ClaimBoard::offer(std::size_t slot) {
+  ALTX_REQUIRE(slot < slots_, "claim board: no such slot");
+  seq_ = (seq_ + 1) & ((std::uint64_t{1} << kClaimWordShift) - 1);
+  if (seq_ == 0) seq_ = 1;  // a claim is never 0, "none"
+  for (std::size_t i = slot * kWordsPerSlot; i < (slot + 1) * kWordsPerSlot;
+       ++i) {
+    // Only the daemon stores a claim, so a free word stays free until then.
+    if (words_[i].load() != 0) continue;
+    const std::uint64_t claim =
+        static_cast<std::uint64_t>(i) << kClaimWordShift | seq_;
+    words_[i].store(claim);
+    return claim;
+  }
+  throw UsageError("claim board: both claims of a slot are untaken");
+}
+
+void ClaimBoard::clear(std::size_t slot) noexcept {
+  for (std::size_t i = slot * kWordsPerSlot; i < (slot + 1) * kWordsPerSlot;
+       ++i) {
+    words_[i].store(0);
+  }
+}
+
+bool ClaimBoard::take(std::uint64_t claim) noexcept {
+  return word(claim)->compare_exchange_strong(claim, 0);
+}
+
+std::atomic<std::uint64_t>* ClaimBoard::word(
+    std::uint64_t claim) const noexcept {
+  return &words_[(claim >> kClaimWordShift) % (slots_ * kWordsPerSlot)];
+}
 
 Zygote Zygote::spawn(const ZygoteConfig& cfg) {
   int sv[2];

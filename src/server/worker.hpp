@@ -19,6 +19,17 @@
 //        │  job frames over the job fd ──────>│ posix::race<Bytes> per job,
 //        │<───────────────── result frames ───│ arena reset between jobs
 //
+// A worker runs one job at a time, in the order the daemon sent them; the
+// daemon queues at most one more ahead in its socket, so the worker starts
+// the next job the moment it replies. A job sent ahead carries a claim on
+// the ClaimBoard below: the worker starts it only if it takes the claim,
+// and the daemon can withdraw it until then (to give it to a worker that
+// went idle, or to answer a cancel), so a job sent ahead runs at most once
+// and the daemon always knows whether it started. The arms a job's verdict
+// eliminated are reaped by the next job's spawn; a worker drains them
+// itself only when its socket holds no next job — it never idles on a
+// dying loser, whose governor token came back at the verdict anyway.
+//
 // The zygote ignores SIGCHLD (exited workers self-reap); workers restore
 // SIGCHLD before racing (AltGroup must be able to waitpid its arms). A
 // worker puts itself in its own process group so the daemon can take down
@@ -36,13 +47,52 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 
 #include "posix/fd.hpp"
 #include "posix/governor.hpp"
 
 namespace altx::server {
+
+/// Two words per worker slot in a MAP_SHARED mapping made before the
+/// zygote fork, so the daemon and every worker see the same words. Before
+/// the daemon sends a job ahead to a busy worker it offer()s a fresh claim
+/// — the word and a daemon-wide sequence number — into a free word of the
+/// slot and ships the claim in JobSpec::claim. Whoever take()s the claim
+/// first owns the job: the worker then runs it, the daemon has it back and
+/// the worker skips it. Exactly one of them wins. A slot needs two
+/// words: the worker replies to a job before it takes the next one's claim,
+/// so the daemon may send a job ahead behind one whose claim is still
+/// untaken. Only a job the daemon still holds for the worker can have an
+/// untaken claim, and the daemon clears the slot when it tears its worker
+/// down, so a free word is always there when it sends a job ahead.
+class ClaimBoard {
+ public:
+  explicit ClaimBoard(std::size_t slots);
+  ~ClaimBoard();
+  ClaimBoard(const ClaimBoard&) = delete;
+  ClaimBoard& operator=(const ClaimBoard&) = delete;
+
+  [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
+
+  /// Daemon: a new claim for `slot`, stored in a free word of it.
+  std::uint64_t offer(std::size_t slot);
+  /// Daemon: drops every claim of `slot`, once its worker is dead.
+  void clear(std::size_t slot) noexcept;
+  /// Swaps the claim out of its word: true for the first caller only,
+  /// daemon or worker.
+  bool take(std::uint64_t claim) noexcept;
+
+ private:
+  std::atomic<std::uint64_t>* word(std::uint64_t claim) const noexcept;
+
+  std::atomic<std::uint64_t>* words_ = nullptr;
+  std::size_t slots_ = 0;
+  std::uint64_t seq_ = 0;
+};
 
 struct ZygoteConfig {
   /// Arena pages each worker owns for heap-carrying jobs (0 = no arena).
@@ -51,6 +101,10 @@ struct ZygoteConfig {
   /// Admission governor shared with the daemon (MAP_SHARED pool, inherited
   /// through the zygote fork). nullptr = races resolve global() as usual.
   posix::SpeculationGovernor* governor = nullptr;
+
+  /// The daemon's claims on jobs it sends ahead (inherited through the
+  /// zygote fork). nullptr = every job a worker reads is its to run.
+  ClaimBoard* claims = nullptr;
 };
 
 class Zygote {

@@ -207,12 +207,42 @@ TEST(Governor, NarrowGrantRunsTheBlockInOneGroup) {
   EXPECT_EQ(log.attempts[0].race.aborted, 1);
   EXPECT_EQ(log.attempts[0].race.eliminated, 1);  // arm 3, unforked
   EXPECT_EQ(leaked, 0);  // the losing arm's write never escaped its fork
-  reap_eliminated();  // the winner holds its token until it is reaped
+  reap_eliminated();  // the verdict returned the tokens; this reaps
   const GovernorStats st = gov.stats();
   EXPECT_EQ(st.narrowed, 1u);
   EXPECT_EQ(st.overdrafts, 0u);
   EXPECT_EQ(st.max_in_flight, 1);
   EXPECT_EQ(st.in_flight, 0);
+}
+
+TEST(Governor, TokensComeBackAtTheVerdictNotAtTheLosersReap) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  GovernorConfig gc;
+  gc.tokens = 2;
+  // A calm pressure fixture, so that a loaded host cannot shrink the budget
+  // to one token and leave the loser unforked.
+  gc.psi_path =
+      ::testing::TempDir() + "psi_calm_" + std::to_string(::getpid());
+  std::ofstream(gc.psi_path) << "some avg10=0.00 avg60=0.00 avg300=0.00\n";
+  SpeculationGovernor gov(gc);
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.governor = &gov;
+  // The verdict SIGKILLs the 30 s loser and returns without waiting for it
+  // to die. A killed loser runs no more code, so the block's tokens are
+  // back in the pool by then, the loser's too, though it is not reaped.
+  const auto r = race<int>(
+      {[] { return std::optional<int>(1); },
+       [] { ::sleep(30); return std::optional<int>(2); }},
+      opts);
+  const GovernorStats st = gov.stats();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 1);
+  EXPECT_EQ(st.max_in_flight, 2);
+  EXPECT_EQ(st.narrowed, 0u);
+  EXPECT_EQ(st.in_flight, 0);
+  reap_eliminated();
+  std::remove(gc.psi_path.c_str());
 }
 
 TEST(Governor, NarrowedRaceRunsEveryArmUnderTheCap) {
@@ -240,7 +270,7 @@ TEST(Governor, NarrowedRaceRunsEveryArmUnderTheCap) {
     EXPECT_EQ(r->winner, 3);
     EXPECT_EQ(rep.forked, 3);
     EXPECT_EQ(rep.aborted, 2);
-    reap_eliminated();  // the winner's token and sample come at its reap
+    reap_eliminated();  // the winner's sample comes at its reap
     const GovernorStats st = gov.stats();
     EXPECT_LE(st.max_in_flight, tokens);
     EXPECT_EQ(st.overdrafts, 0u);
@@ -274,7 +304,7 @@ TEST(Governor, AwaitAllUnderOneTokenReturnsEveryResultInOrder) {
   });
   ASSERT_TRUE(all.has_value());
   EXPECT_EQ(*all, (std::vector<int>{1, 2, 3}));
-  reap_eliminated();  // a delivered child holds its token until reaped
+  reap_eliminated();  // the verdict returned the token; this reaps
   const GovernorStats st = gov->stats();
   EXPECT_EQ(st.max_in_flight, 1);
   EXPECT_EQ(st.overdrafts, 0u);

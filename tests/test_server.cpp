@@ -1,11 +1,12 @@
-// altxd end-to-end: multi-client admission, fair draining, cancellation
-// without token leaks, denial visibility, and graceful shutdown that reaps
-// every in-flight cohort.
+// altxd end-to-end: multi-client admission, fair draining, jobs queued
+// ahead in a running worker, cancellation without token leaks, denial
+// visibility, and graceful shutdown that reaps every in-flight cohort.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -26,6 +27,7 @@
 #include "server/client.hpp"
 #include "server/registry.hpp"
 #include "server/server.hpp"
+#include "server/worker.hpp"
 
 namespace {
 
@@ -47,6 +49,53 @@ JobSpec sleep_job(std::uint32_t ms, std::uint32_t timeout_ms = 30'000) {
   s.timeout_ms = timeout_ms;
   s.arms.push_back({"sleep_ms", args});
   return s;
+}
+
+/// A job whose one arm waits until the file `mark` exists and then either
+/// wins with {1} ("await_mark") or SIGKILLs its worker ("kill_worker"), or
+/// that appends one byte to the file and wins with {1} ("touch_mark"), so
+/// the file's size counts its runs. A test creates an awaited file once
+/// the daemon holds the jobs it needs, so no assertion depends on how long
+/// anything takes.
+JobSpec gated_job(const char* handler, const std::string& mark) {
+  JobSpec s;
+  s.arms.push_back({handler, Bytes(mark.begin(), mark.end())});
+  return s;
+}
+
+/// Registers the gated_job handlers; call before start(), so the workers
+/// forked then have them.
+void register_gated_handlers() {
+  auto await = [](const JobContext& ctx) {
+    const std::string path(ctx.args.begin(), ctx.args.end());
+    while (::access(path.c_str(), F_OK) != 0) ::usleep(1'000);
+  };
+  HandlerRegistry::global().add(
+      "await_mark", [await](const JobContext& ctx) -> std::optional<Bytes> {
+        await(ctx);
+        return Bytes{1};
+      });
+  HandlerRegistry::global().add(
+      "kill_worker", [await](const JobContext& ctx) -> std::optional<Bytes> {
+        await(ctx);
+        ::kill(::getppid(), SIGKILL);
+        return std::nullopt;
+      });
+  HandlerRegistry::global().add(
+      "touch_mark", [](const JobContext& ctx) -> std::optional<Bytes> {
+        const std::string path(ctx.args.begin(), ctx.args.end());
+        if (std::FILE* f = std::fopen(path.c_str(), "a")) {
+          std::fputc('x', f);
+          std::fclose(f);
+        }
+        return Bytes{1};
+      });
+}
+
+void touch(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr) << path;
+  std::fclose(f);
 }
 
 class ServerTest : public ::testing::Test {
@@ -564,34 +613,46 @@ std::uint64_t series(const std::string& scrape, const std::string& name) {
 
 TEST_F(ServerTest, JobLostWithItsWorkerIsCountedOnce) {
   ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
-  // The arm kills its worker: the job is lost with it and replies kError.
-  // Registered before start(), so the workers forked then have it.
-  HandlerRegistry::global().add(
-      "kill_worker", [](const JobContext&) -> std::optional<Bytes> {
-        ::kill(::getppid(), SIGKILL);
-        return std::nullopt;
-      });
+  // The arm of the running job kills its worker while a second job waits
+  // queued ahead in the worker's socket. The running job is lost with it
+  // and replies kError once; the one queued ahead, which the worker never
+  // took, goes back to the queue and runs on the replacement.
+  register_gated_handlers();
+  const std::string mark =
+      "/tmp/altx_lost_job_" + std::to_string(::getpid()) + ".mark";
+  ::unlink(mark.c_str());
   ServerConfig cfg;
   cfg.workers = 1;
+  cfg.per_client_running = 2;
   cfg.metrics_addr = "0";
   start(cfg);
   const int port = server_->metrics_port();
   ASSERT_GT(port, 0);
 
   Client c = Client::connect_unix(sock_);
-  JobSpec lost;
-  lost.arms.push_back({"kill_worker", {}});
-  const JobOutcome out = c.wait(c.submit(lost), 15'000ms);
+  const std::uint64_t running = c.submit(gated_job("kill_worker", mark));
+  const std::uint64_t ahead = c.submit(echo_job(2));
+  // A stats frame is answered in the pass that reads it, before that pass
+  // schedules; the second round trip reads what the first one's pass sent.
+  c.stats();
+  WireStats st = c.stats();
+  ASSERT_EQ(st.running, 1u);
+  ASSERT_EQ(st.queued, 1u);  // the echo job waits ahead in the worker
+  touch(mark);
+  const JobOutcome out = c.wait(running, 15'000ms);
   EXPECT_EQ(out.status, JobStatus::kError) << out.error;
+  const JobOutcome moved = c.wait(ahead, 15'000ms);
+  EXPECT_EQ(moved.status, JobStatus::kWon) << moved.error;
+  EXPECT_EQ(moved.value, (Bytes{2}));
   // The replacement worker serves the next job.
   ASSERT_EQ(c.wait(c.submit(echo_job(3)), 15'000ms).status, JobStatus::kWon);
+  ::unlink(mark.c_str());
 
-  WireStats st = c.stats();
-  for (int i = 0; i < 500 && (st.running != 0 || st.queued != 0); ++i) {
-    std::this_thread::sleep_for(10ms);
-    st = c.stats();
-  }
-  EXPECT_EQ(st.accepted, 2u);
+  st = c.stats();
+  EXPECT_EQ(st.running, 0u);
+  EXPECT_EQ(st.queued, 0u);
+  EXPECT_EQ(st.accepted, 3u);
+  EXPECT_EQ(st.completed, 3u);
   EXPECT_EQ(st.accepted, st.completed + st.canceled);
 
   // The global completed count and the per-client ones agree.
@@ -604,6 +665,272 @@ TEST_F(ServerTest, JobLostWithItsWorkerIsCountedOnce) {
   }
   EXPECT_EQ(series(resp, "altx_jobs_completed_total"), st.completed);
   EXPECT_EQ(per_client, st.completed);
+}
+
+/// Exit status of a forked child that runs `f` (0 = true).
+template <typename F>
+int in_child(F f) {
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(f() ? 0 : 1);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ClaimBoard, OnlyTheFirstTakerAcrossAForkGetsAClaim) {
+  ClaimBoard board(2);
+  const std::uint64_t a = board.offer(1);
+  const std::uint64_t b = board.offer(1);  // behind a claim not yet taken
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(a, b);
+  EXPECT_THROW((void)board.offer(1), UsageError);  // both words hold one
+  const std::uint64_t other = board.offer(0);      // another slot's own
+
+  // A forked process (the worker) takes `a`: the daemon cannot take it back.
+  EXPECT_EQ(in_child([&] { return board.take(a); }), 0);
+  EXPECT_FALSE(board.take(a));
+  // The daemon takes `b` back first: the worker cannot take it.
+  EXPECT_TRUE(board.take(b));
+  EXPECT_EQ(in_child([&] { return board.take(b); }), 1);
+  EXPECT_TRUE(board.take(other));
+
+  // Resolved claims free their words; clear() drops untaken ones.
+  (void)board.offer(1);
+  (void)board.offer(1);
+  board.clear(1);
+  EXPECT_NE(board.offer(1), 0u);
+  EXPECT_NE(board.offer(1), 0u);
+}
+
+TEST_F(ServerTest, CanceledJobQueuedAheadIsAnsweredAtOnceAndNeverRuns) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  register_gated_handlers();
+  const std::string tag = std::to_string(::getpid());
+  const std::string mark = "/tmp/altx_cancel_ahead_" + tag + ".mark";
+  const std::string ran = "/tmp/altx_cancel_ahead_" + tag + ".ran";
+  ::unlink(mark.c_str());
+  ::unlink(ran.c_str());
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.per_client_running = 2;
+  start(cfg);
+
+  Client c = Client::connect_unix(sock_);
+  const std::uint64_t a = c.submit(gated_job("await_mark", mark));
+  const std::uint64_t b = c.submit(gated_job("touch_mark", ran));
+  c.stats();  // the pass that answers this one schedules both jobs
+  WireStats st = c.stats();
+  ASSERT_EQ(st.running, 1u);  // A runs, B waits ahead in the worker
+  ASSERT_EQ(st.queued, 1u);
+
+  // Answered while A still runs: A cannot finish before the mark exists.
+  c.cancel(b);
+  EXPECT_EQ(c.wait(b, 15'000ms).status, JobStatus::kCanceled);
+  st = c.stats();
+  EXPECT_EQ(st.completed, 0u);
+  EXPECT_EQ(st.canceled, 1u);
+  EXPECT_EQ(st.running, 1u);
+  EXPECT_EQ(st.queued, 0u);
+
+  touch(mark);
+  const JobOutcome out = c.wait(a, 15'000ms);
+  EXPECT_EQ(out.status, JobStatus::kWon) << out.error;
+  EXPECT_EQ(out.value, (Bytes{1}));
+
+  // The same worker reads B's frame before the next job's: it skips B,
+  // whose claim the daemon withdrew, and runs the next one. B never ran,
+  // no result for it came, and no worker was torn down for it.
+  EXPECT_EQ(c.wait(c.submit(echo_job(3)), 15'000ms).status, JobStatus::kWon);
+  EXPECT_NE(::access(ran.c_str(), F_OK), 0);
+  EXPECT_THROW(c.wait(b, 0ms), SystemError);
+  ::unlink(mark.c_str());
+  ::unlink(ran.c_str());
+
+  st = c.stats();
+  EXPECT_EQ(st.worker_respawns, 0u);
+  EXPECT_EQ(st.accepted, 3u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.accepted, st.completed + st.canceled);
+}
+
+/// Size of the file at `path`, -1 when there is none.
+long file_size(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<long>(st.st_size) : -1;
+}
+
+Server* g_forked_daemon = nullptr;
+
+TEST(ServerRace, CancelReadWithTheRepliesBeforeItRunsNothingTwice) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // A cancel of running job A reaches the daemon in the same poll pass as
+  // A's reply, while the worker already runs job B, which was queued ahead.
+  // The daemon runs in a forked process so the test can stop it with
+  // SIGSTOP while the worker finishes A and takes B: then the cancel and
+  // both replies wait on its sockets, and the pass reads clients first.
+  register_builtin_handlers(HandlerRegistry::global());
+  register_gated_handlers();
+  const std::string tag = std::to_string(::getpid());
+  const std::string sock = "/tmp/altx_cancel_race_" + tag + ".sock";
+  const std::string mark = "/tmp/altx_cancel_race_" + tag + ".mark";
+  const std::string ran = "/tmp/altx_cancel_race_" + tag + ".ran";
+  ::unlink(mark.c_str());
+  ::unlink(ran.c_str());
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    ::close(ready[0]);
+    ServerConfig cfg;
+    cfg.socket_path = sock;
+    cfg.workers = 1;
+    cfg.per_client_running = 2;
+    Server srv(cfg);
+    srv.start();
+    g_forked_daemon = &srv;
+    ::signal(SIGTERM, [](int) { g_forked_daemon->request_stop(); });
+    const char one = 1;
+    (void)!::write(ready[1], &one, 1);
+    srv.run();
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  char one = 0;
+  ASSERT_EQ(::read(ready[0], &one, 1), 1);  // listening
+  ::close(ready[0]);
+
+  {
+    Client c = Client::connect_unix(sock);
+    const std::uint64_t a = c.submit(gated_job("await_mark", mark));
+    const std::uint64_t b = c.submit(gated_job("touch_mark", ran));
+    c.stats();
+    WireStats st = c.stats();
+    ASSERT_EQ(st.running, 1u);
+    ASSERT_EQ(st.queued, 1u);  // B waits ahead in the worker's socket
+
+    ASSERT_EQ(::kill(daemon, SIGSTOP), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(daemon, &status, WUNTRACED), daemon);
+    ASSERT_TRUE(WIFSTOPPED(status));
+    touch(mark);  // the worker replies to A, takes B and runs it
+    while (file_size(ran) < 1) ::usleep(1'000);
+    c.cancel(a);
+    ASSERT_EQ(::kill(daemon, SIGCONT), 0);
+
+    // A had finished: its result stands. B was the worker's to run: it
+    // ran once and is answered once, and no worker was torn down.
+    const JobOutcome out_a = c.wait(a, 15'000ms);
+    EXPECT_EQ(out_a.status, JobStatus::kWon) << out_a.error;
+    const JobOutcome out_b = c.wait(b, 15'000ms);
+    EXPECT_EQ(out_b.status, JobStatus::kWon) << out_b.error;
+    EXPECT_EQ(c.wait(c.submit(echo_job(3)), 15'000ms).status, JobStatus::kWon);
+    EXPECT_EQ(file_size(ran), 1);
+    st = c.stats();
+    EXPECT_EQ(st.worker_respawns, 0u);
+    EXPECT_EQ(st.accepted, 3u);
+    EXPECT_EQ(st.completed, 3u);
+    EXPECT_EQ(st.canceled, 0u);
+  }
+  ::kill(daemon, SIGTERM);
+  int status = 0;
+  EXPECT_EQ(::waitpid(daemon, &status, 0), daemon);
+  ::unlink(mark.c_str());
+  ::unlink(ran.c_str());
+  ::unlink(sock.c_str());
+}
+
+TEST_F(ServerTest, JobQueuedAheadGoesToAWorkerThatFallsIdle) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // A job queued ahead behind a long one does not wait for it when another
+  // worker falls idle: the daemon withdraws it and sends it there.
+  register_gated_handlers();
+  const std::string tag = std::to_string(::getpid());
+  const std::string long_mark = "/tmp/altx_steal_long_" + tag + ".mark";
+  const std::string short_mark = "/tmp/altx_steal_short_" + tag + ".mark";
+  ::unlink(long_mark.c_str());
+  ::unlink(short_mark.c_str());
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.per_client_running = 3;
+  start(cfg);
+
+  Client c = Client::connect_unix(sock_);
+  // The long job goes to the first worker, the short one to the second,
+  // and the echo job queued ahead behind the long one, the first worker
+  // with room.
+  const std::uint64_t slow = c.submit(gated_job("await_mark", long_mark));
+  const std::uint64_t quick = c.submit(gated_job("await_mark", short_mark));
+  const std::uint64_t behind = c.submit(echo_job(4));
+  c.stats();
+  WireStats st = c.stats();
+  ASSERT_EQ(st.running, 2u);
+  ASSERT_EQ(st.queued, 1u);
+
+  touch(short_mark);
+  EXPECT_EQ(c.wait(quick, 15'000ms).status, JobStatus::kWon);
+  // The long job cannot end before its mark exists.
+  const JobOutcome moved = c.wait(behind, 15'000ms);
+  EXPECT_EQ(moved.status, JobStatus::kWon) << moved.error;
+  EXPECT_EQ(moved.value, (Bytes{4}));
+  st = c.stats();
+  EXPECT_EQ(st.running, 1u);
+  EXPECT_EQ(st.completed, 2u);
+
+  touch(long_mark);
+  EXPECT_EQ(c.wait(slow, 15'000ms).status, JobStatus::kWon);
+  // The first worker skips the withdrawn frame and serves the next job;
+  // the echo job ran once.
+  EXPECT_EQ(c.wait(c.submit(echo_job(5)), 15'000ms).status, JobStatus::kWon);
+  EXPECT_THROW(c.wait(behind, 0ms), SystemError);
+  ::unlink(long_mark.c_str());
+  ::unlink(short_mark.c_str());
+  st = c.stats();
+  EXPECT_EQ(st.completed, 4u);
+  EXPECT_EQ(st.worker_respawns, 0u);
+  EXPECT_EQ(st.accepted, st.completed + st.canceled);
+}
+
+TEST_F(ServerTest, JobsRunningNeverExceedsWorkers) {
+  ALTX_SKIP_IF_CONSTRAINED(/*procs=*/32, /*address_mb=*/512);
+  // Six jobs in flight on two workers: each worker runs one and holds one
+  // queued ahead, and the gauge counts only the jobs started.
+  register_gated_handlers();
+  const std::string mark =
+      "/tmp/altx_running_cap_" + std::to_string(::getpid()) + ".mark";
+  ::unlink(mark.c_str());
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.per_client_running = 8;
+  start(cfg);
+
+  Client c = Client::connect_unix(sock_);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(c.submit(gated_job("await_mark", mark)));
+  }
+  c.stats();
+  WireStats st = c.stats();
+  EXPECT_EQ(st.running, 2u);
+  EXPECT_EQ(st.queued, 4u);  // two queued ahead, two in the client's queue
+  EXPECT_EQ(st.workers_busy, 2u);
+  EXPECT_EQ(st.workers_idle, 0u);
+
+  touch(mark);
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (st.completed < ids.size()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    st = c.stats();
+    EXPECT_LE(st.running, 2u);
+  }
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(c.wait(id, 15'000ms).status, JobStatus::kWon);
+  }
+  ::unlink(mark.c_str());
+  st = c.stats();
+  EXPECT_EQ(st.running, 0u);
+  EXPECT_EQ(st.queued, 0u);
+  EXPECT_EQ(st.completed, 6u);
 }
 
 TEST_F(ServerTest, WorkerDeathTakesItsArmsWithIt) {

@@ -89,6 +89,7 @@ TEST(ServerProtocol, JobSpecRoundTrip) {
   spec.site_id = 0xdeadbeef;
   spec.heap_pages = 7;
   spec.queue_ns = 55'555;
+  spec.claim = 0x2'0000'0000'0007;
   spec.arms.push_back({"echo", {9, 8, 7}});
   spec.arms.push_back({"fail", {}});
   const JobSpec out = decode_job(encode_job(spec));
@@ -96,6 +97,7 @@ TEST(ServerProtocol, JobSpecRoundTrip) {
   EXPECT_EQ(out.site_id, 0xdeadbeefu);
   EXPECT_EQ(out.heap_pages, 7u);
   EXPECT_EQ(out.queue_ns, 55'555u);
+  EXPECT_EQ(out.claim, 0x2'0000'0000'0007u);
   ASSERT_EQ(out.arms.size(), 2u);
   EXPECT_EQ(out.arms[0].handler, "echo");
   EXPECT_EQ(out.arms[0].args, (Bytes{9, 8, 7}));
