@@ -24,7 +24,8 @@ enum class EventKind : std::uint16_t {
 
   // Alternative-block lifecycle (posix::AltGroup / race / sim kernel).
   kRaceBegin = 1,     // a: number of alternatives, b: replicas
-  kFork = 2,          // a: child pid, b: fork latency ns
+  kFork = 2,          // a: child pid, b: the whole fork step ns (result
+                      //   pipe, fork(2), pidfd), c: the fork(2) call alone
   kGuardStart = 3,    // child side: alternative body begins
   kGuardResult = 4,   // child side: a: 1 = guard held, 0 = failed
   kCommitAttempt = 5, // child side: about to take the token

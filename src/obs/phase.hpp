@@ -11,7 +11,9 @@
 // alt_group/race and tile the interval from kRaceBegin to kRaceDecided:
 //
 //   admission_wait   queueing for governor tokens (only under a governor)
-//   fork             pipes + census arena + the fork loop
+//   fork             the block's words on the commit board, then for each
+//                    arm its result pipe, fork(2) and its pidfd (the arm's
+//                    kFork record: b = that whole step, c = fork(2) alone)
 //   arm_run          parent waiting for the first commit (the arms racing)
 //   result_pipe      reading / writing the winner's result frame
 //   absorb           pulling the winner's dirty pages into the parent's

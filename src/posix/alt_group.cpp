@@ -1,9 +1,7 @@
 #include "posix/alt_group.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,11 +32,6 @@ constexpr std::uint8_t kReleaseSendPatch = 1;  // no pull: send a patch frame
 // parent is still there: EOF cannot tell it, since a child forked by
 // another thread of the parent may hold the pipe's write end.
 constexpr int kOrphanCheckMs = 100;
-
-// A child's standing at the commit token, kept in its census slot.
-constexpr std::uint32_t kTokenUnseen = 0;
-constexpr std::uint32_t kTokenTaken = 1;
-constexpr std::uint32_t kTokenPassed = 2;  // aborted, or too late
 
 // How long a sabotaged token holder waits for a second one: an arm that
 // crashed, hangs or was never forked never reaches the token.
@@ -97,9 +90,11 @@ bool has_data(int fd) {
 /// An arm's frame write. No exception may leave a forked arm — it would
 /// unwind into its parent's code — so a parent that is gone (EPIPE where
 /// SIGPIPE is ignored) ends the arm with `code` instead.
-void send_frame(int fd, const Bytes& frame, int code) {
+void send_frame(int fd,
+                std::initializer_list<std::span<const std::uint8_t>> parts,
+                int code) {
   try {
-    write_frame(fd, frame);
+    write_frame(fd, parts);
   } catch (...) {
     exit_arm(code);
   }
@@ -132,10 +127,7 @@ AltGroup::~AltGroup() {
     // Destructors must not throw; losing a reap here only leaks a zombie
     // until process exit.
   }
-  if (census_ != nullptr) {
-    ::munmap(census_, census_slots_ * sizeof(CensusSlot));
-    census_ = nullptr;
-  }
+  board_.close();
 }
 
 int AltGroup::alt_spawn(int n) { return spawn(n); }
@@ -150,9 +142,21 @@ int AltGroup::spawn(int n) {
   ALTX_REQUIRE(!spawned_, "AltGroup: alt_spawn called twice");
   ALTX_REQUIRE(n >= 1, "AltGroup: need at least one alternative");
   spawned_ = true;
-  // Children that earlier verdicts ended and that have exited since give
-  // their tokens back before this block asks for any.
+  // Children that earlier verdicts ended and that have exited since are
+  // reaped before this block adds its own.
   sweep_eliminated(/*at_spawn=*/true);
+  // Deposit the single commit token: the 0-1 semaphore of section 3.2.1,
+  // on the process's commit board. ALTX_TEST_BREAK_AT_MOST_ONCE is a
+  // test-only sabotage knob for the equivalence checker (src/check/): it
+  // deposits a second token, so two children can both "win" — the
+  // at-most-once-commit violation altx-check must catch, shrink, and
+  // replay. Never set it outside tests. A holder then waits for the second
+  // holder (await_second_holder), so the double commit is on record at every
+  // verdict, not only when the second frame beats the verdict's kill. The
+  // knob is read at every block (about 0.1 µs): tests set and clear it while
+  // the process runs.
+  second_token_ = std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr;
+  board_ = BoardBlock::open(n, second_token_ ? 2 : 1);
   if (opts_.fault != nullptr) fault_attempt_ = opts_.fault->begin_attempt();
   ids_.trace_id = obs::current_trace();
   ids_.attempt = obs::current_attempt();
@@ -176,41 +180,21 @@ int AltGroup::spawn(int n) {
   obs::prof_prewarm();  // stack bounds for the children's samplers
   absorb_first_clone();
 
-  token_ = Pipe::create(/*nonblocking_read=*/true);
-  // Deposit the single commit token: the 0-1 semaphore of section 3.2.1.
-  // ALTX_TEST_BREAK_AT_MOST_ONCE is a test-only sabotage knob for the
-  // equivalence checker (src/check/): it deposits a second token, so two
-  // children can both "win" — the at-most-once-commit violation altx-check
-  // must catch, shrink, and replay. Never set it outside tests. A holder
-  // then waits for the second holder (await_second_holder), so the double
-  // commit is on record at every verdict, not only when the second frame
-  // beats the verdict's kill.
-  const std::uint8_t token = 1;
-  write_all(token_.write_end.get(), &token, 1);
-  second_token_ = std::getenv("ALTX_TEST_BREAK_AT_MOST_ONCE") != nullptr;
-  if (second_token_) write_all(token_.write_end.get(), &token, 1);
   // A heap group's winner waits for one byte on this pipe; only the token
   // holder ever reads it.
-  if (opts_.heap != nullptr) release_ = Pipe::create();
-  // Each arm's result pipe is made at its fork (fork_arm).
-  slots_.resize(static_cast<std::size_t>(n));
-  status_.resize(static_cast<std::size_t>(n));
-
-  // The census arena: one MAP_SHARED slot per child, created before any
-  // fork so every child inherits the same mapping. A child deposits its
-  // dirty-page count here just before its sync point; the numbers survive a
-  // SIGKILL that the pipe-based result path would lose. On mmap failure the
-  // arena is simply absent and accounting degrades to rusage-only.
-  census_slots_ = static_cast<std::size_t>(n);
-  void* arena = ::mmap(nullptr, census_slots_ * sizeof(CensusSlot),
-                       PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
-                       -1, 0);
-  if (arena == MAP_FAILED) {
-    census_ = nullptr;
-    census_slots_ = 0;
-  } else {
-    census_ = static_cast<CensusSlot*>(arena);  // MAP_ANONYMOUS: zeroed
+  if (opts_.heap != nullptr) {
+    release_ = Pipe::create();
+    parent_ = ::getpid();
   }
+  // Each arm's result pipe is made at its fork (fork_arm). Everything the
+  // wait and the teardown fill is sized now, before the first fork.
+  const auto arms = static_cast<std::size_t>(n);
+  slots_.resize(arms);
+  status_.resize(arms);
+  pollset_.reserve(2 * arms);
+  poll_owner_.reserve(2 * arms);
+  handoff_.reserve(arms);
+  bill_ = std::make_shared<BlockBill>();
 
   // Arms the plan skipped never run; without a body neither do the arms it
   // defers or those past the grant.
@@ -266,14 +250,16 @@ bool AltGroup::fork_arm(std::size_t i) {
   // it once the child is forked, so a child that dies without a frame
   // leaves EOF behind.
   slot.result = Pipe::create();
-  const pid_t parent = ::getpid();
   const std::uint64_t fork_t0 = obs::enabled() ? obs::now_ns() : 0;
+  std::uint64_t fork_call_ns = 0;  // fork(2) alone, traced runs
   pid_t pid = -1;
   for (int try_n = 0;; ++try_n) {
     const bool injected = opts_.fault != nullptr &&
                           opts_.fault->fork_fails(fault_attempt_, arm, try_n);
     if (!injected) {
+      const std::uint64_t call_t0 = fork_t0 != 0 ? obs::now_ns() : 0;
       pid = ::fork();
+      if (pid > 0 && fork_t0 != 0) fork_call_ns = obs::now_ns() - call_t0;
       if (pid >= 0) break;
     }
     const int err = injected ? EAGAIN : errno;
@@ -304,16 +290,22 @@ bool AltGroup::fork_arm(std::size_t i) {
     }
   }
   if (pid == 0) {
-    // Child: a COW copy of everything the parent had. It keeps the write
-    // end of its own result pipe and closes every other cohort descriptor.
+    // Child: a COW copy of everything the parent had. Until its frame is
+    // out it writes only what the frame needs — its index and the write end
+    // of its own result pipe — and closes only what its frame's EOF and
+    // EPIPE rest on: its copy of that pipe's read end, so a write to a
+    // parent that has gone meets EPIPE, and a heap group's release write
+    // end, so a second token holder that no release byte comes for reads
+    // EOF once its parent lets go of the pipe. Every page it does not write
+    // stays shared with the parent; the siblings' descriptors it inherited
+    // close when it exits.
     my_index_ = arm;
-    out_ = std::move(slot.result.write_end);
-    release_.write_end.reset();
-    parent_ = parent;
-    slots_.clear();
-    status_.clear();
+    out_ = slot.result.write_end.get();
+    ::close(slot.result.read_end.get());
+    if (release_.write_end.valid()) ::close(release_.write_end.get());
+    BoardBlock::forget_grandparent_board();
     if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
-    obs::set_current_race(ids_.race_id);
+    if (obs::enabled()) obs::set_current_race(ids_.race_id);
     obs::prof_arm_child(ids_.race_id, arm);
     obs::emit(obs::EventKind::kGuardStart, ids_.race_id,
               static_cast<std::int16_t>(arm));
@@ -346,7 +338,7 @@ bool AltGroup::fork_arm(std::size_t i) {
     const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
     obs::emit(obs::EventKind::kFork, ids_.race_id,
               static_cast<std::int16_t>(arm), static_cast<std::uint64_t>(pid),
-              fork_ns);
+              fork_ns, fork_call_ns);
     obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
   }
   status_[i].pid = pid;
@@ -387,7 +379,6 @@ void AltGroup::end_cohort() {
 }
 
 void AltGroup::hand_off() {
-  std::vector<DeferredChild> out;
   const std::uint64_t now = obs::now_ns();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (reaped(i)) continue;  // pending arms ended unforked in kill_survivors
@@ -410,34 +401,38 @@ void AltGroup::hand_off() {
       d.result = std::move(slot.result.read_end);  // a killed child's
     }
     d.block_won = verdict_kind_ == WaitVerdict::kWinner;
-    out.push_back(std::move(d));
+    handoff_.push_back(std::move(d));
   }
-  if (out.empty()) return;
+  if (handoff_.empty()) return;
   // The bill: what the verdict reaped now, each deferred child as it is
   // reaped, emitted with the last.
-  auto bill = std::make_shared<BlockBill>();
-  bill->ids = ids_;
-  bill->rep = speculation_report();
-  bill->outstanding = static_cast<int>(out.size());
-  for (DeferredChild& d : out) d.bill = bill;
+  bill_->ids = ids_;
+  bill_->rep = speculation_report();
+  bill_->outstanding = static_cast<int>(handoff_.size());
+  for (DeferredChild& d : handoff_) d.bill = bill_;
   accounted_ = true;
-  defer_reap(std::move(out));
+  defer_reap(handoff_);
+  handoff_.clear();
 }
 
-void AltGroup::child_commit(const Bytes& result) { child_sync(&result, true); }
-
-void AltGroup::child_deliver(const Bytes& result) {
-  child_sync(&result, false);
+void AltGroup::child_commit(std::span<const std::uint8_t> result) {
+  child_sync(result, true);
 }
 
-void AltGroup::child_abort() { child_sync(nullptr, false); }
+void AltGroup::child_deliver(std::span<const std::uint8_t> result) {
+  child_sync(result, false);
+}
 
-void AltGroup::child_sync(const Bytes* result, bool take_token) {
+void AltGroup::child_abort() { child_sync(std::nullopt, false); }
+
+void AltGroup::child_sync(std::optional<std::span<const std::uint8_t>> result,
+                          bool take_token) {
   ALTX_REQUIRE(my_index_ != 0, "AltGroup: child sync called in the parent");
   const auto me = static_cast<std::int16_t>(my_index_);
   // The guard's outcome is recorded before the fault sync point, so the
   // trace still explains a child that the injector kills on its way in.
-  obs::emit(obs::EventKind::kGuardResult, ids_.race_id, me, result != nullptr);
+  obs::emit(obs::EventKind::kGuardResult, ids_.race_id, me,
+            result.has_value());
   obs::phase_end(obs::Phase::kArmRun, ids_.race_id, me, child_run_t0_);
   child_run_t0_ = 0;
   publish_census();  // before the sync point: survives an injected SIGKILL
@@ -449,25 +444,24 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     drop = opts_.fault->at_sync_point(fault_attempt_, my_index_) ==
            FaultKind::kDropCommit;
   }
-  if (result == nullptr) {
+  if (!result.has_value()) {
     obs::emit(obs::EventKind::kGuardFail, ids_.race_id, me);
-    publish_token(kTokenPassed);
+    board_.publish_standing(my_index_, Standing::kPassed);
     // An empty frame tells the parent now: a FAIL verdict need not wait for
     // this process to exit.
-    send_frame(out_.get(), Bytes{}, kExitAbort);
+    send_frame(out_, {}, kExitAbort);
     exit_arm(kExitAbort);
   }
   if (take_token) {
-    // Try to take the token. First reader commits; everyone else is too
+    // Try to take the token. First taker commits; everyone else is too
     // late.
     obs::emit(obs::EventKind::kCommitAttempt, ids_.race_id, me);
-    std::uint8_t token = 0;
-    if (::read(token_.read_end.get(), &token, 1) != 1) {
+    if (!board_.take_token()) {
       obs::emit(obs::EventKind::kTooLate, ids_.race_id, me);
-      publish_token(kTokenPassed);
+      board_.publish_standing(my_index_, Standing::kPassed);
       exit_arm(kExitTooLate);
     }
-    publish_token(kTokenTaken);
+    board_.publish_standing(my_index_, Standing::kTaken);
     obs::emit(obs::EventKind::kCommitWon, ids_.race_id, me,
               static_cast<std::uint64_t>(result->size()));
     if (second_token_) await_second_holder();
@@ -480,15 +474,21 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
     exit_arm(kExitLost);
   }
 
-  // A heap group's frame carries the dirty pages as runs, not their bytes:
-  // the parent reads those out of this process (absorb_winner).
-  Bytes frame;
-  ByteWriter w(frame);
-  w.blob(result->data(), result->size());
-  w.u8(opts_.heap != nullptr ? 1 : 0);
+  // The frame is the result as a blob, then a heap flag; a heap group's
+  // frame carries the dirty pages as runs, not their bytes: the parent reads
+  // those out of this process (absorb_winner). It is gathered from where
+  // its parts lie, so an arm allocates nothing on its way to the frame.
+  const std::uint64_t size = result->size();
+  const std::uint8_t has_heap = opts_.heap != nullptr ? 1 : 0;
+  auto bytes_of = [](const auto& v) {
+    return std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(&v), sizeof v);
+  };
+  Bytes runs_blob;
   if (opts_.heap != nullptr) {
     obs::ScopedPhase diff(obs::Phase::kPageDiff, ids_.race_id, me);
     const std::vector<PageRun> runs = opts_.heap->dirty_runs();
+    ByteWriter w(runs_blob);
     w.u32(static_cast<std::uint32_t>(runs.size()));
     for (const PageRun& run : runs) {
       w.u32(run.first);
@@ -497,7 +497,8 @@ void AltGroup::child_sync(const Bytes* result, bool take_token) {
   }
   {
     obs::ScopedPhase pipe(obs::Phase::kResultPipe, ids_.race_id, me);
-    send_frame(out_.get(), frame, kExitLost);
+    send_frame(out_, {bytes_of(size), *result, bytes_of(has_heap), runs_blob},
+               kExitLost);
   }
   if (opts_.heap != nullptr) await_release();
   exit_arm(0);
@@ -522,7 +523,7 @@ void AltGroup::await_release() {
     patch = opts_.heap->serialize_dirty();
   }
   obs::ScopedPhase pipe(obs::Phase::kResultPipe, ids_.race_id, me);
-  send_frame(out_.get(), patch, kExitLost);
+  send_frame(out_, {patch}, kExitLost);
 }
 
 std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
@@ -787,7 +788,8 @@ void AltGroup::release_winner(std::uint8_t ask) {
 }
 
 bool AltGroup::poll_frames() {
-  std::vector<pollfd> fds;
+  detail::ArenaVector<pollfd>& fds = pollset_;
+  fds.clear();
   for (const Slot& slot : slots_) {
     if (slot.result.read_end.valid() && !slot.ready) {
       fds.push_back({slot.result.read_end.get(), POLLIN, 0});
@@ -809,12 +811,13 @@ bool AltGroup::poll_frames() {
 }
 
 void AltGroup::wait_cohort(Clock::time_point deadline) {
-  sweep_eliminated();  // earlier blocks' children that have exited since
   deadline = std::min(deadline, enforce_deadlines());
   // One pollfd per open result pipe not yet known to hold a frame, and one
   // per unreaped child's pidfd; `owner` maps each back to (child, is_pidfd).
-  std::vector<pollfd> fds;
-  std::vector<std::pair<std::size_t, bool>> owner;
+  detail::ArenaVector<pollfd>& fds = pollset_;
+  detail::ArenaVector<std::pair<std::size_t, bool>>& owner = poll_owner_;
+  fds.clear();
+  owner.clear();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (status_[i].pid < 0) continue;  // never forked
@@ -826,11 +829,18 @@ void AltGroup::wait_cohort(Clock::time_point deadline) {
     fds.push_back({slot.pidfd.get(), POLLIN, 0});
     owner.emplace_back(i, true);
   }
-  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  const int timeout_ms = static_cast<int>(std::clamp<long long>(
-      wait.count(), 0, std::numeric_limits<int>::max()));
-  const int r = ::poll(fds.data(), fds.size(), timeout_ms);
+  int r = ::poll(fds.data(), fds.size(), 0);
+  if (r == 0) {
+    // Nothing is ready yet: earlier blocks' children that have exited since
+    // are reaped now, while this block's arms run, and not ahead of a frame
+    // that is already here.
+    sweep_eliminated();
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    const int timeout_ms = static_cast<int>(std::clamp<long long>(
+        wait.count(), 0, std::numeric_limits<int>::max()));
+    r = ::poll(fds.data(), fds.size(), timeout_ms);
+  }
   if (r < 0 && errno != EINTR) throw_errno("poll");
   for (std::size_t k = 0; r > 0 && k < fds.size(); ++k) {
     if (fds[k].revents == 0) continue;
@@ -1053,61 +1063,47 @@ void AltGroup::on_exit(std::size_t i, std::optional<int> status,
 }
 
 void AltGroup::read_census(std::size_t i) {
-  // The child's dirty-page census, if it published one before dying. The
-  // acquire pairs with the child's release store: a torn slot is never
-  // read, it just counts as "no census" (zeros).
-  if (census_ != nullptr && i < census_slots_ &&
-      census_[i].ready.load(std::memory_order_acquire) != 0) {
-    status_[i].dirty_pages = census_[i].dirty_pages;
-    status_[i].dirty_bytes = census_[i].dirty_bytes;
-  }
+  // The child's dirty-page census, if it published one in this block before
+  // dying; a word it never wrote counts as "no census" (zeros).
+  const ArmWord w = board_.read(static_cast<int>(i) + 1);
+  if (!w.census) return;
+  status_[i].dirty_pages = w.dirty_pages;
+  status_[i].dirty_bytes =
+      opts_.heap != nullptr
+          ? w.dirty_pages * static_cast<std::uint64_t>(opts_.heap->page_size())
+          : 0;
 }
 
 void AltGroup::publish_census() {
   std::uint64_t pages = 0;
-  std::uint64_t bytes = 0;
   if (opts_.heap != nullptr) {
     pages = static_cast<std::uint64_t>(opts_.heap->collect_dirty());
-    bytes = pages * static_cast<std::uint64_t>(opts_.heap->page_size());
   }
-  if (census_ != nullptr && my_index_ >= 1 &&
-      static_cast<std::size_t>(my_index_) <= census_slots_) {
-    CensusSlot& slot = census_[static_cast<std::size_t>(my_index_) - 1];
-    slot.dirty_pages = pages;
-    slot.dirty_bytes = bytes;
-    slot.ready.store(1, std::memory_order_release);
-  }
+  board_.publish_pages(my_index_, pages);
   obs::emit(obs::EventKind::kChildPages, ids_.race_id,
-            static_cast<std::int16_t>(my_index_), pages, bytes);
-}
-
-void AltGroup::publish_token(std::uint32_t state) {
-  if (census_ != nullptr && my_index_ >= 1 &&
-      static_cast<std::size_t>(my_index_) <= census_slots_) {
-    census_[static_cast<std::size_t>(my_index_) - 1].token.store(
-        state, std::memory_order_release);
-  }
+            static_cast<std::int16_t>(my_index_), pages,
+            opts_.heap != nullptr
+                ? pages * static_cast<std::uint64_t>(opts_.heap->page_size())
+                : 0);
 }
 
 bool AltGroup::took_token(std::size_t i) const {
   // One token exists outside the sabotage, and a won block's winner holds
   // it: any other holder is a second commit, with or without a frame out.
-  return verdict_kind_ == WaitVerdict::kWinner && census_ != nullptr &&
-         i < census_slots_ &&
-         census_[i].token.load(std::memory_order_acquire) == kTokenTaken;
+  return verdict_kind_ == WaitVerdict::kWinner &&
+         board_.read(static_cast<int>(i) + 1).standing == Standing::kTaken;
 }
 
 void AltGroup::await_second_holder() const {
-  if (census_ == nullptr) return;
   const Clock::time_point deadline = Clock::now() + kSecondHolderWait;
   const timespec nap{0, 50'000};
   while (Clock::now() < deadline) {
-    std::size_t holders = 0;
-    std::size_t unseen = 0;
-    for (std::size_t i = 0; i < census_slots_; ++i) {
-      const std::uint32_t t = census_[i].token.load(std::memory_order_acquire);
-      if (t == kTokenTaken) ++holders;
-      if (t == kTokenUnseen) ++unseen;
+    int holders = 0;
+    int unseen = 0;
+    for (int arm = 1; arm <= board_.arms(); ++arm) {
+      const Standing st = board_.read(arm).standing;
+      if (st == Standing::kTaken) ++holders;
+      if (st == Standing::kUnseen) ++unseen;
     }
     if (holders >= 2 || unseen == 0) return;
     ::nanosleep(&nap, nullptr);

@@ -32,10 +32,15 @@
 // frame was out, as aborted if its abort frame was, and otherwise as the
 // fate of the kill the verdict sent it; its bill is not in that view.
 //
-// At-most-once synchronization is a 0-1 semaphore built from a pipe: the
-// parent deposits a single token byte; the first child to read it commits;
-// later children find the pipe empty and are "too late" (section 3.2.1) —
-// they terminate themselves.
+// At-most-once synchronization is a 0-1 semaphore on the process's commit
+// board (posix/board.hpp): the parent deposits a single token in the
+// block's token word; the first child to count it down with a CAS commits;
+// later children find it at zero and are "too late" (section 3.2.1) — they
+// terminate themselves. Each child also leaves its standing at the token
+// and its dirty-page census in a word of its own there, which survive a
+// kill. A block maps, opens and closes no shared memory of its own: its
+// descriptors are each forked arm's result pipe and pidfd, and a heap
+// group's release pipe.
 //
 // Absorbing a heap (AltGroupOptions::heap): the winner's frame carries its
 // result and its dirty pages as runs, not the pages' bytes, and the winner
@@ -118,17 +123,22 @@
 // predicted branch.
 #pragma once
 
+#include <poll.h>
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "posix/alt_heap.hpp"
+#include "posix/board.hpp"
 #include "posix/fault.hpp"
 #include "posix/fd.hpp"
 #include "posix/reap.hpp"
@@ -199,6 +209,64 @@ struct AltGroupOptions {
   std::uint64_t site_id = 0;
 };
 
+namespace detail {
+
+/// A bump arena over a fixed buffer that spills to the heap: the storage of
+/// one block's per-arm state. Inline memory is given back with its buffer.
+class BlockArena {
+ public:
+  BlockArena(std::byte* buffer, std::size_t size)
+      : begin_(reinterpret_cast<std::uintptr_t>(buffer)),
+        at_(begin_),
+        end_(begin_ + size) {}
+
+  void* allocate(std::size_t bytes, std::size_t align) {
+    const std::uintptr_t p = (at_ + align - 1) & ~(align - 1);
+    if (p + bytes <= end_) {
+      at_ = p + bytes;
+      return reinterpret_cast<void*>(p);
+    }
+    return ::operator new(bytes);
+  }
+
+  void deallocate(void* p) noexcept {
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    if (at < begin_ || at >= end_) ::operator delete(p);
+  }
+
+ private:
+  std::uintptr_t begin_;
+  std::uintptr_t at_;
+  std::uintptr_t end_;
+};
+
+template <typename T>
+struct ArenaAllocator {
+  using value_type = T;
+  BlockArena* arena;
+
+  explicit ArenaAllocator(BlockArena* a) noexcept : arena(a) {}
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>& other) noexcept
+      : arena(other.arena) {}
+
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return static_cast<T*>(arena->allocate(n * sizeof(T), alignof(T)));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { arena->deallocate(p); }
+
+  template <typename U>
+  bool operator==(const ArenaAllocator<U>& other) const noexcept {
+    return arena == other.arena;
+  }
+};
+
+template <typename T>
+using ArenaVector = std::vector<T, ArenaAllocator<T>>;
+
+}  // namespace detail
+
 struct AltWinner {
   int index = 0;       // 1-based alternative number (alt_spawn's return)
   Bytes result;        // bytes the winner passed to child_commit
@@ -239,13 +307,13 @@ class AltGroup {
   /// child is first, its payload (and dirty heap pages) reach the parent;
   /// otherwise it is too late. Never returns. Consults the FaultInjector
   /// first: the child may crash, hang, stall, or lose the commit here.
-  [[noreturn]] void child_commit(const Bytes& result);
+  [[noreturn]] void child_commit(std::span<const std::uint8_t> result);
 
   /// Child side, collect-all: delivers a result without taking the commit
   /// token — every child's result is wanted. Never returns. A FaultInjector
   /// sync point; an injected kDropCommit loses the result, which fails the
   /// collect-all wait like any crash.
-  [[noreturn]] void child_deliver(const Bytes& result);
+  [[noreturn]] void child_deliver(std::span<const std::uint8_t> result);
 
   /// Child side: the guard failed; abort without synchronizing. Never
   /// returns. Also a FaultInjector sync point.
@@ -276,7 +344,7 @@ class AltGroup {
   /// After alt_wait no kRunning entries remain; a child the verdict ended
   /// before it exited reads as the verdict saw it, with no usage (the reap
   /// set bills it later, in its kChildUsage record).
-  [[nodiscard]] const std::vector<ChildStatus>& child_statuses() const {
+  [[nodiscard]] std::span<const ChildStatus> child_statuses() const {
     return status_;
   }
 
@@ -296,20 +364,6 @@ class AltGroup {
   [[nodiscard]] std::uint32_t race_id() const { return ids_.race_id; }
 
  private:
-  /// One census slot per child in a MAP_SHARED arena: the child writes its
-  /// dirty-page count just before its sync point (where a fault injector
-  /// may SIGKILL it), the parent reads it at rollup. `ready` is the
-  /// publication flag — a torn write is never read. `token` is where the
-  /// child stands at the commit token (kTokenUnseen / kTokenTaken /
-  /// kTokenPassed): a take is on record even if a kill ends the child
-  /// before its frame is out.
-  struct CensusSlot {
-    std::uint64_t dirty_pages;
-    std::uint64_t dirty_bytes;
-    std::atomic<std::uint32_t> ready;
-    std::atomic<std::uint32_t> token;
-  };
-
   using Clock = std::chrono::steady_clock;
   static constexpr Clock::time_point kNever = Clock::time_point::max();
 
@@ -360,8 +414,9 @@ class AltGroup {
   /// end_cohort's hand-off of every unreaped child to the reap set, with
   /// the block's bill when any is handed over.
   void hand_off();
-  /// child_commit / child_deliver / child_abort (result == nullptr).
-  [[noreturn]] void child_sync(const Bytes* result, bool take_token);
+  /// child_commit / child_deliver / child_abort (no result).
+  [[noreturn]] void child_sync(
+      std::optional<std::span<const std::uint8_t>> result, bool take_token);
   /// Heap winner, frame sent: waits for the release byte, and sends its
   /// patch frame when the byte asks for one. Returns if the parent dies.
   void await_release();
@@ -427,9 +482,9 @@ class AltGroup {
   /// hands it to record_exit. No status: it was reaped elsewhere (ECHILD).
   void on_exit(std::size_t i, std::optional<int> status,
                const ChildUsage& usage);
+  /// Child i's dirty-page census from its board word, if it published one.
   void read_census(std::size_t i);
-  void publish_census();         // child side, before the sync point
-  void publish_token(std::uint32_t state);  // child side, at the token
+  void publish_census();  // child side, before the sync point
   /// Parent side: child i took a commit token in a block that has a winner.
   [[nodiscard]] bool took_token(std::size_t i) const;
   /// Child side, second_token_ only: holds a token holder until a second
@@ -440,20 +495,41 @@ class AltGroup {
   void finalize_accounting();
 
   AltGroupOptions opts_;
-  std::vector<Slot> slots_;  // one per arm
-  std::vector<ChildStatus> status_;  // one per arm; pid -1 until forked
+  // The block's own storage, sized for a few arms: the per-arm state, the
+  // poll set and the hand-off list live in the group object — on the
+  // caller's stack, for race<T> — so what the parent writes between its
+  // first fork and its verdict lands on pages it writes anyway, not on heap
+  // pages it shares with its arms. A larger block spills to the heap.
+  static constexpr std::size_t kInlineBytes = 1024;
+  alignas(std::max_align_t) std::byte inline_[kInlineBytes];
+  detail::BlockArena arena_{inline_, kInlineBytes};
+  detail::ArenaVector<Slot> slots_{detail::ArenaAllocator<Slot>(&arena_)};
+  // One per arm; pid -1 until forked.
+  detail::ArenaVector<ChildStatus> status_{
+      detail::ArenaAllocator<ChildStatus>(&arena_)};
   ArmBody body_;  // what a forked arm runs; empty = body-less alt_spawn
   Clock::time_point admitted_;  // launch delays count from here
   int cap_ = 0;      // k: arms that may run at once
   int running_ = 0;  // forked and not yet reaped
   int pending_ = 0;  // not forked yet, not ended unforked
-  CensusSlot* census_ = nullptr;  // shared arena, one slot per child
-  std::size_t census_slots_ = 0;
+  // The block's words on the process's commit board: the token word and
+  // each arm's standing and census.
+  BoardBlock board_;
+  // Sized at spawn, before the first fork, so the parent allocates nothing
+  // while its arms run: the cohort wait's poll set and the owner of each
+  // entry (child, is_pidfd), the hand-off list and the block's bill.
+  detail::ArenaVector<pollfd> pollset_{
+      detail::ArenaAllocator<pollfd>(&arena_)};
+  detail::ArenaVector<std::pair<std::size_t, bool>> poll_owner_{
+      detail::ArenaAllocator<std::pair<std::size_t, bool>>(&arena_)};
+  detail::ArenaVector<DeferredChild> handoff_{
+      detail::ArenaAllocator<DeferredChild>(&arena_)};
+  std::shared_ptr<BlockBill> bill_;
   bool accounted_ = false;  // the bill is emitted, or with the reap set
-  Pipe token_;   // 0-1 semaphore: one byte, first reader commits
-  Fd out_;       // child side: the write end of its own result pipe
+  int out_ = -1;  // child side: the write end of its own result pipe, which
+                  // its parent's slot owns
   Pipe release_;  // heap groups: parent -> winner, one byte (end_cohort)
-  pid_t parent_ = 0;  // child side: the process that forked it
+  pid_t parent_ = 0;  // heap groups: the forking process, set at spawn
   std::vector<Bytes> results_;  // collect-all: delivered payloads
   int my_index_ = 0;  // 0 in parent
   std::uint64_t child_run_t0_ = 0;  // child side: arm_run span begin

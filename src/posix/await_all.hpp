@@ -53,7 +53,7 @@ std::optional<std::vector<T>> await_all(const std::vector<AlternativeFn<T>>& tas
     }
     obs::emit(obs::EventKind::kAwaitTaskDone, group.race_id(),
               static_cast<std::int16_t>(who), out.has_value() ? 1 : 0);
-    if (out.has_value()) group.child_deliver(race_encode<T>(*out));
+    if (out.has_value()) group.child_deliver(race_bytes<T>(*out));
   });
   obs::emit(obs::EventKind::kAwaitBegin, group.race_id(), 0,
             static_cast<std::uint64_t>(tasks.size()));

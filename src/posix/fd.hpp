@@ -4,11 +4,14 @@
 #include <fcntl.h>
 #include <limits.h>
 #include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -59,18 +62,12 @@ struct Pipe {
   Fd read_end;
   Fd write_end;
 
-  static Pipe create(bool nonblocking_read = false) {
+  static Pipe create() {
     int fds[2];
     if (::pipe(fds) != 0) throw_errno("pipe");
     Pipe p;
     p.read_end = Fd(fds[0]);
     p.write_end = Fd(fds[1]);
-    if (nonblocking_read) {
-      const int flags = ::fcntl(fds[0], F_GETFL);
-      if (flags < 0 || ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK) < 0) {
-        throw_errno("fcntl(O_NONBLOCK)");
-      }
-    }
     return p;
   }
 };
@@ -109,24 +106,51 @@ inline bool read_exact(int fd, void* data, std::size_t n) {
   return true;
 }
 
-/// Length-prefixed frame I/O over a pipe.
-inline void write_frame(int fd, const Bytes& payload) {
-  std::uint64_t len = payload.size();
-  // Frames that fit in PIPE_BUF go out as ONE write: pipe writes up to
-  // PIPE_BUF are atomic, so a header can never interleave with another
-  // writer's payload. Two writers exist only when two children both hold a
-  // commit token (the ALTX_TEST_BREAK_AT_MOST_ONCE double-commit sabotage);
-  // split writes there corrupt the stream and the parent's frame parse
-  // throws instead of the checker seeing the second commit.
-  if (sizeof len + len <= PIPE_BUF) {
-    std::uint8_t buf[sizeof len + PIPE_BUF];
-    std::memcpy(buf, &len, sizeof len);
-    if (!payload.empty()) std::memcpy(buf + sizeof len, payload.data(), len);
-    write_all(fd, buf, sizeof len + len);
-    return;
+/// Length-prefixed frame I/O over a pipe: one frame whose payload is
+/// `parts` in order, gathered by writev, so no byte is copied on the way.
+/// A frame that fits in PIPE_BUF goes out as ONE writev, which a pipe takes
+/// whole: a header can never interleave with another writer's payload. Two
+/// writers exist only when two children both hold a commit token (the
+/// ALTX_TEST_BREAK_AT_MOST_ONCE double-commit sabotage); split writes there
+/// would corrupt the stream and the parent's frame parse would throw instead
+/// of the checker seeing the second commit.
+inline void write_frame(
+    int fd, std::initializer_list<std::span<const std::uint8_t>> parts) {
+  constexpr std::size_t kMaxParts = 7;
+  std::uint64_t len = 0;
+  iovec iov[1 + kMaxParts];
+  int n = 0;
+  iov[n++] = {&len, sizeof len};
+  for (const std::span<const std::uint8_t> part : parts) {
+    ALTX_REQUIRE(n <= static_cast<int>(kMaxParts),
+                 "write_frame: too many parts");
+    len += part.size();
+    if (!part.empty()) {
+      iov[n++] = {const_cast<std::uint8_t*>(part.data()), part.size()};
+    }
   }
-  write_all(fd, &len, sizeof len);
-  if (!payload.empty()) write_all(fd, payload.data(), payload.size());
+  // Retry short writes (only a frame past PIPE_BUF has them) and EINTR.
+  iovec* at = iov;
+  while (n > 0) {
+    ssize_t w = ::writev(fd, at, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("write");
+    }
+    while (n > 0 && static_cast<std::size_t>(w) >= at->iov_len) {
+      w -= static_cast<ssize_t>(at->iov_len);
+      ++at;
+      --n;
+    }
+    if (n > 0) {
+      at->iov_base = static_cast<std::uint8_t*>(at->iov_base) + w;
+      at->iov_len -= static_cast<std::size_t>(w);
+    }
+  }
+}
+
+inline void write_frame(int fd, const Bytes& payload) {
+  write_frame(fd, {std::span<const std::uint8_t>(payload)});
 }
 
 inline std::optional<Bytes> read_frame(int fd) {

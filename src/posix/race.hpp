@@ -26,6 +26,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -46,17 +47,24 @@ concept RaceSerializable =
     std::is_trivially_copyable_v<T> || std::is_same_v<T, std::string> ||
     std::is_same_v<T, Bytes>;
 
+/// A value's bytes, in place: what an arm commits, without allocating on
+/// its way to the frame.
 template <RaceSerializable T>
-Bytes race_encode(const T& value) {
+std::span<const std::uint8_t> race_bytes(const T& value) {
   if constexpr (std::is_same_v<T, Bytes>) {
     return value;
   } else if constexpr (std::is_same_v<T, std::string>) {
-    return Bytes(value.begin(), value.end());
+    return {reinterpret_cast<const std::uint8_t*>(value.data()), value.size()};
   } else {
-    Bytes b(sizeof(T));
-    std::memcpy(b.data(), &value, sizeof(T));
-    return b;
+    return {reinterpret_cast<const std::uint8_t*>(&value), sizeof(T)};
   }
+}
+
+/// A copy of race_bytes(value).
+template <RaceSerializable T>
+Bytes race_encode(const T& value) {
+  const std::span<const std::uint8_t> bytes = race_bytes(value);
+  return Bytes(bytes.begin(), bytes.end());
 }
 
 template <RaceSerializable T>
@@ -226,7 +234,7 @@ std::optional<RaceResult<T>> run_race(const std::vector<AlternativeFn<T>>& alts,
   // returns into the caller's world.
   group.alt_spawn(static_cast<int>(arms), [&](int who) {
     const std::optional<T> out = alts[static_cast<std::size_t>((who - 1) % n)]();
-    if (out.has_value()) group.child_commit(race_encode<T>(*out));
+    if (out.has_value()) group.child_commit(race_bytes<T>(*out));
   });
   // One kPredPlan per planned race, active or not, so the trace can tell
   // "predicted, cold store" from "prediction off".

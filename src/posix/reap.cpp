@@ -1,10 +1,11 @@
 #include "posix/reap.hpp"
 
 #include <poll.h>
-#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <new>
 #include <string>
@@ -139,8 +140,14 @@ void BlockBill::emit() const {
 namespace {
 
 struct ReapSet {
-  std::mutex mu;  // guards children and every finish()
+  // The process whose children the set holds. A forked child inherits its
+  // parent's set and never touches it; it resets the set only when it hands
+  // over children of its own (claim_set). No fork handler runs, so neither
+  // side of a fork writes the set's page for it.
+  std::atomic<pid_t> owner{0};
+  std::mutex mu;  // guards children, handoffs and every finish()
   std::vector<DeferredChild> children;
+  std::atomic<std::size_t> held{0};  // children.size(), read without mu
   std::uint64_t handoffs = 0;
 };
 
@@ -156,23 +163,41 @@ ReapSet& reap_set() {
   // Leaked: the exit drain and late destructors use it.
   static ReapSet* const set = [] {
     auto* s = new ReapSet;
-    // A forked child forgets what it inherited: those children are its
-    // parent's to reap. It builds an empty vector over the inherited one
-    // without destroying it, so no entry is touched — no descriptor closed,
-    // no bill dropped — and the cost does not grow with what it inherited;
-    // the descriptors close when the child exits. Holding the lock across
-    // fork keeps the child's copy whole.
-    ::pthread_atfork([] { reap_set().mu.lock(); },
-                     [] { reap_set().mu.unlock(); },
-                     [] {
-                       ReapSet& r = reap_set();
-                       new (&r.children) std::vector<DeferredChild>();
-                       r.mu.unlock();
-                     });
+    s->owner.store(::getpid(), std::memory_order_release);
     std::atexit(reap_eliminated);
     return s;
   }();
   return *set;
+}
+
+/// The set when it holds this process's children; nullptr in a forked child
+/// that has handed over none yet (what it inherited is its parent's).
+ReapSet* own_set() {
+  ReapSet& s = reap_set();
+  return s.owner.load(std::memory_order_acquire) == ::getpid() ? &s : nullptr;
+}
+
+/// The set, made this process's own first where it is still the parent's: a
+/// forked child builds an empty vector and a fresh mutex over the inherited
+/// ones without destroying them, so no entry is touched — no descriptor
+/// closed, no bill dropped — and a lock its parent held at the fork is not
+/// the child's. The inherited descriptors close when the child exits. A
+/// thread that finds another thread of the child resetting waits for it.
+ReapSet& claim_set() {
+  ReapSet& s = reap_set();
+  const pid_t self = ::getpid();
+  pid_t seen = s.owner.load(std::memory_order_acquire);
+  if (seen == self) return s;
+  if (seen != -self &&
+      s.owner.compare_exchange_strong(seen, -self, std::memory_order_acq_rel)) {
+    new (&s.mu) std::mutex();
+    new (&s.children) std::vector<DeferredChild>();
+    s.held.store(0, std::memory_order_relaxed);
+    s.owner.store(self, std::memory_order_release);
+    return s;
+  }
+  while (s.owner.load(std::memory_order_acquire) != self) sched_yield();
+  return s;
 }
 
 /// Delivers what a reap of `c` owes, under the set's lock.
@@ -207,9 +232,9 @@ void reap_blocking(DeferredChild& c) {
 
 }  // namespace
 
-void defer_reap(std::vector<DeferredChild> children) {
+void defer_reap(std::span<DeferredChild> children) {
   if (children.empty()) return;
-  ReapSet& s = reap_set();
+  ReapSet& s = claim_set();
   std::lock_guard<std::mutex> lock(s.mu);
   t_last_handoff = ++s.handoffs;
   for (DeferredChild& c : children) {
@@ -217,10 +242,15 @@ void defer_reap(std::vector<DeferredChild> children) {
     c.generation = s.handoffs;
     s.children.push_back(std::move(c));
   }
+  s.held.store(s.children.size(), std::memory_order_relaxed);
 }
 
 void sweep_eliminated(bool at_spawn) {
-  ReapSet& s = reap_set();
+  ReapSet* const own = own_set();
+  // An empty set is not locked: the lock would write its page, which a
+  // parent shares with the arms it just forked.
+  if (own == nullptr || own->held.load(std::memory_order_relaxed) == 0) return;
+  ReapSet& s = *own;
   std::vector<DeferredChild> late;
   {
     std::lock_guard<std::mutex> lock(s.mu);
@@ -244,16 +274,24 @@ void sweep_eliminated(bool at_spawn) {
              r > 0 ? decode_rusage(ru) : ChildUsage{});
       it = s.children.erase(it);
     }
+    s.held.store(s.children.size(), std::memory_order_relaxed);
   }
   for (DeferredChild& c : late) reap_blocking(c);
 }
 
 void reap_eliminated() {
-  ReapSet& s = reap_set();
+  ReapSet* const own = own_set();
+  if (own == nullptr) return;
+  ReapSet& s = *own;
   std::vector<DeferredChild> all;
   {
+    // Moved out rather than swapped, so the set keeps its capacity and a
+    // later hand-off does not allocate.
     std::lock_guard<std::mutex> lock(s.mu);
-    all.swap(s.children);
+    all.assign(std::make_move_iterator(s.children.begin()),
+               std::make_move_iterator(s.children.end()));
+    s.children.clear();
+    s.held.store(0, std::memory_order_relaxed);
   }
   for (DeferredChild& c : all) reap_blocking(c);
 }

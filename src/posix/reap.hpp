@@ -18,13 +18,19 @@
 // hands every child that has not exited yet to the reap set, which later
 // bills, traces and samples each one through the same classifier as a reap
 // before the verdict — under the fate the verdict gave it. The set holds
-// and returns no tokens. It is swept without blocking at every spawn and in
-// every cohort wait — a spawn waits only for what its own thread handed
-// over before its latest verdict — and drained, blocking, by
+// and returns no tokens. It is swept without blocking at every spawn,
+// before the first fork, and in a cohort wait that finds nothing of its
+// block ready, so no reap delays a frame that is already out — a spawn waits
+// only for what its own thread handed over before its latest verdict — and
+// drained, blocking, by
 // reap_eliminated(): at process exit, by an arm before its _exit, and by an
-// altxd worker whose socket holds no next job. A forked child forgets the
-// set it inherited without touching its entries: those children are its
-// parent's to reap, and their descriptors close when the child exits.
+// altxd worker whose socket holds no next job. The set is stamped with the
+// pid of the process whose children it holds, and no fork handler touches
+// it: a forked child that finds its parent's stamp sweeps and drains
+// nothing, and resets the set — without touching the inherited entries,
+// which are its parent's to reap and whose descriptors close when it exits —
+// only when it hands over children of its own. An empty set is swept
+// without taking its lock, so a parent's sweep after a fork writes nothing.
 #pragma once
 
 #include <signal.h>
@@ -39,6 +45,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "posix/fd.hpp"
@@ -287,7 +294,8 @@ struct DeferredChild {
 };
 
 /// Hands children to the process-wide reap set: one block's, in one call.
-void defer_reap(std::vector<DeferredChild> children);
+/// Moves every entry out of `children`.
+void defer_reap(std::span<DeferredChild> children);
 
 /// Reaps, without blocking, every child in the set that has exited. At a
 /// spawn (`at_spawn`), children that this thread handed over before its

@@ -82,9 +82,13 @@ std::string describe(const Record& r) {
                     static_cast<unsigned long long>(r.a));
       break;
     case EventKind::kFork:
-      std::snprintf(buf, sizeof buf, "forked pid %llu (fork took %.1f us)",
+      // b: the whole fork step; c: the fork(2) call alone (0 in traces
+      // written before it was recorded).
+      std::snprintf(buf, sizeof buf,
+                    "forked pid %llu (fork step %.1f us, fork(2) %.1f us)",
                     static_cast<unsigned long long>(r.a),
-                    static_cast<double>(r.b) / 1000.0);
+                    static_cast<double>(r.b) / 1000.0,
+                    static_cast<double>(r.c) / 1000.0);
       break;
     case EventKind::kGuardStart:
       std::snprintf(buf, sizeof buf, "guard starts");
@@ -781,16 +785,27 @@ int run(const std::string& path, bool summary_only,
 
   // Aggregates across the whole file.
   Summary fork_ms;
+  Summary fork_call_ms;
   Summary commit_ms;
   Summary decide_ms;
   std::map<std::uint64_t, int> fate_counts;
   int won = 0;
   int lost = 0;
+  // Minor faults of each arm from its kChildUsage record (high word of c),
+  // split by whether its kChildFate says it committed.
+  Summary winner_faults;
+  Summary loser_faults;
   for (const auto& [id, v] : races) {
+    std::map<std::int16_t, std::uint64_t> fates;
+    std::map<std::int16_t, std::uint64_t> faults;
     for (const Record& r : v.events) {
       if (r.kind == EventKind::kFork) {
         fork_ms.add(static_cast<double>(r.b) / 1'000'000.0);
+        if (r.c != 0) fork_call_ms.add(static_cast<double>(r.c) / 1'000'000.0);
+      } else if (r.kind == EventKind::kChildUsage) {
+        faults[r.child_index] = r.c >> 32;
       } else if (r.kind == EventKind::kChildFate) {
+        fates[r.child_index] = r.a;
         ++fate_counts[r.a];
       } else if (r.kind == EventKind::kRaceDecided) {
         const double ms =
@@ -804,6 +819,14 @@ int run(const std::string& path, bool summary_only,
         }
       }
     }
+    for (const auto& [arm, n] : faults) {
+      const auto fate = fates.find(arm);
+      if (fate == fates.end()) continue;
+      const bool committed =
+          fate->second ==
+          static_cast<std::uint64_t>(altx::posix::ChildFate::kCommitted);
+      (committed ? winner_faults : loser_faults).add(static_cast<double>(n));
+    }
   }
   std::printf("aggregates\n");
   std::printf("  blocks decided: %d won, %d without a winner\n", won, lost);
@@ -814,9 +837,18 @@ int run(const std::string& path, bool summary_only,
     }
     std::printf("\n");
   }
-  print_ms_stats("fork latency", fork_ms);
+  print_ms_stats("fork step", fork_ms);
+  print_ms_stats("fork(2) call", fork_call_ms);
   print_ms_stats("commit latency", commit_ms);
   print_ms_stats("decide latency", decide_ms);
+  if (!winner_faults.empty() || !loser_faults.empty()) {
+    std::printf("  arm minor faults   winning p50 %.0f (n=%zu)   losing p50 "
+                "%.0f (n=%zu)\n",
+                winner_faults.empty() ? 0.0 : winner_faults.median(),
+                winner_faults.count(),
+                loser_faults.empty() ? 0.0 : loser_faults.median(),
+                loser_faults.count());
+  }
   return 0;
 }
 
